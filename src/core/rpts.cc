@@ -100,21 +100,23 @@ bool IRpts::tree_survives(const GraphDelta& delta, const Spt& tree,
 }
 
 bool IRpts::batch_survives(const DeltaBatch& batch, const Spt& tree,
-                           const FaultSet& faults) const {
+                           const FaultSet& faults, uint32_t eps_q) const {
   // Conjunction over the batch's net deltas; exact, see the header. Order
   // does not matter: each per-delta test reads only the old tree and
   // per-label data, both invariant under the other deltas. Removals share
   // ONE parent-edge scan instead of one tree walk per delta -- for every
   // scheme, removal survival is the generic stability rule (the tree avoids
   // the removed edge; see the base tree_survives), so testing k removals is
-  // one membership sweep. Inserts go through the virtual per-delta test
-  // (Rpts<Policy> refines them with exact tightness arithmetic).
+  // one membership sweep. Inserts go through the per-delta test of the
+  // tree's tier: the virtual exact one (Rpts<Policy> refines it with exact
+  // tightness arithmetic) or the (1+eps) feasibility check.
   FaultSet removed;
   for (const GraphDelta& d : batch.net) {
     if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
     if (d.kind == GraphDelta::Kind::kRemove)
       removed.insert(d.edge);
-    else if (!tree_survives(d, tree, faults))
+    else if (!(eps_q ? tree_survives_eps(d, tree, faults, eps_q)
+                     : tree_survives(d, tree, faults)))
       return false;
   }
   if (removed.empty()) return true;
@@ -150,27 +152,6 @@ bool IRpts::tree_survives_eps(const GraphDelta& delta, const Spt& tree,
   return !epsilon_improves(tree.hops(delta.v), tree.hops(delta.u) + 1,
                            eps_q) &&
          !epsilon_improves(tree.hops(delta.u), tree.hops(delta.v) + 1, eps_q);
-}
-
-bool IRpts::batch_survives_eps(const DeltaBatch& batch, const Spt& tree,
-                               const FaultSet& faults, uint32_t eps_q) const {
-  // Same structure as batch_survives: per-delta tests are independent (each
-  // reads only the old tree), removals collapse to one membership sweep.
-  FaultSet removed;
-  for (const GraphDelta& d : batch.net) {
-    if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
-    if (d.kind == GraphDelta::Kind::kRemove)
-      removed.insert(d.edge);
-    else if (!tree_survives_eps(d, tree, faults, eps_q))
-      return false;
-  }
-  if (removed.empty()) return true;
-  const Vertex n = tree.num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    const EdgeId pe = tree.parent_edge(v);
-    if (pe != kNoEdge && removed.contains(pe)) return false;
-  }
-  return true;
 }
 
 RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,

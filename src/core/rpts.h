@@ -139,8 +139,13 @@ class IRpts {
   // the grown graph iff they are for every new edge separately), so the
   // conjunction over net deltas decides the whole batch. A flap healed
   // within the batch has no net delta and vacuously survives.
+  //
+  // eps_q > 0 judges an approximate-tier tree instead: each insert is
+  // tested with tree_survives_eps at eps = eps_q/kEpsilonDenom (removals
+  // are the same stability rule on both tiers). One predicate for every
+  // cache key: pass the key's eps_q.
   bool batch_survives(const DeltaBatch& batch, const Spt& tree,
-                      const FaultSet& faults) const;
+                      const FaultSet& faults, uint32_t eps_q = 0) const;
 
   // Advances `old_tree` -- computed by this scheme at batch.old_epoch for
   // `faults` -- to batch.new_epoch. The result is bit-identical to a
@@ -188,12 +193,12 @@ class IRpts {
   bool tree_survives_eps(const GraphDelta& delta, const Spt& tree,
                          const FaultSet& faults, uint32_t eps_q) const;
 
-  // Conjunction over the batch's net deltas (removals share one parent-edge
-  // membership sweep, exactly like batch_survives). eps_q == 0 degenerates
-  // to a strictly tighter test than batch_survives would apply -- callers
-  // route exact keys to batch_survives instead.
+  // The approximate-tier spelling of batch_survives(batch, tree, faults,
+  // eps_q).
   bool batch_survives_eps(const DeltaBatch& batch, const Spt& tree,
-                          const FaultSet& faults, uint32_t eps_q) const;
+                          const FaultSet& faults, uint32_t eps_q) const {
+    return batch_survives(batch, tree, faults, eps_q);
+  }
 
   // Epsilon repair: advances an approximate tree across `batch` so that F
   // holds at the new epoch. Hops-only two-phase repair: removals detach the
@@ -245,16 +250,9 @@ class IRpts {
   // the view's trees are then bit-identical to this scheme's trees at the
   // snapshot's epoch, and because scheme_id carries over, they share cache
   // keys with them too. The caller keeps `frozen` alive for the view's
-  // lifetime (the generation owns both).
-  //
-  // Default: nullptr = "cannot rebind". OracleServer treats that as "this
-  // scheme does not support epoch-pinned reads" and falls back to the
-  // shared-lock query path, so third-party IRpts implementations stay
-  // correct without opting in.
-  virtual std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const {
-    (void)frozen;
-    return nullptr;
-  }
+  // lifetime (the generation owns both). Every scheme must rebind: the
+  // serving stack computes every query on such a view.
+  virtual std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const = 0;
 
   // pi(s, t | F), oriented s -> t. Empty if t is unreachable in G \ F.
   Path path(Vertex s, Vertex t, const FaultSet& faults = {}) const {

@@ -1,11 +1,38 @@
 #include "serve/generation.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
 
 namespace restorable {
+
+std::unique_ptr<const Generation> Generation::of(const IRpts& live,
+                                                 GraphSnapshot snap) {
+  auto gen = std::make_unique<Generation>();
+  gen->graph = std::move(snap);
+  gen->scheme = live.snapshot_view(*gen->graph);
+  if (!gen->scheme)
+    throw std::logic_error("snapshot_view returned no view for scheme " +
+                           live.name());
+  return gen;
+}
+
+void Generation::check_query(Vertex s, Vertex t,
+                             std::span<const EdgeId> faults) const {
+  const Vertex n = graph->num_vertices();
+  if (s >= n || t >= n)
+    throw std::out_of_range("query vertex out of range: s=" +
+                            std::to_string(s) + " t=" + std::to_string(t) +
+                            " n=" + std::to_string(n));
+  for (const EdgeId e : faults)
+    if (e >= graph->num_edges())
+      throw std::out_of_range("fault edge id out of range: " +
+                              std::to_string(e) +
+                              " m=" + std::to_string(graph->num_edges()));
+}
 
 uint64_t GenerationManager::pack(Slot* slot, uint64_t count) {
   const auto bits = reinterpret_cast<uintptr_t>(slot);

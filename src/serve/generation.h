@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "core/rpts.h"
 #include "graph/graph.h"
@@ -58,10 +59,21 @@ struct Generation {
   GraphSnapshot graph;                  // frozen CSR; owns the topology
   std::unique_ptr<const IRpts> scheme;  // view over *graph, live scheme_id
 
+  // The world `live` serves at `snap`'s epoch: the snapshot plus the
+  // scheme's view rebound to it. Throws std::logic_error if the scheme
+  // returns no view.
+  static std::unique_ptr<const Generation> of(const IRpts& live,
+                                              GraphSnapshot snap);
+
   uint64_t epoch() const { return graph->epoch(); }
   // (scheme_id, epoch) the generation's trees are keyed by; constant
   // because the snapshot's epoch never moves.
   SchemeVersion version() const { return scheme->version(); }
+
+  // The input check every query front-end runs on its pinned generation:
+  // throws std::out_of_range unless s and t are vertices of this
+  // generation's graph and every fault is one of its edge ids.
+  void check_query(Vertex s, Vertex t, std::span<const EdgeId> faults) const;
 };
 
 class GenerationManager {
@@ -72,7 +84,7 @@ class GenerationManager {
   // (snapshot, scheme view, and every tree computed from them) stays alive;
   // copying re-pins the SAME generation (not the current one), so a query
   // that needs several fetches under one coherent epoch clones its pin.
-  // Default-constructed pins are empty (used by the shared-lock fallback).
+  // Default-constructed (and moved-from) pins are empty and pin nothing.
   class Pin {
    public:
     Pin() = default;

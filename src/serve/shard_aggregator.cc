@@ -25,18 +25,11 @@ ShardAggregator::ShardAggregator(const IRpts& pi, FrontEndConfig config)
   }
   for (size_t i = 0; i < config_.num_shards; ++i) {
     ServerConfig sc = config_.shard;
-    // The fan-out protocol is absorb_update-based, which requires the
-    // epoch-pinned regime -- force it and verify below.
-    sc.concurrency = QueryConcurrency::kEpochPinned;
     sc.metrics = metrics_;
     sc.tracer = config_.tracer;
     sc.metrics_prefix = "shard" + std::to_string(i) + ".";
     if (!engines_.empty()) sc.engine = engines_[i].get();
     shards_.push_back(std::make_unique<OracleShard>(pi, std::move(sc)));
-    if (!shards_.back()->epoch_pinned())
-      throw std::invalid_argument(
-          "ShardAggregator: scheme has no snapshot_view; shards fell back "
-          "to the shared-lock regime, which cannot absorb fan-outs");
     outboxes_.push_back(std::make_unique<Outbox>());
   }
   routed_epoch_.store(pi_->version().epoch, std::memory_order_release);
@@ -97,15 +90,14 @@ void ShardAggregator::flush_batch(size_t k,
   // submission's snapshot).
   std::vector<const Generation*> groups;
   for (const auto& st : batch) {
-    const Generation* g = st->pin ? st->pin.get() : nullptr;
-    if (std::find(groups.begin(), groups.end(), g) == groups.end())
-      groups.push_back(g);
+    if (std::find(groups.begin(), groups.end(), st->pin.get()) == groups.end())
+      groups.push_back(st->pin.get());
   }
   for (const Generation* g : groups) {
     std::vector<size_t> members;
     std::vector<SsspRequest> reqs;
     for (size_t i = 0; i < batch.size(); ++i) {
-      if ((batch[i]->pin ? batch[i]->pin.get() : nullptr) != g) continue;
+      if (batch[i]->pin.get() != g) continue;
       members.push_back(i);
       reqs.push_back(batch[i]->req);
     }
@@ -196,23 +188,31 @@ SptHandle ShardAggregator::fetch_routed(size_t k, const SsspRequest& req,
   return st->tree;
 }
 
-SptHandle ShardAggregator::tree(const SsspRequest& req) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
+GenerationManager::Pin ShardAggregator::pin_checked(
+    size_t k, Vertex s, Vertex t, std::span<const EdgeId> faults) {
   GenerationManager::Pin pin;
   {
     // Gate held ONLY for the pin grab: coherence, not compute.
     std::shared_lock<std::shared_mutex> gate(fanout_mu_);
     pin = shards_[k]->pin_generation();
   }
+  pin->check_query(s, t, faults);
+  return pin;
+}
+
+SptHandle ShardAggregator::tree(const SsspRequest& req) {
+  const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
+  const auto pin = pin_checked(k, req.root, req.root, req.faults.ids());
+  queries_.fetch_add(1, std::memory_order_relaxed);
   return fetch_routed(k, req, pin);
 }
 
 std::vector<SptHandle> ShardAggregator::tree_batch(
     std::span<const SsspRequest> requests) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  if (requests.empty()) return {};
-  subqueries_.fetch_add(requests.size(), std::memory_order_relaxed);
+  if (requests.empty()) {
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    return {};
+  }
   const ShardRouter::Plan plan =
       router_.decompose(pi_->scheme_id(), requests);
   // All pins under ONE shared hold of the gate: the whole multi-shard query
@@ -222,6 +222,11 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
     std::shared_lock<std::shared_mutex> gate(fanout_mu_);
     for (const size_t k : plan.touched) pins[k] = shards_[k]->pin_generation();
   }
+  for (const size_t k : plan.touched)
+    for (const SsspRequest& req : plan.by_shard[k])
+      pins[k]->check_query(req.root, req.root, req.faults.ids());
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  subqueries_.fetch_add(requests.size(), std::memory_order_relaxed);
   std::vector<SptHandle> out(requests.size());
   if (!config_.enable_aggregation) {
     // The unaggregated baseline: every routed sub-query is its own
@@ -283,39 +288,27 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
 
 int32_t ShardAggregator::distance(Vertex s, Vertex t,
                                   const FaultSet& faults) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
+  const auto pin = pin_checked(k, s, t, faults.ids());
+  queries_.fetch_add(1, std::memory_order_relaxed);
   // The front-end serves the exact tier; the approximate tier stays a
   // per-shard concern (ServerConfig::default_epsilon on direct shard use).
   return fetch_routed(k, {s, faults, Direction::kOut}, pin)->hops(t);
 }
 
 Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
+  const auto pin = pin_checked(k, s, t, faults.ids());
+  queries_.fetch_add(1, std::memory_order_relaxed);
   return fetch_routed(k, {s, faults, Direction::kOut}, pin)->path_to(t);
 }
 
 int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   // Both fetches share one root, hence one shard and one pin: the base and
   // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
+  const auto pin = pin_checked(k, s, t, {&e, 1});
+  queries_.fetch_add(1, std::memory_order_relaxed);
   const SptHandle base = fetch_routed(k, {s, {}, Direction::kOut}, pin);
   if (!base->reachable(t)) return kUnreachable;
   // Stability fast path, as in OracleShard::replacement_distance: a fault
@@ -353,11 +346,7 @@ UpdateResult ShardAggregator::apply_updates(
     // the fleet is mid-fan-out, so multi-shard queries see all-old or
     // all-new -- never a mix.
     std::unique_lock<std::shared_mutex> gate(fanout_mu_);
-    res.batch = graph.apply(deltas);
-    if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
-    res.old_epoch = res.batch.old_epoch;
-    res.new_epoch = res.batch.new_epoch;
-    res.changed = res.batch.changed();
+    res = UpdateResult::of(graph.apply(deltas));
     if (!res.changed) return res;
     const GraphSnapshot snap = graph.snapshot();
     for (size_t i = 0; i < shards_.size(); ++i)

@@ -80,9 +80,6 @@ struct FrontEndConfig {
   // a global budget by num_shards if that is the intent);
   // metrics_prefix/metrics/tracer are overwritten per shard so the whole
   // fleet reports into one registry ("shard0.server", "shard1.cache", ...).
-  // concurrency must allow the epoch-pinned regime: the fan-out protocol
-  // requires absorb_update, so the constructor throws if any shard comes up
-  // on the shared-lock fallback.
   ServerConfig shard;
   // Registry for the whole fleet + the front-end's own `frontend`
   // component. nullptr = the aggregator owns a private one.
@@ -124,7 +121,8 @@ class ShardAggregator {
     return routed_epoch_.load(std::memory_order_acquire);
   }
 
-  // ---- Query surface (routed; same semantics as OracleShard's). ----------
+  // ---- Query surface (routed; same semantics as OracleShard's, including
+  // ---- std::out_of_range for vertices or fault edge ids outside the graph).
 
   SptHandle tree(const SsspRequest& req);
   // Multi-root batch: decomposed per shard, merged in request order.
@@ -180,6 +178,10 @@ class ShardAggregator {
                                 std::span<const SsspRequest> requests,
                                 const GenerationManager::Pin& pin,
                                 std::vector<FetchObs>* obs);
+  // Pins shard k's current generation under the fan-out gate and checks the
+  // query's inputs against it (Generation::check_query).
+  GenerationManager::Pin pin_checked(size_t k, Vertex s, Vertex t,
+                                     std::span<const EdgeId> faults);
   // One routed single-tree fetch through the configured path (outbox or
   // direct), booking remote_hit/aggregated. The pin must have been taken
   // under the fan-out gate.

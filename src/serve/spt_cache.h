@@ -208,9 +208,9 @@ class SptCache {
   // epoch E, inserts keyed at epochs < E return nullptr without storing
   // anything (counted in Stats::rejected_stale). A construction-path batch
   // that raced an epoch bump (cached_spt_batch runs outside the server's
-  // update lock) would otherwise publish a tree at an epoch the walk has
+  // mutator lock) would otherwise publish a tree at an epoch the walk has
   // already purged -- a dead entry, protected segment included, stranded
-  // until the *next* bump. Under the epoch-pinned serving regime
+  // until the *next* bump. For the epoch-pinned serving path
   // (serve/generation.h) this is the publish-side guard of the whole RCU
   // path: the mutator shadow-advances the cache BEFORE swapping in the new
   // generation, so a reader still pinned to the displaced generation can

@@ -35,6 +35,12 @@ void expect_same_tree(const Spt& got, const Spt& want) {
   }
 }
 
+// A generation manager over `pi`'s current topology, for driving the
+// batcher directly: every batcher fetch runs on a pinned generation.
+GenerationManager make_generations(const IRpts& pi) {
+  return GenerationManager(Generation::of(pi, pi.graph().snapshot()));
+}
+
 TEST(SptCache, LookupInsertAndLruRefresh) {
   const Graph g = gnp_connected(30, 0.12, 3);
   const IsolationRpts pi(g, IsolationAtw(4));
@@ -332,13 +338,15 @@ TEST(SharedCache, ConsumersAreCacheInvariant) {
 TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
   const Graph g = gnp_connected(60, 0.08, 31);
   const IsolationRpts pi(g, IsolationAtw(32));
+  GenerationManager gens = make_generations(pi);
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  CoalescingBatcher batcher(&cache, &engine);
+  const GenerationManager::Pin pin = gens.pin();
 
   // Preheat a few keys so the hammer mixes hits and misses.
   const std::vector<Vertex> hot{0, 7, 14};
-  for (Vertex root : hot) batcher.get({root, {}, Direction::kOut});
+  for (Vertex root : hot) batcher.get({root, {}, Direction::kOut}, pin);
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 40;
@@ -354,7 +362,7 @@ TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
                                   : static_cast<Vertex>(20 + r % 17);
         FaultSet faults;
         if (r % 4 == 3) faults.insert(static_cast<EdgeId>(r % 11));
-        const auto tree = batcher.get({root, faults, Direction::kOut});
+        const auto tree = batcher.get({root, faults, Direction::kOut}, pin);
         const Spt want = pi.spt(root, faults);
         bool same = tree->num_vertices() == want.num_vertices();
         for (Vertex v = 0; same && v < want.num_vertices(); ++v)
@@ -403,6 +411,12 @@ class ThrowingRpts final : public IRpts {
     if (root == poisoned_) throw std::runtime_error("poisoned root");
     return ArbitraryRpts(*g_).spt(root, faults, dir);
   }
+  // The pinned view poisons the same root, so the throw reaches the flush.
+  std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+    auto view = std::make_unique<ThrowingRpts>(frozen, poisoned_);
+    view->adopt_identity(*this);
+    return view;
+  }
 
  private:
   const Graph* g_;
@@ -412,32 +426,37 @@ class ThrowingRpts final : public IRpts {
 TEST(CoalescingBatcher, ComputeExceptionPropagatesAndBatcherSurvives) {
   const Graph g = cycle(10);
   const ThrowingRpts pi(g, /*poisoned=*/3);
+  GenerationManager gens = make_generations(pi);
   SptCache cache;
   // Width-1 engine: the generic spt fan-out runs on the calling thread, so
   // the throw unwinds through the flush loop (a worker-thread throw would
   // terminate by ThreadPool contract).
   const BatchSsspEngine engine(1);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  CoalescingBatcher batcher(&cache, &engine);
+  const GenerationManager::Pin pin = gens.pin();
 
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
+               std::runtime_error);
   // The batcher must not be wedged: a healthy key still computes.
-  const auto tree = batcher.get({5, {}, Direction::kOut});
+  const auto tree = batcher.get({5, {}, Direction::kOut}, pin);
   ASSERT_NE(tree, nullptr);
   expect_same_tree(*tree, pi.spt(5));
   // And the poisoned key still throws (nothing bogus was cached).
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
+               std::runtime_error);
 }
 
 TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
   const Graph g = gnp_connected(40, 0.1, 41);
   const IsolationRpts pi(g, IsolationAtw(42));
+  GenerationManager gens = make_generations(pi);
   SptCache cache;
-  CoalescingBatcher batcher(pi, &cache);
+  CoalescingBatcher batcher(&cache);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 5u, 1u})  // in-batch duplicates
     reqs.push_back({root, {}, Direction::kOut});
-  const auto trees = batcher.get_batch(reqs);
+  const auto trees = batcher.get_batch(reqs, gens.pin());
   ASSERT_EQ(trees.size(), reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i)
     expect_same_tree(*trees[i], pi.spt(reqs[i].root));
@@ -452,13 +471,14 @@ TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
 TEST(CoalescingBatcher, MaxBatchDrainsBoundedInstallments) {
   const Graph g = gnp_connected(40, 0.1, 43);
   const IsolationRpts pi(g, IsolationAtw(44));
+  GenerationManager gens = make_generations(pi);
   SptCache cache;
-  CoalescingBatcher batcher(pi, &cache, nullptr, /*max_batch=*/2);
+  CoalescingBatcher batcher(&cache, nullptr, /*max_batch=*/2);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 13u, 17u})
     reqs.push_back({root, {}, Direction::kOut});
-  const auto trees = batcher.get_batch(reqs);
+  const auto trees = batcher.get_batch(reqs, gens.pin());
   ASSERT_EQ(trees.size(), reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i)
     expect_same_tree(*trees[i], pi.spt(reqs[i].root));
@@ -668,6 +688,12 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
         if (requests[i].root == 13) out[i] = nullptr;  // the lossy slot
       return out;
     }
+    // The pinned view loses the same slot, so the null reaches the flush.
+    std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+      auto view = std::make_unique<NullSlotRpts>(frozen);
+      view->adopt_identity(*this);
+      return view;
+    }
 
    private:
     const Graph* g_;
@@ -675,23 +701,26 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
 
   const Graph g = gnp_connected(30, 0.15, 71);
   const NullSlotRpts pi(g);
+  GenerationManager gens = make_generations(pi);
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  CoalescingBatcher batcher(&cache, &engine);
+  const GenerationManager::Pin pin = gens.pin();
 
   // The poisoned key throws a real exception instead of crashing...
-  EXPECT_THROW(batcher.get({13, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({13, {}, Direction::kOut}, pin),
+               std::runtime_error);
   // ...and only that flight: healthy keys keep being served afterwards, so
   // the leader survived and flushing_ was not left stuck.
-  const auto good = batcher.get({5, {}, Direction::kOut});
+  const auto good = batcher.get({5, {}, Direction::kOut}, pin);
   ASSERT_NE(good, nullptr);
   expect_same_tree(*good, pi.spt(5));
   // A batch mixing the poisoned key with healthy ones fails only the
   // poisoned flight's waiters.
   std::vector<SsspRequest> mixed{{4, {}, Direction::kOut},
                                  {13, {}, Direction::kOut}};
-  EXPECT_THROW(batcher.get_batch(mixed), std::runtime_error);
-  EXPECT_NE(batcher.get({4, {}, Direction::kOut}), nullptr);
+  EXPECT_THROW(batcher.get_batch(mixed, pin), std::runtime_error);
+  EXPECT_NE(batcher.get({4, {}, Direction::kOut}, pin), nullptr);
 }
 
 // Regression: peek (the batcher's locked double-check probe) used to splice
@@ -810,6 +839,45 @@ TEST(OracleServer, PrewarmMatchesActualResidencyUnderTinyBudget) {
   // else touched the cache since the update.
   EXPECT_EQ(resident_new_epoch, res.carried + res.prewarmed);
   EXPECT_LE(res.prewarmed, res.invalidated);
+}
+
+// Regression: out-of-range query inputs used to be undefined behavior -- a
+// target t >= n read past the tree's arrays, a source s >= n ran Dijkstra
+// off the CSR, and an unknown fault id was silently ignored and cached
+// under a junk key. Every query kind must throw std::out_of_range instead,
+// count and cache nothing, and leave the server serving. Most meaningful
+// under the ASan+UBSan build.
+TEST(OracleServer, RejectsOutOfRangeInputs) {
+  const Graph g = gnp_connected(200, 0.03, 91);
+  const IsolationRpts pi(g, IsolationAtw(92));
+  OracleServer server(pi);
+  const EdgeId junk = EdgeId{1} << 30;
+
+  EXPECT_THROW(server.distance(0, 200), std::out_of_range);
+  EXPECT_THROW(server.distance(100000, 5), std::out_of_range);
+  EXPECT_THROW(server.distance(0, 5, FaultSet{junk}), std::out_of_range);
+  EXPECT_THROW(server.distance(0, 5, FaultSet{kNoEdge}), std::out_of_range);
+  // The approximate tier runs the same check.
+  EXPECT_THROW(server.distance(0, 200, {}, QueryOpts{0.5}), std::out_of_range);
+  EXPECT_THROW(server.distance(0, 5, FaultSet{junk}, QueryOpts{0.5}),
+               std::out_of_range);
+  EXPECT_THROW(server.path(0, 200), std::out_of_range);
+  EXPECT_THROW(server.replacement_distance(0, 5, junk), std::out_of_range);
+  EXPECT_THROW(server.replacement_distance(200, 5, 0), std::out_of_range);
+  EXPECT_THROW(server.tree({200, {}, Direction::kOut}), std::out_of_range);
+  EXPECT_THROW(server.tree({0, FaultSet{junk}, Direction::kOut}),
+               std::out_of_range);
+  EXPECT_EQ(server.queries_served(), 0u);
+  EXPECT_EQ(server.cache()->stats().inserts, 0u);
+
+  // The boundary inputs are valid and answer exactly.
+  const Vertex last_v = g.num_vertices() - 1;
+  const EdgeId last_e = g.num_edges() - 1;
+  EXPECT_EQ(server.distance(0, last_v), pi.distance(0, last_v));
+  EXPECT_EQ(server.distance(last_v, 0, FaultSet{last_e}),
+            pi.distance(last_v, 0, FaultSet{last_e}));
+  EXPECT_EQ(server.replacement_distance(0, last_v, last_e),
+            pi.distance(0, last_v, FaultSet{last_e}));
 }
 
 }  // namespace

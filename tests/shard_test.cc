@@ -2,9 +2,10 @@
 // shard_aggregator.h): consistent-hash stability under fleet growth,
 // bit-identical answers at every shard count with and without aggregation,
 // deterministic submission bounds from the explicit flush rule,
-// epoch-coherent update fan-out with pinned readers surviving it, and the
+// epoch-coherent update fan-out with pinned readers surviving it, the
 // compact-aware repair fast path staying bit-identical to the
-// thaw-repair-compact round-trip it replaces.
+// thaw-repair-compact round-trip it replaces, and out-of-range query
+// inputs rejected before they reach a shard.
 #include "serve/shard_aggregator.h"
 
 #include <gtest/gtest.h>
@@ -425,6 +426,43 @@ TEST(ShardAggregator, FleetReportsIntoOneRegistry) {
   // The per-shard split sums to the front-end's sub-query count.
   const FrontEndStats s = fe.stats();
   EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
+}
+
+// Regression: the front-end routed out-of-range inputs straight into a
+// shard -- t >= n read past the tree's arrays, s >= n ran Dijkstra off the
+// CSR, an unknown fault id was cached under a junk key. Every routed query
+// kind, aggregated or not, must throw std::out_of_range, cache nothing on
+// any shard, and leave the fleet serving. Most meaningful under ASan.
+TEST(ShardAggregator, RejectsOutOfRangeInputs) {
+  const Graph g = gnp_connected(200, 0.03, 93);
+  const IsolationRpts pi(g, IsolationAtw(94));
+  const BatchSsspEngine engine(2);
+  const EdgeId junk = EdgeId{1} << 30;
+  for (const bool aggregation : {false, true}) {
+    SCOPED_TRACE(aggregation ? "aggregated" : "direct");
+    ShardAggregator fe(pi, small_config(2, aggregation, &engine));
+
+    EXPECT_THROW(fe.distance(0, 200), std::out_of_range);
+    EXPECT_THROW(fe.distance(100000, 5), std::out_of_range);
+    EXPECT_THROW(fe.distance(0, 5, FaultSet{junk}), std::out_of_range);
+    EXPECT_THROW(fe.path(0, 200), std::out_of_range);
+    EXPECT_THROW(fe.replacement_distance(0, 5, junk), std::out_of_range);
+    EXPECT_THROW(fe.tree({200, {}, Direction::kOut}), std::out_of_range);
+    // One bad request fails the whole batch before anything is staged.
+    const std::vector<SsspRequest> mixed{{0, {}, Direction::kOut},
+                                         {7, FaultSet{junk}, Direction::kOut}};
+    EXPECT_THROW(fe.tree_batch(mixed), std::out_of_range);
+    for (size_t k = 0; k < fe.num_shards(); ++k)
+      EXPECT_EQ(fe.shard(k).cache()->stats().inserts, 0u) << "shard " << k;
+    EXPECT_EQ(fe.stats().queries, 0u);
+    EXPECT_EQ(fe.stats().submissions, 0u);
+
+    const Vertex last_v = g.num_vertices() - 1;
+    const EdgeId last_e = g.num_edges() - 1;
+    EXPECT_EQ(fe.distance(0, last_v), pi.distance(0, last_v));
+    EXPECT_EQ(fe.distance(last_v, 0, FaultSet{last_e}),
+              pi.distance(last_v, 0, FaultSet{last_e}));
+  }
 }
 
 }  // namespace
