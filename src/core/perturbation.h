@@ -47,6 +47,19 @@ struct PerturbedDist {
 };
 
 // ---------------------------------------------------------------------------
+// The trivial policy: no perturbation at all. Ties are empty and always
+// compare equal, so lengths are bare hop counts. It is not an ATW (shortest
+// paths are not unique under it); the (1+eps) tier runs the repair and
+// survival skeletons of core/rpts.h with it, which makes that tier hops-only
+// and policy-free.
+struct HopsOnly {
+  struct Tie {};
+  Tie zero() const { return {}; }
+  void accumulate(Tie&, EdgeId, bool) const {}
+  int compare(const Tie&, const Tie&) const { return 0; }
+};
+
+// ---------------------------------------------------------------------------
 // Corollary 22: isolation-lemma integer weights.
 //
 // r(u, v) = h(label) / D where h(label) is a hash-derived integer in
@@ -171,10 +184,10 @@ class DeterministicAtw {
 
   // Unlike the hash-derived policies, this one tabulates sign(u - v) per
   // label at construction, so it cannot evaluate a label appended to the
-  // graph afterwards. The dynamic-update tightness check
-  // (Rpts<Policy>::tree_survives) probes this and falls back to
-  // conservative invalidation for unknown labels; re-inserted (resurrected)
-  // edges keep their old label and stay evaluable.
+  // graph afterwards. The dynamic-update survival test and repair
+  // (IRpts::insert_survives, IRpts::repair_with) probe this and fall back to
+  // conservative invalidation or recompute for unknown labels; re-inserted
+  // (resurrected) edges keep their old label and stay evaluable.
   bool can_accumulate(EdgeId label) const { return label < sign_.size(); }
 
   void accumulate(Tie& t, EdgeId label, bool forward) const {

@@ -18,8 +18,12 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "core/dijkstra.h"
 #include "core/perturbation.h"
@@ -59,13 +63,14 @@ inline std::vector<SptHandle> share_spts(std::vector<Spt>&& trees) {
   return out;
 }
 
-// Result of one incremental tree repair (IRpts::repair_tree). `tree` is
-// always bit-identical to a from-scratch recompute at the current epoch;
-// `repaired` records whether the incremental path produced it (false = the
-// affected region was too large, or the scheme lacks exact arithmetic, and
-// a full recompute ran instead); `touched` counts the vertices whose label
-// was re-derived -- the size of the affected region the repair actually
-// paid for.
+// Result of one incremental tree repair (IRpts::repair_tree). On the exact
+// tier `tree` is bit-identical to a from-scratch recompute at the current
+// epoch; on the approximate tier it satisfies invariant F. `repaired`
+// records whether the incremental path produced it (false = the affected
+// region was too large, or the scheme lacks exact arithmetic, and a full
+// recompute ran instead); `touched` counts the vertices whose label was
+// re-derived -- the size of the affected region the repair actually paid
+// for.
 struct RepairOutcome {
   Spt tree;
   bool repaired = false;
@@ -115,113 +120,86 @@ class IRpts {
 
   // Carry-forward predicate of the dynamic-update pipeline: true iff `tree`
   // -- computed by this scheme for `faults` at the epoch immediately before
-  // `delta` was applied -- is still bit-identical to what a from-scratch
-  // recompute at the post-delta epoch would produce. `delta` must be fully
-  // filled in (i.e. the value Graph::apply returned). Soundness contract:
-  // `false` is always allowed (worst case a spurious recompute); `true`
-  // must be exact.
+  // `delta` was applied -- is still what a recompute at the post-delta epoch
+  // may serve: bit-identical on the exact tier (eps_q == 0), invariant F
+  // below on the approximate tier (eps_q > 0). `delta` must be fully filled
+  // in (i.e. the value Graph::apply returned). Soundness contract: `false`
+  // is always allowed (worst case a spurious recompute); `true` must hold.
   //
-  // The base implementation handles the two generically-decidable cases:
-  // a delta whose edge is in `faults` never changes the tree (the edge is
-  // excluded from G \ F whether or not it is in G), and a removal leaves
-  // any tree that avoids the removed edge intact (stability: selections
-  // among surviving paths are unchanged when only competing paths vanish).
-  // Inserts are conservatively invalidating here; Rpts<Policy> refines them
-  // with the exact perturbed-tightness test.
+  // A delta whose edge is in `faults` never changes the tree (the edge is
+  // excluded from G \ F whether or not it is in G), and a removal leaves any
+  // tree that avoids the removed edge intact (stability: selections among
+  // surviving paths are unchanged when only competing paths vanish). An
+  // insert survives iff neither directed relaxation across the new edge
+  // would be adopted (see the adoption rule below). The base implementation
+  // decides exact-tier inserts conservatively (false); Rpts<Policy>
+  // overrides the eps_q == 0 case with its exact tie arithmetic.
   virtual bool tree_survives(const GraphDelta& delta, const Spt& tree,
-                             const FaultSet& faults) const;
+                             const FaultSet& faults, uint32_t eps_q = 0) const;
 
   // Batch carry-forward predicate: true iff `tree` survives EVERY net delta
   // of the batch. Exact, not merely sound: survival of each removal means
   // the tree avoids it (its selections persist unchanged), and under
-  // unchanged labels each insert's strict non-tightness test is
-  // per-edge-independent (the old distances are a feasible potential for
-  // the grown graph iff they are for every new edge separately), so the
-  // conjunction over net deltas decides the whole batch. A flap healed
-  // within the batch has no net delta and vacuously survives.
-  //
-  // eps_q > 0 judges an approximate-tier tree instead: each insert is
-  // tested with tree_survives_eps at eps = eps_q/kEpsilonDenom (removals
-  // are the same stability rule on both tiers). One predicate for every
-  // cache key: pass the key's eps_q.
+  // unchanged labels each insert's test is per-edge-independent (the old
+  // labels are a feasible potential for the grown graph iff they are for
+  // every new edge separately), so the conjunction over net deltas decides
+  // the whole batch. A flap healed within the batch has no net delta and
+  // vacuously survives. One predicate for every cache key: pass its eps_q.
   bool batch_survives(const DeltaBatch& batch, const Spt& tree,
                       const FaultSet& faults, uint32_t eps_q = 0) const;
 
   // Advances `old_tree` -- computed by this scheme at batch.old_epoch for
-  // `faults` -- to batch.new_epoch. The result is bit-identical to a
-  // from-scratch recompute on the mutated graph. The base implementation
-  // always recomputes (repaired = false); Rpts<Policy> overrides it with
-  // Ramalingam-Reps-style incremental repair, falling back to the full
-  // recompute when the affected region exceeds `max_affected_fraction` of
-  // the vertex count.
+  // `faults` -- to batch.new_epoch. On the exact tier the result is
+  // bit-identical to a from-scratch recompute on the mutated graph; on the
+  // approximate tier it satisfies invariant F below (NOT bit-identical to a
+  // fresh relaxed compute, see SptKey::eps_q). The base implementation
+  // recomputes exact-tier trees (repaired = false) and repairs
+  // approximate-tier trees with the hops-only skeleton; Rpts<Policy>
+  // overrides the exact tier with the same skeleton over its policy. Past
+  // `max_affected_fraction` of the vertex count the repair falls back to a
+  // full exact recompute (a fraction >= 1 never falls back).
   virtual RepairOutcome repair_tree(const Spt& old_tree,
                                     const DeltaBatch& batch,
                                     const FaultSet& faults,
-                                    double max_affected_fraction) const;
+                                    double max_affected_fraction,
+                                    uint32_t eps_q = 0) const;
   RepairOutcome repair_tree(const Spt& old_tree,
                             const DeltaBatch& batch) const {
     return repair_tree(old_tree, batch, FaultSet{}, kDefaultRepairFraction);
   }
 
-  // ---- Approximate (1+eps) tier ------------------------------------------
-  //
-  // Approximate trees (SsspRequest::eps_q > 0) are governed by a maintained
-  // per-edge contract F rather than bit-identity:
-  //   F1 (realizability): every finite label hops[v] is witnessed by the
-  //       parent chain -- a real root~v path in G \ F of length <= hops[v]
-  //       (chains strictly descend in hops) -- so hops[v] >= d_true(v);
-  //   F2 (relaxed feasibility): for every present non-fault edge (x, y), in
-  //       both directions, a finite hops[x] implies hops[y] is finite and
-  //       hops[y] <= (1+eps) * (hops[x] + 1) (epsilon_improves, exact
-  //       integers).
-  // F1 + F2 imply the endpoint stretch bound
-  //   d_true(v) <= hops[v] <= (1+eps)^d_true(v) * d_true(v)
-  // by induction along any true shortest path. Crucially, F -- not the
-  // endpoint bound alone -- is what the predicates below preserve: the
-  // endpoint bound by itself does NOT survive edge inserts (a new edge can
-  // shorten d_true out from under a previously-valid label), while per-edge
-  // feasibility checked on the new edge does. The predicates are hops-only
-  // (no tie arithmetic), hence policy-free and non-virtual.
-
-  // Epsilon carry-forward for one delta: `tree` is an approximate tree
-  // satisfying F for `faults` at eps = eps_q/kEpsilonDenom. A removal is
-  // survived iff the tree avoids the edge (constraints only disappear); an
-  // insert iff both endpoints share reachability status and both directed
-  // (1+eps) feasibility checks hold on the new edge -- a strictly weaker
-  // demand than the exact tier's tightness test, which is why approximate
-  // carried-forward fractions under churn run measurably higher than exact.
-  bool tree_survives_eps(const GraphDelta& delta, const Spt& tree,
-                         const FaultSet& faults, uint32_t eps_q) const;
-
-  // The approximate-tier spelling of batch_survives(batch, tree, faults,
-  // eps_q).
+  // Kept for perfbench/: the old approximate-tier spelling of
+  // batch_survives.
   bool batch_survives_eps(const DeltaBatch& batch, const Spt& tree,
                           const FaultSet& faults, uint32_t eps_q) const {
     return batch_survives(batch, tree, faults, eps_q);
   }
-
-  // Epsilon repair: advances an approximate tree across `batch` so that F
-  // holds at the new epoch. Hops-only two-phase repair: removals detach the
-  // affected subtree forest and re-relax it exactly against the survivors
-  // (detached labels that come back LOWER than before tighten the
-  // feasibility constraints on arcs leaving them and seed a relaxed
-  // decrease-cascade); net inserts then cascade with the relaxed
-  // (1+eps) improvement test, which settles far fewer vertices than exact
-  // repair. Past `max_affected_fraction` the repair falls back to a full
-  // exact recompute (repaired = false) -- exact trees satisfy F trivially.
-  // NOT bit-identical to a fresh relaxed compute (see SptKey::eps_q); the
-  // result is within the stretch bound, which is the approximate tier's
-  // whole contract.
+  // Kept for perfbench/: the old approximate-tier spelling of repair_tree.
   RepairOutcome repair_tree_eps(const Spt& old_tree, const DeltaBatch& batch,
                                 const FaultSet& faults,
                                 double max_affected_fraction,
-                                uint32_t eps_q) const;
+                                uint32_t eps_q) const {
+    return repair_tree(old_tree, batch, faults, max_affected_fraction, eps_q);
+  }
 
-  // The roots among `base_trees` (fault-free trees of this scheme, e.g. the
-  // cached hot set) whose tiebroken SPT can actually change under `delta`
-  // -- the complement of the carry-forward set. Null handles are skipped.
-  std::vector<Vertex> affected_roots(
-      const GraphDelta& delta, std::span<const SptHandle> base_trees) const;
+  // ---- The adoption rule and invariant F ----------------------------------
+  //
+  // Survival and repair relax with the engine's adoption rule
+  // (engine/dijkstra_workspace.h): a candidate label (h, tie) replaces
+  // (cur, cur_tie) iff epsilon_improves(cur, h, eps_q), or, at eps_q == 0
+  // only, h == cur and the candidate's tie compares lower. The exact tier
+  // runs it with the scheme's policy at eps_q == 0; the approximate tier
+  // runs it with HopsOnly (core/perturbation.h) at the key's eps_q. An
+  // approximate tree thereby keeps a per-edge contract F rather than
+  // bit-identity: F1 (realizability), every finite hops[v] is witnessed by
+  // a parent chain in G \ F with strictly descending hops, so
+  // hops[v] >= d_true(v); F2 (relaxed feasibility), for every present
+  // non-fault edge (x, y), in both directions, a finite hops[x] implies a
+  // finite hops[y] <= (1+eps) * (hops[x] + 1). By induction along a true
+  // shortest path, F gives d_true(v) <= hops[v] <= (1+eps)^d_true(v) *
+  // d_true(v). F, not that endpoint bound, is what survival and repair
+  // preserve: a new edge can shorten d_true out from under a valid label,
+  // but a new edge that cannot be adopted keeps F2.
 
   // The scheme restricted to `root` under fault set F. dir == kOut encodes
   // pi(root, v | F) for all v; dir == kIn encodes pi(v, root | F).
@@ -273,11 +251,347 @@ class IRpts {
   // across different policies would alias wrong trees.
   void adopt_identity(const IRpts& of) { scheme_id_ = of.scheme_id_; }
 
+  // The one insert-survival test and the one repair skeleton, run with the
+  // adoption rule above over `policy` (defined below the class).
+  template <typename Policy>
+  bool insert_survives(const Policy& policy, const GraphDelta& delta,
+                       const Spt& tree, uint32_t eps_q) const;
+  template <typename Policy>
+  RepairOutcome repair_with(const Policy& policy, const Spt& old_tree,
+                            const DeltaBatch& batch, const FaultSet& faults,
+                            double max_affected_fraction,
+                            uint32_t eps_q) const;
+
  private:
+  // The accumulated perturbation along the tree path root ~ x, read in
+  // travel order (root -> x for kOut trees, x -> root for kIn trees).
+  // Accumulation order is immaterial: every policy's Tie is a commutative
+  // sum. x must be reachable in `tree`.
+  template <typename Policy>
+  typename Policy::Tie path_tie(const Policy& policy, const Spt& tree,
+                                Vertex x) const;
+
   static uint64_t next_scheme_id();
 
   uint64_t scheme_id_;
 };
+
+template <typename Policy>
+typename Policy::Tie IRpts::path_tie(const Policy& policy, const Spt& tree,
+                                     Vertex x) const {
+  const Graph& g = graph();
+  auto tie = policy.zero();
+  for (Vertex v = x; tree.parent(v) != kNoVertex; v = tree.parent(v)) {
+    const EdgeId pe = tree.parent_edge(v);
+    // kOut hops travel parent -> v, kIn hops travel v -> parent; the stored
+    // orientation of pe decides the forward flag.
+    const bool stored_from_parent = g.endpoints(pe).u == tree.parent(v);
+    policy.accumulate(tie, g.label(pe),
+                      tree.dir == Direction::kOut ? stored_from_parent
+                                                  : !stored_from_parent);
+  }
+  return tie;
+}
+
+template <typename Policy>
+bool IRpts::insert_survives(const Policy& policy, const GraphDelta& delta,
+                            const Spt& tree, uint32_t eps_q) const {
+  const bool u_reach = tree.reachable(delta.u);
+  const bool v_reach = tree.reachable(delta.v);
+  // Both endpoints outside the root's component: e cannot extend it.
+  if (!u_reach && !v_reach) return true;
+  // Exactly one reachable: e attaches new vertices to the tree.
+  if (u_reach != v_reach) return false;
+  if constexpr (requires { policy.can_accumulate(delta.label); }) {
+    if (!policy.can_accumulate(delta.label)) return false;
+  }
+  // Would the relaxation src -> dst across e be adopted? For kOut trees
+  // (distances from the root) travel u -> v offers v a label; for kIn trees
+  // (distances towards the root) the same traversal offers u a route via v.
+  // Ties are recovered from the Spt by accumulating the policy along parent
+  // chains (O(depth) per endpoint), only when the hop counts tie at
+  // eps_q == 0. An equal (hops, tie) conservatively counts as adopted --
+  // uniqueness makes it impossible for exact policies.
+  auto adopted = [&](Vertex src, Vertex dst, bool travel_forward) {
+    const int32_t h = tree.hops(src) + 1, cur = tree.hops(dst);
+    if (epsilon_improves(cur, h, eps_q)) return true;
+    if (eps_q != 0 || h != cur) return false;
+    auto cand = path_tie(policy, tree, src);
+    policy.accumulate(cand, delta.label, travel_forward);
+    return policy.compare(cand, path_tie(policy, tree, dst)) <= 0;
+  };
+  if (tree.dir == Direction::kOut)
+    return !adopted(delta.u, delta.v, /*travel u->v*/ true) &&
+           !adopted(delta.v, delta.u, /*travel v->u*/ false);
+  return !adopted(delta.v, delta.u, /*travel u->v*/ true) &&
+         !adopted(delta.u, delta.v, /*travel v->u*/ false);
+}
+
+// Ramalingam-Reps-style incremental repair under the adoption rule.
+//
+// Phase R (removals): vertices whose old tree path uses a removed edge are
+// detached as one subtree forest; the surviving vertices keep their labels
+// (stability: their selected paths persist and removals cannot create
+// shorter ones), so a bounded Dijkstra re-relaxes only the detached region's
+// frontier against the surviving forest, always with the eps_q == 0 rule.
+// A detached vertex whose label comes back LOWER than before tightens F2 on
+// every arc leaving it and seeds the cascade; only approximate old labels
+// can do that (exact old labels are exact, and removals only lengthen
+// paths). Cascade (inserts): each net-inserted edge offers two directed
+// relaxations against the phase-R labels, and every adopted label
+// propagates over ALL present arcs with the key's eps_q. On the exact tier
+// both phases run in Dijkstra order (every perturbed arc weight is
+// 1 + r > 1/2 > 0, so a popped minimum is settled) with the arithmetic the
+// from-scratch Dijkstra uses, and the scheme's trees are unique, so the
+// repaired tree is bit-identical to a recompute -- asserted by the repair
+// fuzz tests across all three ATW policies. On the approximate tier exactly
+// the updates that violate F fire, a much smaller region than the exact
+// one.
+template <typename Policy>
+RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
+                                 const DeltaBatch& batch,
+                                 const FaultSet& faults,
+                                 double max_affected_fraction,
+                                 uint32_t eps_q) const {
+  using Tie = typename Policy::Tie;
+  // HopsOnly has no ties: skip the pass that only rebuilds them.
+  constexpr bool kTies = !std::is_empty_v<Tie>;
+  const Graph& g = graph();
+  const Vertex n = g.num_vertices();
+  const Direction dir = old_tree.dir;
+
+  auto full = [&] {
+    // A from-scratch exact recompute: the tree itself on the exact tier, and
+    // a valid approximate tree too (exact labels satisfy F at any eps).
+    RepairOutcome out;
+    out.tree = spt(old_tree.root, faults, dir);
+    out.touched = n;
+    return out;
+  };
+
+  // The batch restricted to deltas this tree can feel: a delta on a faulted
+  // edge never matters (the edge is excluded from G \ F either way), and a
+  // flap healed inside the batch has no net entry at all. FaultSets (sorted
+  // id vectors) give the O(log k) membership the per-arc loops below probe.
+  FaultSet removed, inserted;
+  for (const GraphDelta& d : batch.net) {
+    if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
+    (d.kind == GraphDelta::Kind::kRemove ? removed : inserted).insert(d.edge);
+  }
+  if (removed.empty() && inserted.empty()) {
+    // Net no-op for this tree: the old tree IS the new tree.
+    return {old_tree, /*repaired=*/true, /*touched=*/0};
+  }
+  if constexpr (requires { policy.can_accumulate(EdgeId{}); }) {
+    // A label the policy cannot evaluate (fresh slot appended after the
+    // policy tabulated its weights) defeats the exact arithmetic;
+    // recompute conservatively.
+    for (EdgeId e : inserted)
+      if (!policy.can_accumulate(g.label(e))) return full();
+  }
+
+  // Affected-region ceiling: a fraction >= 1 never falls back; a NaN or
+  // negative one gets the minimum allowance (and no UB float cast).
+  const size_t limit =
+      max_affected_fraction >= 1.0
+          ? std::numeric_limits<size_t>::max()
+          : std::max<size_t>(8, max_affected_fraction > 0.0
+                                    ? static_cast<size_t>(
+                                          max_affected_fraction *
+                                          static_cast<double>(n))
+                                    : 0);
+
+  // Detach: a vertex is affected by the removals iff its old tree path uses
+  // a removed edge; parent propagation in root-to-leaf order marks the whole
+  // detached forest in O(n).
+  std::vector<Vertex> order;
+  if (kTies || !removed.empty()) order = old_tree.top_order();
+  std::vector<char> detached(n, 0);
+  size_t detached_count = 0;
+  if (!removed.empty()) {
+    for (Vertex v : order) {
+      const Vertex p = old_tree.parent(v);
+      if (p == kNoVertex) continue;
+      if (detached[p] || removed.contains(old_tree.parent_edge(v))) {
+        detached[v] = 1;
+        ++detached_count;
+      }
+    }
+    if (detached_count > limit) return full();
+  }
+
+  // Surviving vertices keep their old labels; rebuild their tie values by
+  // one accumulation pass down the old tree (identical arithmetic to the
+  // Dijkstra that settled them: tie[v] = tie[parent] + r(parent edge), read
+  // in travel order).
+  std::vector<Tie> tie(n, policy.zero());
+  if constexpr (kTies) {
+    for (Vertex v : order) {
+      const Vertex p = old_tree.parent(v);
+      if (p == kNoVertex || detached[v]) continue;
+      const EdgeId pe = old_tree.parent_edge(v);
+      const bool stored_from_parent = g.endpoints(pe).u == p;
+      Tie t = tie[p];
+      policy.accumulate(t, g.label(pe),
+                        dir == Direction::kOut ? stored_from_parent
+                                               : !stored_from_parent);
+      tie[v] = std::move(t);
+    }
+  }
+
+  RepairOutcome out;
+  // The repair mutates labels in place, so it starts from a fat copy
+  // (identity copy when the cached tree was never compacted). Re-attach THIS
+  // graph's endpoint table: the cached tree may hold the table from before a
+  // fresh-slot append (Graph::edges_mut clones when shared), and the cascade
+  // below writes the new slot ids into parent_edge -- compacting against the
+  // stale, shorter table would then read the endpoint vector out of bounds.
+  // Slots are append-only with preserved endpoint order, so the current
+  // table is valid for every old id too.
+  out.tree = old_tree.thawed();
+  out.tree.attach_endpoints(g.shared_endpoints());
+  out.repaired = true;
+  Spt& nt = out.tree;
+  auto& nt_hops = nt.mutable_hops();
+  auto& nt_parent = nt.mutable_parent();
+  auto& nt_parent_edge = nt.mutable_parent_edge();
+
+  // Compact-aware fast path: when the cached tree arrived compact, record
+  // every vertex whose label this repair writes (detached forest + adopted
+  // labels -- both phases write nothing else) and re-compact at the end by
+  // patching those labels over the old compact image (Spt::compact_from)
+  // instead of the thaw -> full compact() round-trip the publication path
+  // would otherwise pay.
+  const bool want_patch = old_tree.is_compact();
+  std::vector<Vertex> patch_touched;
+
+  // Tentative-label heap shared by both phases, smallest (hops, tie, v)
+  // first -- (hops, v) under HopsOnly. The v key cannot change exact-tier
+  // results: their labels are unique. Lazy deletion: stale entries are
+  // skipped by comparing against the current label.
+  struct QItem {
+    int32_t hops;
+    [[no_unique_address]] Tie tie;
+    Vertex v;
+  };
+  auto worse = [&policy](const QItem& a, const QItem& b) {
+    if (a.hops != b.hops) return a.hops > b.hops;
+    if (const int c = policy.compare(a.tie, b.tie)) return c > 0;
+    return a.v > b.v;
+  };
+  std::priority_queue<QItem, std::vector<QItem>, decltype(worse)> pq(worse);
+  auto stale = [&](const QItem& item) {
+    return item.hops != nt_hops[item.v] ||
+           policy.compare(item.tie, tie[item.v]) != 0;
+  };
+  // The adoption rule: w adopts s's label extended across e iff
+  // epsilon_improves under `q`, or, at q == 0, the hops tie and the tie
+  // compares lower. Hops decide first, so most rejected candidates skip the
+  // tie arithmetic. Returns whether w adopted (and was queued).
+  auto offer = [&](Vertex s, Vertex w, EdgeId e, bool travel_forward,
+                   uint32_t q) {
+    const int32_t h = nt_hops[s] + 1;
+    if (!epsilon_improves(nt_hops[w], h, q) && (q != 0 || nt_hops[w] != h))
+      return false;
+    Tie t = tie[s];
+    policy.accumulate(t, g.label(e), travel_forward);
+    if (nt_hops[w] == h && policy.compare(tie[w], t) <= 0) return false;
+    nt_hops[w] = h;
+    tie[w] = t;
+    nt_parent[w] = s;
+    nt_parent_edge[w] = e;
+    pq.push({h, std::move(t), w});
+    return true;
+  };
+
+  // ---- Phase R: re-relax the detached region against the survivors.
+  std::vector<Vertex> seeds;
+  if (detached_count > 0) {
+    // The detached vertices in id order, with their old hops.
+    std::vector<std::pair<Vertex, int32_t>> old_hops;
+    old_hops.reserve(detached_count);
+    for (Vertex v = 0; v < n; ++v) {
+      if (!detached[v]) continue;
+      old_hops.emplace_back(v, nt_hops[v]);
+      nt_hops[v] = kUnreachable;
+      nt_parent[v] = kNoVertex;
+      nt_parent_edge[v] = kNoEdge;
+      if (want_patch) patch_touched.push_back(v);
+    }
+    // Frontier: every surviving in-neighbor of a detached vertex offers a
+    // candidate across the boundary arc (travel u -> v; iterating arcs of v,
+    // the stored flag flips exactly as in establish_sssp_parents). Net
+    // inserts wait for the cascade.
+    for (const auto& detached_v : old_hops) {
+      const Vertex v = detached_v.first;
+      for (const Arc& a : g.arcs(v)) {
+        const Vertex u = a.to;
+        if (detached[u] || nt_hops[u] == kUnreachable) continue;
+        if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
+        offer(u, v, a.edge, dir == Direction::kOut ? !a.forward : a.forward,
+              0);
+      }
+    }
+    std::vector<char> settled(n, 0);
+    while (!pq.empty()) {
+      const QItem top = pq.top();
+      pq.pop();
+      const Vertex v = top.v;
+      if (settled[v] || stale(top)) continue;
+      settled[v] = 1;
+      ++out.touched;
+      for (const Arc& a : g.arcs(v)) {
+        const Vertex w = a.to;
+        if (!detached[w] || settled[w]) continue;
+        if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
+        offer(v, w, a.edge, dir == Direction::kOut ? a.forward : !a.forward,
+              0);
+      }
+    }
+    for (const auto& [v, h] : old_hops)
+      if (nt_hops[v] != kUnreachable && nt_hops[v] < h) seeds.push_back(v);
+  }
+
+  // ---- Cascade: the net inserts and the decrease seeds, under eps_q.
+  if (!inserted.empty() || !seeds.empty()) {
+    std::vector<char> improved(n, 0);
+    size_t improved_count = 0;
+    bool bail = false;
+    auto relax = [&](Vertex s, Vertex w, EdgeId e) {
+      if (nt_hops[s] == kUnreachable) return;
+      const bool stored_fwd = g.endpoints(e).u == s;  // travel s -> w
+      if (!offer(s, w, e, dir == Direction::kOut ? stored_fwd : !stored_fwd,
+                 eps_q) ||
+          improved[w])
+        return;
+      improved[w] = 1;
+      if (want_patch) patch_touched.push_back(w);
+      if (++improved_count > limit) bail = true;
+    };
+    for (Vertex v : seeds) pq.push({nt_hops[v], tie[v], v});
+    for (EdgeId e : inserted) {
+      const Edge& ed = g.endpoints(e);
+      relax(ed.u, ed.v, e);
+      relax(ed.v, ed.u, e);
+    }
+    while (!pq.empty() && !bail) {
+      const QItem top = pq.top();
+      pq.pop();
+      if (stale(top)) continue;  // improved again after this push
+      ++out.touched;
+      for (const Arc& a : g.arcs(top.v)) {
+        if (faults.contains(a.edge)) continue;
+        relax(top.v, a.to, a.edge);
+      }
+    }
+    if (bail) return full();
+  }
+  // Patch-compact on success; on decline (e.g. a fresh slot beyond the old
+  // endpoint table) the tree simply stays fat and the caller's usual
+  // publication compact() applies.
+  if (want_patch) nt.compact_from(old_tree, patch_touched);
+  return out;
+}
 
 // Theorem 19 scheme: unique shortest paths of the reweighted graph G* \ F.
 template <typename Policy>
@@ -306,307 +620,35 @@ class Rpts final : public IRpts {
                             });
   }
 
-  // Refines the base carry-forward predicate with the exact insert test:
-  // the old tree survives an insert of e = (u, v) iff neither orientation
-  // of e relaxes an endpoint label, i.e. the old perturbed distances are a
+  // The exact tier's insert test: the old tree survives an insert of
+  // e = (u, v) iff neither orientation of e would be adopted under the
+  // policy's exact arithmetic, i.e. the old perturbed distances are a
   // feasible potential for the grown graph. Then every path through e is
   // strictly longer than the old (unique) selections, so the tree is still
   // THE tree -- the reweighted-graph version of the classic "a non-tight
-  // edge changes nothing" argument. Ties are recovered from the Spt by
-  // accumulating the policy along parent chains (O(depth) per endpoint), so
-  // no DijkstraResult needs to be retained.
+  // edge changes nothing" argument. Everything else is the base predicate.
   bool tree_survives(const GraphDelta& delta, const Spt& tree,
-                     const FaultSet& faults) const override {
-    // The generically-decidable cases (delta edge inside the fault set,
-    // removals) stay with the base predicate; only inserts are refined.
-    if (delta.kind == GraphDelta::Kind::kRemove ||
+                     const FaultSet& faults,
+                     uint32_t eps_q = 0) const override {
+    if (eps_q || delta.kind == GraphDelta::Kind::kRemove ||
         (delta.edge != kNoEdge && faults.contains(delta.edge)))
-      return IRpts::tree_survives(delta, tree, faults);
-    const bool a_reach = tree.reachable(delta.u);
-    const bool b_reach = tree.reachable(delta.v);
-    // Both endpoints outside the root's component: e cannot extend it.
-    if (!a_reach && !b_reach) return true;
-    // Exactly one reachable: e attaches new vertices to the tree.
-    if (a_reach != b_reach) return false;
-    if constexpr (requires { policy_.can_accumulate(delta.label); }) {
-      if (!policy_.can_accumulate(delta.label)) return false;
-    }
-    using Tie = typename Policy::Tie;
-    const Tie ta = path_tie(tree, delta.u);
-    const Tie tb = path_tie(tree, delta.v);
-    // The two candidate relaxations across e. For kOut trees (distances
-    // from the root) travel u -> v relaxes v; for kIn trees (distances
-    // towards the root) the same traversal instead offers u a route via v.
-    // Either way each stored orientation is accumulated onto one endpoint's
-    // tie and compared against the other's settled label; survival needs
-    // both candidates strictly worse (equality is conservatively treated as
-    // affected -- uniqueness makes it impossible for exact policies).
-    auto strictly_worse = [&](int32_t src_hops, const Tie& src_tie,
-                              bool travel_forward, int32_t dst_hops,
-                              const Tie& dst_tie) {
-      const int32_t cand_hops = src_hops + 1;
-      if (cand_hops != dst_hops) return cand_hops > dst_hops;
-      Tie cand = src_tie;
-      policy_.accumulate(cand, delta.label, travel_forward);
-      return policy_.compare(cand, dst_tie) > 0;
-    };
-    const int32_t ha = tree.hops(delta.u), hb = tree.hops(delta.v);
-    if (tree.dir == Direction::kOut)
-      return strictly_worse(ha, ta, /*travel u->v*/ true, hb, tb) &&
-             strictly_worse(hb, tb, /*travel v->u*/ false, ha, ta);
-    return strictly_worse(hb, tb, /*travel u->v*/ true, ha, ta) &&
-           strictly_worse(ha, ta, /*travel v->u*/ false, hb, tb);
+      return IRpts::tree_survives(delta, tree, faults, eps_q);
+    return insert_survives(policy_, delta, tree, 0);
   }
 
-  // Ramalingam-Reps-style incremental repair over the tiebroken metric.
-  //
-  // Phase R (removals): vertices whose old tree path uses a removed edge are
-  // detached as one subtree forest; the surviving vertices' labels are
-  // already exact for the shrunk graph (stability: their unique selected
-  // paths persist and removals cannot create shorter ones), so a bounded
-  // Dijkstra re-relaxes only the detached region's frontier against the
-  // surviving forest. Phase I (inserts): each net-inserted edge offers two
-  // directed relaxations against the phase-R labels; improvements cascade in
-  // Dijkstra order (every perturbed arc weight is 1 + r > 1/2 > 0, so a
-  // popped minimum is settled). Both phases relax with the exact policy
-  // arithmetic the from-scratch Dijkstra uses, and the scheme's trees are
-  // unique, so the repaired tree is bit-identical to a recompute -- asserted
-  // by the repair fuzz tests across all three ATW policies.
+  // The exact tier's incremental repair: the repair skeleton over the
+  // policy's exact arithmetic, bit-identical to a recompute. The
+  // approximate tier stays with the base (HopsOnly).
   using IRpts::repair_tree;
   RepairOutcome repair_tree(const Spt& old_tree, const DeltaBatch& batch,
                             const FaultSet& faults,
-                            double max_affected_fraction) const override {
-    using Tie = typename Policy::Tie;
-    const Graph& g = *g_;
-    const Vertex n = g.num_vertices();
-    const Direction dir = old_tree.dir;
-    const Vertex root = old_tree.root;
-
-    auto full = [&] {
-      RepairOutcome out;
-      out.tree = spt(root, faults, dir);
-      out.touched = n;
-      return out;
-    };
-
-    // The batch restricted to deltas this tree can feel: a delta on a
-    // faulted edge never matters (the edge is excluded from G \ F either
-    // way), and a flap healed inside the batch has no net entry at all.
-    // FaultSets (sorted id vectors) give the O(log k) membership the
-    // per-arc loops below probe.
-    FaultSet removed, inserted;
-    for (const GraphDelta& d : batch.net) {
-      if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
-      (d.kind == GraphDelta::Kind::kRemove ? removed : inserted)
-          .insert(d.edge);
-    }
-    if (removed.empty() && inserted.empty()) {
-      // Net no-op for this tree: the old tree IS the new tree.
-      return {old_tree, /*repaired=*/true, /*touched=*/0};
-    }
-    if constexpr (requires { policy_.can_accumulate(EdgeId{}); }) {
-      // A label the policy cannot evaluate (fresh slot appended after the
-      // policy tabulated its weights) defeats the exact arithmetic;
-      // recompute conservatively.
-      for (EdgeId e : inserted)
-        if (!policy_.can_accumulate(g.label(e))) return full();
-    }
-
-    const size_t limit = std::max<size_t>(
-        8, static_cast<size_t>(max_affected_fraction * static_cast<double>(n)));
-
-    // Detach: a vertex is affected by the removals iff its old tree path
-    // uses a removed edge; parent propagation in root-to-leaf order marks
-    // the whole detached forest in O(n).
-    const std::vector<Vertex> order = old_tree.top_order();
-    std::vector<char> detached(n, 0);
-    size_t detached_count = 0;
-    if (!removed.empty()) {
-      for (Vertex v : order) {
-        const Vertex p = old_tree.parent(v);
-        if (p == kNoVertex) continue;
-        if (detached[p] || removed.contains(old_tree.parent_edge(v))) {
-          detached[v] = 1;
-          ++detached_count;
-        }
-      }
-      if (detached_count > limit) return full();
-    }
-
-    // Surviving vertices keep their exact old labels; rebuild their tie
-    // values by one accumulation pass down the old tree (identical
-    // arithmetic to the Dijkstra that settled them: tie[v] =
-    // tie[parent] + r(parent edge), read in travel order).
-    std::vector<Tie> tie(n, policy_.zero());
-    auto chain_travel_forward = [&](Vertex p, EdgeId pe) {
-      const bool stored_from_parent = g.endpoints(pe).u == p;
-      return dir == Direction::kOut ? stored_from_parent : !stored_from_parent;
-    };
-    for (Vertex v : order) {
-      const Vertex p = old_tree.parent(v);
-      if (p == kNoVertex || detached[v]) continue;
-      const EdgeId pe = old_tree.parent_edge(v);
-      Tie t = tie[p];
-      policy_.accumulate(t, g.label(pe), chain_travel_forward(p, pe));
-      tie[v] = std::move(t);
-    }
-
-    RepairOutcome out;
-    // The repair mutates labels in place, so it starts from a fat copy
-    // (identity copy when the cached tree was never compacted). Re-attach
-    // THIS graph's endpoint table: the cached tree may hold the table from
-    // before a fresh-slot append (Graph::edges_mut clones when shared), and
-    // the insert phase below writes the new slot ids into parent_edge --
-    // compacting against the stale, shorter table would then read the
-    // endpoint vector out of bounds. Slots are append-only with preserved
-    // endpoint order, so the current table is valid for every old id too.
-    out.tree = old_tree.thawed();
-    out.tree.attach_endpoints(g.shared_endpoints());
-    out.repaired = true;
-    Spt& nt = out.tree;
-    auto& nt_hops = nt.mutable_hops();
-    auto& nt_parent = nt.mutable_parent();
-    auto& nt_parent_edge = nt.mutable_parent_edge();
-
-    // Compact-aware fast path: when the cached tree arrived compact, record
-    // every vertex whose label this repair writes (detached forest + insert
-    // improvements -- both phases write nothing else) and re-compact at the
-    // end by patching those labels over the old compact image
-    // (Spt::compact_from) instead of the thaw -> full compact() round-trip
-    // the publication path would otherwise pay.
-    const bool want_patch = old_tree.is_compact();
-    std::vector<Vertex> patch_touched;
-
-    // Tentative-label heap shared by both phases (lazy deletion: stale
-    // entries are skipped by comparing against the current label).
-    struct QItem {
-      int32_t hops;
-      Tie tie;
-      Vertex v;
-    };
-    auto worse = [this](const QItem& a, const QItem& b) {
-      if (a.hops != b.hops) return a.hops > b.hops;
-      return policy_.compare(a.tie, b.tie) > 0;
-    };
-    std::priority_queue<QItem, std::vector<QItem>, decltype(worse)> pq(worse);
-
-    // ---- Phase R: re-relax the detached region against the survivors.
-    if (detached_count > 0) {
-      for (Vertex v = 0; v < n; ++v) {
-        if (!detached[v]) continue;
-        nt_hops[v] = kUnreachable;
-        nt_parent[v] = kNoVertex;
-        nt_parent_edge[v] = kNoEdge;
-        if (want_patch) patch_touched.push_back(v);
-      }
-      std::vector<char> settled(n, 0);
-      auto relax_into = [&](Vertex w, int32_t h, Tie t, Vertex par,
-                            EdgeId pe) {
-        if (nt_hops[w] != kUnreachable &&
-            (nt_hops[w] < h ||
-             (nt_hops[w] == h && policy_.compare(tie[w], t) <= 0)))
-          return;
-        nt_hops[w] = h;
-        tie[w] = t;
-        nt_parent[w] = par;
-        nt_parent_edge[w] = pe;
-        pq.push({h, std::move(t), w});
-      };
-      // Frontier: every surviving in-neighbor of a detached vertex offers a
-      // candidate label across the boundary arc (travel u -> v; iterating
-      // arcs of v, the stored flag flips exactly as in
-      // establish_sssp_parents).
-      for (Vertex v = 0; v < n; ++v) {
-        if (!detached[v]) continue;
-        for (const Arc& a : g.arcs(v)) {
-          const Vertex u = a.to;
-          if (detached[u] || nt_hops[u] == kUnreachable) continue;
-          if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
-          const bool travel_forward =
-              dir == Direction::kOut ? !a.forward : a.forward;
-          Tie t = tie[u];
-          policy_.accumulate(t, g.label(a.edge), travel_forward);
-          relax_into(v, nt_hops[u] + 1, std::move(t), u, a.edge);
-        }
-      }
-      while (!pq.empty()) {
-        QItem top = pq.top();
-        pq.pop();
-        const Vertex v = top.v;
-        if (settled[v] || top.hops != nt_hops[v] ||
-            policy_.compare(top.tie, tie[v]) != 0)
-          continue;
-        settled[v] = 1;
-        ++out.touched;
-        for (const Arc& a : g.arcs(v)) {
-          const Vertex w = a.to;
-          if (!detached[w] || settled[w]) continue;
-          if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
-          const bool travel_forward =
-              dir == Direction::kOut ? a.forward : !a.forward;
-          Tie t = tie[v];
-          policy_.accumulate(t, g.label(a.edge), travel_forward);
-          relax_into(w, nt_hops[v] + 1, std::move(t), v, a.edge);
-        }
-      }
-    }
-
-    // ---- Phase I: cascade the net inserts. nt/tie now hold the exact
-    // labels of the graph without the inserted edges; each insert offers two
-    // directed relaxations, and every improvement propagates in Dijkstra
-    // order over ALL present arcs (inserted ones included).
-    if (!inserted.empty()) {
-      std::vector<char> improved(n, 0);
-      size_t improved_count = 0;
-      bool bail = false;
-      auto relax = [&](Vertex s, Vertex t_v, EdgeId e) {
-        if (nt_hops[s] == kUnreachable) return;
-        const bool stored_fwd = g.endpoints(e).u == s;  // travel s -> t_v
-        const bool travel_forward =
-            dir == Direction::kOut ? stored_fwd : !stored_fwd;
-        const int32_t h = nt_hops[s] + 1;
-        if (nt_hops[t_v] != kUnreachable && nt_hops[t_v] < h) return;
-        Tie t = tie[s];
-        policy_.accumulate(t, g.label(e), travel_forward);
-        if (nt_hops[t_v] != kUnreachable && nt_hops[t_v] == h &&
-            policy_.compare(tie[t_v], t) <= 0)
-          return;
-        nt_hops[t_v] = h;
-        tie[t_v] = t;
-        nt_parent[t_v] = s;
-        nt_parent_edge[t_v] = e;
-        if (!improved[t_v]) {
-          improved[t_v] = 1;
-          if (want_patch) patch_touched.push_back(t_v);
-          if (++improved_count > limit) bail = true;
-        }
-        pq.push({h, std::move(t), t_v});
-      };
-      for (EdgeId e : inserted) {
-        const Edge& ed = g.endpoints(e);
-        relax(ed.u, ed.v, e);
-        relax(ed.v, ed.u, e);
-      }
-      while (!pq.empty() && !bail) {
-        QItem top = pq.top();
-        pq.pop();
-        const Vertex v = top.v;
-        if (top.hops != nt_hops[v] ||
-            policy_.compare(top.tie, tie[v]) != 0)
-          continue;  // stale: v improved further after this push
-        ++out.touched;
-        for (const Arc& a : g.arcs(v)) {
-          if (faults.contains(a.edge)) continue;
-          relax(v, a.to, a.edge);
-        }
-      }
-      if (bail) return full();
-    }
-    // Patch-compact on success; on decline (e.g. a fresh slot beyond the old
-    // endpoint table) the tree simply stays fat and the caller's usual
-    // publication compact() applies.
-    if (want_patch) nt.compact_from(old_tree, patch_touched);
-    return out;
+                            double max_affected_fraction,
+                            uint32_t eps_q = 0) const override {
+    if (eps_q)
+      return IRpts::repair_tree(old_tree, batch, faults,
+                                max_affected_fraction, eps_q);
+    return repair_with(policy_, old_tree, batch, faults,
+                       max_affected_fraction, 0);
   }
 
   // Full result including exact tie values (used by the RP algorithms).
@@ -640,26 +682,6 @@ class Rpts final : public IRpts {
   }
 
  private:
-  // The accumulated perturbation along the tree path root ~ x, read in
-  // travel order (root -> x for kOut trees, x -> root for kIn trees).
-  // Accumulation order is immaterial: every policy's Tie is a commutative
-  // sum. x must be reachable in `tree`.
-  typename Policy::Tie path_tie(const Spt& tree, Vertex x) const {
-    auto tie = policy_.zero();
-    for (Vertex v = x; tree.parent(v) != kNoVertex; v = tree.parent(v)) {
-      const EdgeId pe = tree.parent_edge(v);
-      const Vertex p = tree.parent(v);
-      // kOut hops travel parent -> v, kIn hops travel v -> parent; the
-      // stored orientation of pe decides the forward flag.
-      const bool stored_from_parent = g_->endpoints(pe).u == p;
-      const bool travel_forward =
-          tree.dir == Direction::kOut ? stored_from_parent
-                                      : !stored_from_parent;
-      policy_.accumulate(tie, g_->label(pe), travel_forward);
-    }
-    return tie;
-  }
-
   const Graph* g_;
   Policy policy_;
 };

@@ -1,6 +1,8 @@
 #include "engine/thread_pool.h"
 
 #include <atomic>
+#include <exception>
+#include <utility>
 
 namespace restorable {
 
@@ -47,8 +49,17 @@ void ThreadPool::worker_main() {
     seen = epoch_;
     const std::function<void(size_t)>* job = job_;
     lk.unlock();
-    run_indices(*job);
+    std::exception_ptr error;
+    try {
+      run_indices(*job);
+    } catch (...) {
+      // Cancel the undistributed indices; the caller rethrows after the
+      // drain.
+      error = std::current_exception();
+      next_.store(count_, std::memory_order_relaxed);
+    }
     lk.lock();
+    if (error && !error_) error_ = std::move(error);
     if (--running_ == 0) cv_done_.notify_all();
   }
 }
@@ -77,19 +88,23 @@ void ThreadPool::parallel_for(size_t count,
   } catch (...) {
     // The body's captured state lives in our caller's frame: we must not
     // unwind while workers still reference it. Cancel undistributed indices,
-    // wait the workers out, then rethrow. (A worker-thread exception still
-    // escapes worker_main and terminates, as documented.)
+    // wait the workers out, then rethrow (the caller's own exception wins
+    // over any a worker stored).
     t_inside_pool = false;
     next_.store(count_, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(m_);
     cv_done_.wait(lk, [&] { return running_ == 0; });
     job_ = nullptr;
+    error_ = nullptr;
     throw;
   }
   t_inside_pool = false;
   std::unique_lock<std::mutex> lk(m_);
   cv_done_.wait(lk, [&] { return running_ == 0; });
   job_ = nullptr;
+  // A worker's exception, stored under m_, surfaces on the caller once
+  // every worker has left the body.
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace restorable

@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -36,9 +37,10 @@ class ThreadPool {
   int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Runs body(i) for every i in [0, count), distributing indices over the
-  // pool; returns when all have completed. If the body throws on the calling
-  // thread, remaining indices are cancelled, the workers are drained, and
-  // the exception rethrown; a throw on a worker thread terminates.
+  // pool; returns when all have completed. If the body throws on any lane,
+  // the remaining undistributed indices are cancelled, the workers are
+  // drained, and the first exception is rethrown on the caller; the pool
+  // then runs its next job normally.
   void parallel_for(size_t count,
                     const std::function<void(size_t)>& body) const;
 
@@ -56,6 +58,7 @@ class ThreadPool {
   mutable std::atomic<size_t> next_{0};
   mutable uint64_t epoch_ = 0;
   mutable int running_ = 0;
+  mutable std::exception_ptr error_;  // first worker exception, under m_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

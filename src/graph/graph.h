@@ -102,7 +102,7 @@ class FaultSet {
 // is *intent* when handed to Graph::apply (insert: endpoints; remove: edge
 // id) and a complete record afterwards: apply fills every field, so the
 // same value can then drive the carry-forward machinery downstream
-// (IRpts::tree_survives / affected_roots, SptCache::advance_epoch).
+// (IRpts::tree_survives / batch_survives, SptCache::advance_epoch).
 struct GraphDelta {
   enum class Kind : uint8_t { kInsert, kRemove };
 

@@ -1,5 +1,6 @@
 #include "serve/oracle_shard.h"
 
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 
@@ -41,6 +42,15 @@ const char* escalation_reason_name(EscalationReason r) {
   }
   return "?";
 }
+
+// The constructor's config check: a repair ceiling must be a finite,
+// non-negative fraction.
+ServerConfig validated(ServerConfig config) {
+  if (!std::isfinite(config.repair_fraction) || config.repair_fraction < 0.0)
+    throw std::invalid_argument(
+        "ServerConfig::repair_fraction must be finite and >= 0");
+  return config;
+}
 }  // namespace
 
 UpdateResult UpdateResult::of(DeltaBatch batch) {
@@ -55,7 +65,7 @@ UpdateResult UpdateResult::of(DeltaBatch batch) {
 
 OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
     : pi_(&pi),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       // Generation 0: the current topology.
       gens_(std::make_unique<GenerationManager>(
           Generation::of(pi, pi.graph().snapshot()))) {
@@ -565,13 +575,8 @@ void OracleShard::repair_invalidated(
   std::vector<RepairOutcome> outcomes(invalidated.size());
   eng.parallel_for(invalidated.size(), [&](size_t i) {
     const SptCache::Invalidated& inv = invalidated[i];
-    outcomes[i] =
-        inv.key.eps_q
-            ? pi_->repair_tree_eps(*inv.old_tree, batch,
-                                   inv.key.fault_set(),
-                                   config_.repair_fraction, inv.key.eps_q)
-            : pi_->repair_tree(*inv.old_tree, batch,
-                               inv.key.fault_set(), config_.repair_fraction);
+    outcomes[i] = pi_->repair_tree(*inv.old_tree, batch, inv.key.fault_set(),
+                                   config_.repair_fraction, inv.key.eps_q);
   });
   for (size_t i = 0; i < invalidated.size(); ++i) {
     // Publication point: compact before wrapping (never behind a handle).

@@ -127,7 +127,9 @@ struct ServerConfig {
   bool prewarm_on_update = true;
   // Ceiling on the affected region an incremental repair may grow to, as a
   // fraction of the vertex count, before the repair falls back to a full
-  // recompute (see IRpts::repair_tree).
+  // recompute (see IRpts::repair_tree); >= 1 never falls back. The
+  // constructor throws std::invalid_argument for a NaN, infinite or
+  // negative value.
   double repair_fraction = kDefaultRepairFraction;
   // Approximate tier default: distance queries that do not specify their own
   // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (engine

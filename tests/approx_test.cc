@@ -13,6 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dijkstra.h"
@@ -66,6 +70,24 @@ void expect_realizable(const Graph& g, const Spt& tree,
     EXPECT_LT(tree.hops(p), tree.hops(v)) << "v=" << v;
   }
   EXPECT_EQ(tree.hops(tree.root), 0);
+}
+
+// Invariant F2 (relaxed feasibility): for every present non-fault edge, in
+// both directions, a finite label at one end implies a finite label at the
+// other that the relaxation across the edge would not improve.
+void expect_feasible(const Graph& g, const Spt& tree, const FaultSet& faults,
+                     uint32_t eps_q) {
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!g.edge_present(e) || faults.contains(e)) continue;
+    const Edge& ed = g.endpoints(e);
+    for (const auto& [x, y] : {std::pair{ed.u, ed.v}, std::pair{ed.v, ed.u}}) {
+      if (tree.hops(x) == kUnreachable) continue;
+      EXPECT_NE(tree.hops(y), kUnreachable) << "edge " << e;
+      EXPECT_FALSE(epsilon_improves(tree.hops(y), tree.hops(x) + 1, eps_q))
+          << "edge " << e << ": " << x << " (" << tree.hops(x) << ") -> " << y
+          << " (" << tree.hops(y) << ")";
+    }
+  }
 }
 
 TEST(EpsilonQuantization, FloorsAndCaps) {
@@ -163,49 +185,100 @@ TEST(ApproxEngine, RelaxedLabelsWithinStretchBound) {
 
 // --- eps-slack survival and repair preserve the contract under churn. -----
 
-TEST(ApproxRpts, SurvivalAndRepairPreserveStretchUnderChurn) {
-  Graph g = gnp_connected(36, 0.1, 21);
-  const IsolationAtw atw(9);
-  const IsolationRpts pi(g, atw);
+// Drives approximate trees of one scheme through mixed churn on `g0`: each
+// round's survivors and repairs must satisfy F1, F2 and the stretch bound on
+// the new graph. Schemes that cannot price a fresh label (DeterministicAtw)
+// churn with re-inserts of removed edges instead of fresh chords.
+void run_eps_churn(const std::string& name, const Graph& g0,
+                   const std::function<std::unique_ptr<IRpts>(const Graph&)>&
+                       make_scheme,
+                   bool allow_fresh_inserts) {
+  SCOPED_TRACE(name + " n=" + std::to_string(g0.num_vertices()));
+  Graph g = g0;
+  const std::unique_ptr<IRpts> pi = make_scheme(g);
   const uint32_t eps_q = quantize_epsilon(0.5);
   const BatchSsspEngine eng(2);
 
-  std::vector<Vertex> roots{0, 7, 14, 21, 28, 35};
+  std::vector<Vertex> roots;
+  for (Vertex r = 0; r < g.num_vertices(); r += 3) roots.push_back(r);
   std::vector<SsspRequest> reqs;
   for (Vertex r : roots) reqs.push_back({r, {}, Direction::kOut, eps_q});
-  std::vector<Spt> trees = eng.run_batch_spt(g, atw, reqs);
+  std::vector<Spt> trees;
+  for (const SptHandle& t : pi->spt_batch(reqs, &eng)) trees.push_back(*t);
 
   size_t survived = 0, repaired_ok = 0;
-  for (int round = 0; round < 6; ++round) {
-    // Mixed churn: one insert between far-ish vertices + one removal.
+  std::vector<EdgeId> removed;
+  for (int round = 0; round < 12; ++round) {
+    // Mixed churn: one insert + one removal.
     std::vector<GraphDelta> deltas;
     const Vertex a = (round * 11 + 2) % g.num_vertices();
     const Vertex b = (round * 17 + 19) % g.num_vertices();
-    if (a != b && g.find_edge(a, b) == kNoEdge)
+    if (!allow_fresh_inserts) {
+      if (!removed.empty()) {
+        const Edge& ed = g.endpoints(removed.front());
+        deltas.push_back(GraphDelta::insert(ed.u, ed.v));
+        removed.erase(removed.begin());
+      }
+    } else if (a != b && g.find_edge(a, b) == kNoEdge) {
       deltas.push_back(GraphDelta::insert(a, b));
-    deltas.push_back(GraphDelta::remove((round * 13 + 5) % g.num_edges()));
+    }
+    const EdgeId victim = (round * 13 + 5) % g.num_edges();
+    if (g.edge_present(victim)) removed.push_back(victim);
+    deltas.push_back(GraphDelta::remove(victim));
     const DeltaBatch batch = g.apply(deltas);
     if (!batch.changed()) continue;
 
+    // The exact hop distances on the new graph (BFS hops are d_true).
+    const ArbitraryRpts bfs(g);
     for (size_t i = 0; i < trees.size(); ++i) {
-      if (pi.batch_survives_eps(batch, trees[i], {}, eps_q)) {
+      if (pi->batch_survives(batch, trees[i], {}, eps_q)) {
         ++survived;
       } else {
-        RepairOutcome out =
-            pi.repair_tree_eps(trees[i], batch, {}, 0.5, eps_q);
+        RepairOutcome out = pi->repair_tree(trees[i], batch, {}, 0.5, eps_q);
         trees[i] = std::move(out.tree);
         ++repaired_ok;
       }
       // Survivor or repaired: the contract must hold on the NEW graph.
-      const Spt exact = tiebroken_sssp(g, atw, roots[i], {}, Direction::kOut)
-                            .spt;
-      expect_within_stretch(trees[i], exact, eps_q);
+      expect_within_stretch(trees[i], bfs.spt(roots[i]), eps_q);
       expect_realizable(g, trees[i], {});
+      expect_feasible(g, trees[i], {}, eps_q);
     }
   }
   // The churn mix must actually exercise both paths.
   EXPECT_GT(survived, 0u);
   EXPECT_GT(repaired_ok, 0u);
+}
+
+// A random graph, and a grid: its many equal-length routes leave slack
+// labels that a later removal lowers, which only the repair's decrease
+// seeds re-cascade.
+TEST(ApproxRpts, SurvivalAndRepairPreserveStretchUnderChurn) {
+  for (const Graph& g : {gnp_connected(36, 0.1, 21), grid(5, 8)}) {
+    run_eps_churn(
+        "isolation", g,
+        [](const Graph& h) {
+          return std::make_unique<IsolationRpts>(h, IsolationAtw(9));
+        },
+        /*allow_fresh_inserts=*/true);
+    run_eps_churn(
+        "random-real", g,
+        [](const Graph& h) {
+          return std::make_unique<RandomRealRpts>(
+              h, RandomRealAtw(9, h.num_vertices()));
+        },
+        /*allow_fresh_inserts=*/true);
+    run_eps_churn(
+        "deterministic", g,
+        [](const Graph& h) {
+          return std::make_unique<DeterministicRpts>(h, DeterministicAtw(h));
+        },
+        /*allow_fresh_inserts=*/false);
+    // The base-class approximate path (no policy arithmetic at all).
+    run_eps_churn(
+        "arbitrary", g,
+        [](const Graph& h) { return std::make_unique<ArbitraryRpts>(h); },
+        /*allow_fresh_inserts=*/true);
+  }
 }
 
 TEST(ApproxRpts, EpsSlackSurvivesMoreInsertsThanExact) {
@@ -232,7 +305,7 @@ TEST(ApproxRpts, EpsSlackSurvivesMoreInsertsThanExact) {
     Graph h = g;  // probe the batch without committing it
     const DeltaBatch batch = h.apply(deltas);
     for (size_t i = 0; i < reqs.size(); ++i) {
-      if (pi.batch_survives_eps(batch, approx[i], {}, eps_q)) ++eps_survive;
+      if (pi.batch_survives(batch, approx[i], {}, eps_q)) ++eps_survive;
       if (pi.batch_survives(batch, exact[i], {})) ++exact_survive;
     }
   }

@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/dijkstra.h"
 #include "core/rpts.h"
@@ -195,6 +200,36 @@ TEST(ThreadPool, ReusableAcrossJobs) {
     });
     EXPECT_EQ(sum.load(), 4950u);
   }
+}
+
+// A throw on a worker lane fails the job, not the process: parallel_for
+// rethrows on the caller after the drain, and the pool stays usable.
+TEST(ThreadPool, WorkerExceptionRethrowsOnCaller) {
+  const ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_THROW(pool.parallel_for(64,
+                                   [](size_t i) {
+                                     throw std::runtime_error(
+                                         "index " + std::to_string(i));
+                                   }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(100);
+    pool.parallel_for(hits.size(), [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+  }
+  // Only the worker lanes throw (the slowed caller leaves them indices to
+  // grab): the exception still surfaces on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](size_t) {
+                                   if (std::this_thread::get_id() != caller)
+                                     throw std::runtime_error("worker");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::microseconds(200));
+                                 }),
+               std::runtime_error);
 }
 
 // End-to-end: the heavy consumers must produce thread-count-independent

@@ -6,11 +6,14 @@
 // several engine widths.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "serve/oracle_server.h"
+#include "serve/shard_aggregator.h"
 #include "util/random.h"
 
 namespace restorable {
@@ -296,7 +299,7 @@ TEST(RepairTree, ReattachesEndpointTableAcrossFreshInsert) {
 
   // Same contract on the epsilon repair path.
   const auto re =
-      pi.repair_tree_eps(t0, batch, FaultSet{}, 1.0, quantize_epsilon(0.25));
+      pi.repair_tree(t0, batch, FaultSet{}, 1.0, quantize_epsilon(0.25));
   ASSERT_TRUE(re.tree.endpoints());
   EXPECT_GT(re.tree.endpoints()->size(), fresh);
   Spt ce = re.tree;
@@ -304,19 +307,60 @@ TEST(RepairTree, ReattachesEndpointTableAcrossFreshInsert) {
   EXPECT_EQ(ce.parent(7), 0u);
 }
 
+// The affected-region ceiling: a zero threshold clamps to the minimum
+// allowance, a huge detach cannot fit, so the repair must recompute -- and
+// still be bit-identical. The ceiling is computed without UB for any
+// fraction: a NaN or negative one gets the minimum allowance, and one >= 1
+// (however large) never falls back, on both tiers.
 TEST(RepairTree, ThresholdFallsBackToRecompute) {
   Graph g = gnp_connected(50, 0.1, 44);
   const IsolationRpts pi(g, IsolationAtw(45));
+  const uint32_t eps_q = quantize_epsilon(0.25);
   const Spt t0 = pi.spt(0);
+  const Spt a0 = *pi.spt_batch(
+      std::vector<SsspRequest>{{0, {}, Direction::kOut, eps_q}})[0];
   Vertex x = 1;
   while (t0.parent(x) == kNoVertex) ++x;
   std::vector<GraphDelta> cut{GraphDelta::remove(t0.parent_edge(x))};
   const DeltaBatch batch = g.apply(std::span<const GraphDelta>(cut));
-  // A zero threshold clamps to the minimum affected-region allowance; a
-  // huge detach cannot fit, so the repair must recompute -- and still be
-  // bit-identical.
-  const auto fallback = pi.repair_tree(t0, batch, FaultSet{}, 0.0);
-  expect_same_tree(fallback.tree, pi.spt(0));
+  const Spt want = pi.spt(0);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double f :
+       {0.0, std::numeric_limits<double>::quiet_NaN(), -1.0, -inf}) {
+    SCOPED_TRACE("fraction=" + std::to_string(f));
+    expect_same_tree(pi.repair_tree(t0, batch, FaultSet{}, f).tree, want);
+    EXPECT_EQ(pi.repair_tree(a0, batch, FaultSet{}, f, eps_q).tree.root, 0u);
+  }
+  for (double f : {1.0, 1e300, inf}) {
+    SCOPED_TRACE("fraction=" + std::to_string(f));
+    const auto r = pi.repair_tree(t0, batch, FaultSet{}, f);
+    EXPECT_TRUE(r.repaired);
+    expect_same_tree(r.tree, want);
+    EXPECT_TRUE(pi.repair_tree(a0, batch, FaultSet{}, f, eps_q).repaired);
+  }
+}
+
+// The serving config rejects a repair ceiling the skeleton cannot honour,
+// on the single-shard server and, through its shards, on the fleet.
+TEST(OracleServerBatch, RejectsNonFiniteOrNegativeRepairFraction) {
+  const Graph g = gnp_connected(20, 0.2, 3);
+  const IsolationRpts pi(g, IsolationAtw(4));
+  for (double f : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(), -0.5}) {
+    SCOPED_TRACE("fraction=" + std::to_string(f));
+    ServerConfig cfg;
+    cfg.repair_fraction = f;
+    EXPECT_THROW(OracleServer server(pi, cfg), std::invalid_argument);
+    FrontEndConfig fleet;
+    fleet.num_shards = 2;
+    fleet.shard = cfg;
+    EXPECT_THROW(ShardAggregator fleet_of(pi, fleet), std::invalid_argument);
+  }
+  ServerConfig ok;
+  ok.repair_fraction = 0.0;
+  EXPECT_NO_THROW(OracleServer server(pi, ok));
+  ok.repair_fraction = 2.0;
+  EXPECT_NO_THROW(OracleServer server(pi, ok));
 }
 
 // The serving-layer acceptance criterion for the batch pipeline: one

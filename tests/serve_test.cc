@@ -424,26 +424,33 @@ class ThrowingRpts final : public IRpts {
 };
 
 TEST(CoalescingBatcher, ComputeExceptionPropagatesAndBatcherSurvives) {
-  const Graph g = cycle(10);
-  const ThrowingRpts pi(g, /*poisoned=*/3);
-  GenerationManager gens = make_generations(pi);
-  SptCache cache;
-  // Width-1 engine: the generic spt fan-out runs on the calling thread, so
-  // the throw unwinds through the flush loop (a worker-thread throw would
-  // terminate by ThreadPool contract).
-  const BatchSsspEngine engine(1);
-  CoalescingBatcher batcher(&cache, &engine);
-  const GenerationManager::Pin pin = gens.pin();
+  // Width 1 runs the generic spt fan-out on the calling thread; width 4
+  // spreads a multi-key flush over pool workers, whose throw the pool
+  // rethrows on the flushing thread.
+  for (int width : {1, 4}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const Graph g = cycle(10);
+    const ThrowingRpts pi(g, /*poisoned=*/3);
+    GenerationManager gens = make_generations(pi);
+    SptCache cache;
+    const BatchSsspEngine engine(width);
+    CoalescingBatcher batcher(&cache, &engine);
+    const GenerationManager::Pin pin = gens.pin();
 
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
-               std::runtime_error);
-  // The batcher must not be wedged: a healthy key still computes.
-  const auto tree = batcher.get({5, {}, Direction::kOut}, pin);
-  ASSERT_NE(tree, nullptr);
-  expect_same_tree(*tree, pi.spt(5));
-  // And the poisoned key still throws (nothing bogus was cached).
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
-               std::runtime_error);
+    EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
+                 std::runtime_error);
+    std::vector<SsspRequest> reqs;
+    for (Vertex root = 0; root < 8; ++root)
+      reqs.push_back({root, {}, Direction::kOut});
+    EXPECT_THROW(batcher.get_batch(reqs, pin), std::runtime_error);
+    // The batcher must not be wedged: a healthy key still computes.
+    const auto tree = batcher.get({5, {}, Direction::kOut}, pin);
+    ASSERT_NE(tree, nullptr);
+    expect_same_tree(*tree, pi.spt(5));
+    // And the poisoned key still throws (nothing bogus was cached).
+    EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
+                 std::runtime_error);
+  }
 }
 
 TEST(CoalescingBatcher, GetBatchRidesOneFlush) {

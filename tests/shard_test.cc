@@ -148,9 +148,7 @@ TEST(CompactRepair, PatchedImageBitIdenticalToRoundTrip) {
 
     for (Vertex r = 0; r < 8; ++r) {
       const Spt& old_tree = compact_before[r];
-      RepairOutcome out =
-          eps_q ? pi.repair_tree_eps(old_tree, batch, {}, 1.0, eps_q)
-                : pi.repair_tree(old_tree, batch, {}, 1.0);
+      RepairOutcome out = pi.repair_tree(old_tree, batch, {}, 1.0, eps_q);
       // max_affected_fraction = 1.0: the repair may touch everything, so it
       // never declines -- and with a compact input the fast path must have
       // handed the tree back already compact.
@@ -158,8 +156,7 @@ TEST(CompactRepair, PatchedImageBitIdenticalToRoundTrip) {
 
       // Reference 1: the old round-trip, thaw -> repair -> compact().
       RepairOutcome ref =
-          eps_q ? pi.repair_tree_eps(old_tree.thawed(), batch, {}, 1.0, eps_q)
-                : pi.repair_tree(old_tree.thawed(), batch, {}, 1.0);
+          pi.repair_tree(old_tree.thawed(), batch, {}, 1.0, eps_q);
       ASSERT_TRUE(ref.tree.compact());
       expect_same_tree(out.tree, ref.tree);
       EXPECT_EQ(out.repaired, ref.repaired);
