@@ -1478,16 +1478,15 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
 // graph acquisition, pack_ms to freeze, load_ms to map; mmap records whether
 // the zero-parse path was live). Queries draw hot roots from a skewed
 // (min-of-four uniforms) distribution over a root set sized ~2x what the
-// fat-tree budget holds, so the cache budget -- not compute -- is the
-// binding constraint, exactly the regime compact trees exist for. Three
-// modes per thread count: fat trees on the in-memory graph, compact trees
-// on the in-memory graph, compact trees on the mmap-thawed graph. The
-// deterministic query stream makes the sampled answers comparable
-// element-wise across modes; after the query window a short flap phase
-// (remove a hot parent edge, heal it) exercises repair-vs-recompute at
-// scale. CI asserts compact bytes_per_tree <= 0.6x fat, strictly more
-// trees resident at the fixed budget, and sample streams bit-identical
-// across all three modes. Thread accounting: --threads T is the total
+// budget would hold at 12 bytes/vertex (the retired tree layout), so the
+// cache budget -- not compute -- is the binding constraint. Two modes per
+// thread count: the in-memory graph (compact) and the graph thaw() builds
+// from the mmap (compact_mmap). The deterministic query stream is checked
+// element-wise against uncached IRpts::spt answers; after the query window
+// a short flap phase (remove a hot parent edge, heal it) exercises
+// repair-vs-recompute at scale. CI asserts bytes_per_tree <= 0.6 x 12 x n,
+// more trees resident than budget / (12 x n), and every sample equal to
+// the reference. Thread accounting: --threads T is the total
 // footprint, split by split_threads into drivers + engine workers.
 void bench_large(Table& large_table, JsonRows& json, const Options& opt,
                  const ObsSinks& sinks) {
@@ -1546,10 +1545,22 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   for (size_t i = 0; i < hot; ++i)
     hot_roots.push_back(static_cast<Vertex>(
         (static_cast<uint64_t>(i) * mem.num_vertices()) / hot));
-  // Budget: half the hot set's fat trees. Fat mode must evict; compact mode
-  // (~6 vs 12 bytes/vertex) holds roughly the whole set.
-  const size_t probe_bytes = ref.spt(hot_roots[0]).memory_bytes();
-  const size_t budget = (hot / 2) * (probe_bytes + 256);
+  // Uncached reference trees, one per hot root: every sampled answer is
+  // checked against them.
+  std::vector<Spt> ref_trees;
+  for (Vertex r : hot_roots) ref_trees.push_back(ref.spt(r));
+  auto ref_answer = [&](const Query& q) {
+    const size_t i = static_cast<size_t>(
+        std::find(hot_roots.begin(), hot_roots.end(), q.s) - hot_roots.begin());
+    const Spt& t = ref_trees[i];
+    return q.kind == Query::kPath
+               ? static_cast<int32_t>(t.path_to(q.t).length())
+               : t.hops(q.t);
+  };
+  // Budget: half the hot set at 12 bytes/vertex; the 6 bytes/vertex layout
+  // holds roughly the whole set.
+  const size_t budget =
+      (hot / 2) * (sizeof(Spt) + 12 * size_t{mem.num_vertices()} + 256);
   // Query volume scaled so miss-driven recomputes stay bounded as n grows
   // (each miss is a full SSSP); the row records the actual count.
   const size_t lq = std::max<size_t>(
@@ -1571,15 +1582,13 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
     // driver_threads / engine_threads record the split that actually ran.
     const ThreadSplit ts = split_threads(threads);
     const BatchSsspEngine engine(ts.engine);
-    auto run_mode = [&](const Graph& base, bool compact_trees,
-                        const char* mode) {
+    auto run_mode = [&](const Graph& base, const char* mode) {
       LargeRun r;
       Graph g = base;  // private copy: the flap phase mutates it
       const IsolationRpts pi(g, IsolationAtw(7));
       ServerConfig cfg;
       cfg.cache.shards = 1;  // exact LRU counts: entries compare across modes
       cfg.cache.byte_budget = budget;
-      cfg.cache.compact_trees = compact_trees;
       cfg.max_batch = opt.max_batch;
       cfg.engine = &engine;
       cfg.tracer = sinks.tracer;
@@ -1653,40 +1662,24 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
       return r;
     };
 
-    const LargeRun fat = run_mode(mem, false, "fat");
-    const LargeRun compact = run_mode(mem, true, "compact");
-    const LargeRun compact_mmap = run_mode(mapped, true, "compact_mmap");
+    const LargeRun compact = run_mode(mem, "compact");
+    const LargeRun compact_mmap = run_mode(mapped, "compact_mmap");
 
-    // Answer audits, outside every timing window: (a) the three modes'
-    // deterministic sample streams must agree element-wise (compact vs fat,
-    // mmap vs in-memory); (b) a subset is verified against the scheme
-    // computed from scratch.
-    auto matches = [&](const LargeRun& a, const LargeRun& b) {
-      if (a.samples.size() != b.samples.size()) return uint64_t{0};
-      uint64_t same = 0;
-      for (size_t i = 0; i < a.samples.size(); ++i)
-        if (a.samples[i].second == b.samples[i].second) ++same;
-      return same;
-    };
-    const uint64_t compact_match = matches(compact, fat);
-    const uint64_t mmap_match = matches(compact_mmap, compact);
-
+    // Answer audit, outside every timing window: every sample of the
+    // deterministic stream against the uncached reference trees.
     struct ModeRow {
       const char* mode;
       const LargeRun* r;
-      uint64_t match;
     };
-    const ModeRow rows[] = {{"fat", &fat, fat.samples.size()},
-                            {"compact", &compact, compact_match},
-                            {"compact_mmap", &compact_mmap, mmap_match}};
+    const ModeRow rows[] = {{"compact", &compact},
+                            {"compact_mmap", &compact_mmap}};
     for (const auto& row : rows) {
       const LargeRun& r = *row.r;
-      size_t checked = 0, correct = 0;
-      for (size_t i = 0; i < r.samples.size(); i += 8) {
-        ++checked;
-        if (r.samples[i].second == reference_answer(ref, r.samples[i].first))
-          ++correct;
-      }
+      uint64_t match = 0;
+      for (const auto& [q, got] : r.samples)
+        if (got == ref_answer(q)) ++match;
+      // Every sample is checked: checked/correct mirror samples/match.
+      const size_t checked = r.samples.size(), correct = match;
       const double bytes_per_tree =
           static_cast<double>(r.cstats.bytes) /
           static_cast<double>(std::max<size_t>(1, r.cstats.entries));
@@ -1727,7 +1720,7 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
           .field("repaired", r.sstats.repaired)
           .field("recomputed", r.sstats.recomputed)
           .field("samples", static_cast<uint64_t>(r.samples.size()))
-          .field("samples_match", row.match)
+          .field("samples_match", match)
           .field("checked", static_cast<uint64_t>(checked))
           .field("correct", static_cast<uint64_t>(correct))
           .field("hw_threads",
@@ -2146,11 +2139,11 @@ int run(const Options& opt) {
                "rebuild of its churn phase's topology:\n";
   sharded_table.print();
   std::cout << "\nLarge-graph scenario: skewed hot-root traffic against a "
-               "budget sized to half the hot set's FAT trees;\nmode fat = "
-               "12 B/vertex publication, compact = 6 B/vertex "
-               "(SptCache::Config::compact_trees), compact_mmap = the\nsame "
-               "served from the frozen-CSR restart path (pack_ms/load_ms in "
-               "the JSON rows). Same budget, twice the trees:\n";
+               "budget sized to half the hot set at 12 B/vertex;\nmode "
+               "compact = the 6 B/vertex tree layout on the in-memory graph, "
+               "compact_mmap = the same\nserved from the frozen-CSR restart "
+               "path (pack_ms/load_ms in the JSON rows). Same budget, twice "
+               "the trees:\n";
   large_table.print();
   std::cout << "Expected shape: cache_on hit rate approaches 1 on the "
                "repeated-root workload, so qps is bounded by tree lookups\n"

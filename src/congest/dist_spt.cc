@@ -24,7 +24,6 @@ bool travel_forward(const Graph& g, EdgeId e, Vertex from) {
 struct Label {
   int32_t hops = kUnreachable;
   int64_t tie = 0;
-  Vertex parent = kNoVertex;
   EdgeId parent_edge = kNoEdge;
 
   bool better_than(int32_t h, int64_t t) const {
@@ -35,19 +34,16 @@ struct Label {
 };
 
 Spt to_spt(const Graph& g, Vertex root, const std::vector<Label>& label) {
-  Spt spt;
-  spt.root = root;
-  spt.dir = Direction::kOut;
   const Vertex n = g.num_vertices();
-  spt.reset(n);
-  auto& hops = spt.mutable_hops();
-  auto& parent = spt.mutable_parent();
-  auto& parent_edge = spt.mutable_parent_edge();
+  std::vector<int32_t> hops(n);
+  std::vector<EdgeId> parent_edge(n);
   for (Vertex v = 0; v < n; ++v) {
     hops[v] = label[v].hops;
-    parent[v] = label[v].parent;
     parent_edge[v] = label[v].parent_edge;
   }
+  Spt spt;
+  Spt::encode(root, Direction::kOut, hops, parent_edge, g.shared_endpoints(),
+              spt);
   return spt;
 }
 
@@ -63,7 +59,7 @@ DistSptResult run_distributed_spt(const Graph& g, const IsolationAtw& atw,
   SyncNetwork net(g, /*bandwidth_bits=*/128, pool);
 
   std::vector<Label> label(g.num_vertices());
-  label[root] = Label{0, 0, kNoVertex, kNoEdge};
+  label[root] = Label{0, 0, kNoEdge};
   std::vector<char> announced(g.num_vertices(), 0);
 
   auto broadcast = [&](Vertex v) {
@@ -94,7 +90,7 @@ DistSptResult run_distributed_spt(const Graph& g, const IsolationAtw& atw,
                               travel_forward(g, d.edge, d.from));
             const int32_t h = d.msg.hops + 1;
             if (!best.better_than(h, t)) {
-              best = Label{h, t, d.from, d.edge};
+              best = Label{h, t, d.edge};
             }
           }
           label[v] = best;
@@ -181,14 +177,14 @@ ParallelSptResult run_parallel_spts(const Graph& g, const IsolationAtw& atw,
         const int32_t h = d.msg.hops + 1;
         Label& cur = label[v][inst];
         if (!cur.better_than(h, t)) {
-          cur = Label{h, t, d.from, d.edge};
+          cur = Label{h, t, d.edge};
           enqueue_all(v, inst);
         }
       }
       // 2. Delayed starts.
       for (size_t k = 0; k < sigma; ++k) {
         if (sources[k] == v && round_no == delay[k] + 1) {
-          label[v][k] = Label{0, 0, kNoVertex, kNoEdge};
+          label[v][k] = Label{0, 0, kNoEdge};
           enqueue_all(v, static_cast<uint32_t>(k));
         }
       }

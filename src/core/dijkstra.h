@@ -12,6 +12,8 @@
 #pragma once
 
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/perturbation.h"
@@ -29,22 +31,23 @@ struct DijkstraResult {
   std::vector<typename Policy::Tie> tie;  // accumulated perturbation per vertex
 };
 
-// Establishes parents from settled labels: parent of v is the in-neighbor u
-// minimizing (dist(u) + w(u, v)), which -- distances being exact and unique
-// -- reproduces the unique shortest path tree. `done(v)` must report whether
-// v was settled; res.spt.hops / res.tie must hold the settled labels.
+// Establishes parent edges from settled labels: the parent edge of v is the
+// arc from the in-neighbor u minimizing (dist(u) + w(u, v)), which --
+// distances being exact and unique -- reproduces the unique shortest path
+// tree. `done(v)` must report whether v was settled; `hops` / `tie` must
+// hold the settled labels. Writes parent_edge[v] for every settled
+// non-root v.
 //
 // Shared between the reference implementation below and the workspace-based
 // engine variant (engine/dijkstra_workspace.h) so the two cannot drift.
 template <typename Policy, typename DoneFn>
 void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
                             const FaultSet& faults, Direction dir,
-                            DoneFn&& done, DijkstraResult<Policy>& res) {
+                            DoneFn&& done, const std::vector<int32_t>& hops,
+                            const std::vector<typename Policy::Tie>& tie,
+                            std::vector<EdgeId>& parent_edge) {
   using Tie = typename Policy::Tie;
   const Vertex n = g.num_vertices();
-  auto& hops = res.spt.mutable_hops();
-  auto& parent = res.spt.mutable_parent();
-  auto& parent_edge = res.spt.mutable_parent_edge();
   for (Vertex v = 0; v < n; ++v) {
     if (v == root || !done(v)) continue;
     bool found = false;
@@ -55,12 +58,11 @@ void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
       if (hops[u] + 1 != hops[v]) continue;
       const bool travel_forward =
           dir == Direction::kOut ? !a.forward : a.forward;  // u -> v travel
-      Tie t = res.tie[u];
+      Tie t = tie[u];
       policy.accumulate(t, g.label(a.edge), travel_forward);
-      if (policy.compare(t, res.tie[v]) == 0) {
+      if (policy.compare(t, tie[v]) == 0) {
         // Exact match with the settled label: this arc is on the unique
         // shortest path. (There can be only one by uniqueness.)
-        parent[v] = u;
         parent_edge[v] = a.edge;
         found = true;
         break;
@@ -70,7 +72,6 @@ void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
         // happen with exact policies; protects the long-double policy from
         // rounding).
         best = t;
-        parent[v] = u;
         parent_edge[v] = a.edge;
         found = true;
       }
@@ -85,19 +86,19 @@ void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
 // dir == kIn: computes pi(v, root) for all v, by searching the reversed
 // graph: an arc v->u in the search corresponds to travel u->v in G*, so the
 // accumulated perturbation is r(u, v) = the arc value with the *flipped*
-// orientation flag.
+// orientation flag. Throws std::out_of_range for root >= n.
 template <typename Policy>
 DijkstraResult<Policy> tiebroken_sssp(const Graph& g, const Policy& policy,
                                       Vertex root, const FaultSet& faults,
                                       Direction dir) {
   const Vertex n = g.num_vertices();
+  if (root >= n)
+    throw std::out_of_range("tiebroken_sssp: root " + std::to_string(root) +
+                            " out of range");
   DijkstraResult<Policy> res;
-  res.spt.root = root;
-  res.spt.dir = dir;
-  res.spt.reset(n);
-  res.spt.attach_endpoints(g.shared_endpoints());
   res.tie.assign(n, policy.zero());
-  auto& hops = res.spt.mutable_hops();
+  std::vector<int32_t> hops(n, kUnreachable);
+  std::vector<EdgeId> parent_edge(n, kNoEdge);
 
   using Tie = typename Policy::Tie;
   struct QItem {
@@ -147,7 +148,9 @@ DijkstraResult<Policy> tiebroken_sssp(const Graph& g, const Policy& policy,
   for (Vertex v = 0; v < n; ++v)
     if (!done[v]) hops[v] = kUnreachable;
   establish_sssp_parents(g, policy, root, faults, dir,
-                         [&done](Vertex v) { return done[v] != 0; }, res);
+                         [&done](Vertex v) { return done[v] != 0; }, hops,
+                         res.tie, parent_edge);
+  Spt::encode(root, dir, hops, parent_edge, g.shared_endpoints(), res.spt);
   return res;
 }
 

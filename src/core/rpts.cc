@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -37,15 +39,8 @@ std::vector<SptHandle> cached_spt_batch(
   // already-resident bit-identical tree from a racing writer).
   if (!miss_reqs.empty()) {
     std::vector<Spt> computed = compute_misses(miss_reqs);
-    const bool compact = cache.compact_trees();
     for (size_t k = 0; k < miss_reqs.size(); ++k) {
       const SptKey key(version, miss_reqs[k]);
-      // Publication-time compaction: the tree is converted BEFORE it is
-      // wrapped, so the cache and every requesting slot share one (compact)
-      // handle -- pointer identity between hit and insert is preserved.
-      // Trees that cannot compact (no endpoint table, >u16 hop counts) are
-      // admitted fat; answers are identical either way.
-      if (compact) computed[k].compact();
       auto tree = std::make_shared<const Spt>(std::move(computed[k]));
       if (auto resident = cache.insert(key, tree)) tree = std::move(resident);
       for (size_t slot : miss_slots.at(key)) out[slot] = tree;
@@ -150,14 +145,12 @@ Spt ArbitraryRpts::spt(Vertex root, const FaultSet& faults,
   // extracted paths are oriented.
   const Graph& g = *g_;
   const Vertex n = g.num_vertices();
-  Spt t;
-  t.root = root;
-  t.dir = dir;
-  t.reset(n);
-  t.attach_endpoints(g.shared_endpoints());
-  auto& hops = t.mutable_hops();
-  auto& parent = t.mutable_parent();
-  auto& parent_edge = t.mutable_parent_edge();
+  if (root >= n)
+    throw std::out_of_range("ArbitraryRpts::spt: root " +
+                            std::to_string(root) + " out of range");
+  std::vector<int32_t> hops(n, kUnreachable);
+  std::vector<Vertex> parent(n, kNoVertex);
+  std::vector<EdgeId> parent_edge(n, kNoEdge);
   hops[root] = 0;
 
   // Layered BFS; each newly discovered vertex picks the smallest-id parent
@@ -186,6 +179,8 @@ Spt ArbitraryRpts::spt(Vertex root, const FaultSet& faults,
     }
     frontier.swap(next);
   }
+  Spt t;
+  Spt::encode(root, dir, hops, parent_edge, g.shared_endpoints(), t);
   return t;
 }
 

@@ -354,7 +354,7 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
                                  double max_affected_fraction,
                                  uint32_t eps_q) const {
   using Tie = typename Policy::Tie;
-  // HopsOnly has no ties: skip the pass that only rebuilds them.
+  // HopsOnly has no ties: skip the bookkeeping that only rebuilds them.
   constexpr bool kTies = !std::is_empty_v<Tie>;
   const Graph& g = graph();
   const Vertex n = g.num_vertices();
@@ -402,68 +402,87 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
                                     : 0);
 
   // Detach: a vertex is affected by the removals iff its old tree path uses
-  // a removed edge; parent propagation in root-to-leaf order marks the whole
-  // detached forest in O(n).
-  std::vector<Vertex> order;
-  if (kTies || !removed.empty()) order = old_tree.top_order();
+  // a removed edge, i.e. it lies in the old subtree under a removed tree
+  // edge. Each subtree is collected from its top (the endpoint whose parent
+  // edge was removed) through the graph's arcs -- w is a tree child of x iff
+  // w's parent edge is the arc's edge -- in O(detached x degree).
   std::vector<char> detached(n, 0);
-  size_t detached_count = 0;
-  if (!removed.empty()) {
-    for (Vertex v : order) {
-      const Vertex p = old_tree.parent(v);
-      if (p == kNoVertex) continue;
-      if (detached[p] || removed.contains(old_tree.parent_edge(v))) {
-        detached[v] = 1;
-        ++detached_count;
-      }
-    }
-    if (detached_count > limit) return full();
+  std::vector<Vertex> forest;
+  for (const EdgeId e : removed) {
+    const Edge& ed = g.endpoints(e);
+    const Vertex top = old_tree.parent_edge(ed.u) == e   ? ed.u
+                       : old_tree.parent_edge(ed.v) == e ? ed.v
+                                                         : kNoVertex;
+    if (top == kNoVertex || detached[top]) continue;
+    detached[top] = 1;
+    forest.push_back(top);
+    for (size_t i = forest.size() - 1; i < forest.size(); ++i)
+      for (const Arc& a : g.arcs(forest[i]))
+        if (!detached[a.to] && old_tree.parent_edge(a.to) == a.edge) {
+          detached[a.to] = 1;
+          forest.push_back(a.to);
+        }
+    if (forest.size() > limit) return full();
   }
 
-  // Surviving vertices keep their old labels; rebuild their tie values by
-  // one accumulation pass down the old tree (identical arithmetic to the
-  // Dijkstra that settled them: tie[v] = tie[parent] + r(parent edge), read
-  // in travel order).
+  // Tie values. A surviving vertex keeps its old label, whose tie is
+  // rebuilt on first read by accumulating down its old tree path (every
+  // ancestor survives too) with the arithmetic of the Dijkstra that settled
+  // it: tie[v] = tie[parent] + r(parent edge), read in travel order. So only
+  // the ties the repair reads are computed. A relabeled vertex's tie is the
+  // one offer() wrote; old ties stay memoized apart, since a survivor's old
+  // tie derives from its ancestors' OLD ties even after they are relabeled.
   std::vector<Tie> tie(n, policy.zero());
+  std::vector<char> relabeled;
+  std::vector<Tie> old_tie;
+  std::vector<char> old_known;
+  std::vector<Vertex> climb;
   if constexpr (kTies) {
-    for (Vertex v : order) {
-      const Vertex p = old_tree.parent(v);
-      if (p == kNoVertex || detached[v]) continue;
-      const EdgeId pe = old_tree.parent_edge(v);
-      const bool stored_from_parent = g.endpoints(pe).u == p;
-      Tie t = tie[p];
-      policy.accumulate(t, g.label(pe),
-                        dir == Direction::kOut ? stored_from_parent
-                                               : !stored_from_parent);
-      tie[v] = std::move(t);
-    }
+    relabeled.assign(n, 0);
+    old_tie.assign(n, policy.zero());
+    old_known.assign(n, 0);
+    old_known[old_tree.root] = 1;  // the zero tie
   }
+  // Only ever called on a reachable label: a relabeled vertex or an old
+  // survivor, whose old parent chain ends at the root.
+  auto tie_of = [&](Vertex v) -> const Tie& {
+    if constexpr (kTies) {
+      if (relabeled[v]) return tie[v];
+      climb.clear();
+      for (Vertex x = v; !old_known[x]; x = old_tree.parent(x))
+        climb.push_back(x);
+      for (size_t i = climb.size(); i-- > 0;) {
+        const Vertex x = climb[i];
+        const Vertex p = old_tree.parent(x);
+        const EdgeId pe = old_tree.parent_edge(x);
+        const bool stored_from_parent = g.endpoints(pe).u == p;
+        Tie t = old_tie[p];
+        policy.accumulate(t, g.label(pe),
+                          dir == Direction::kOut ? stored_from_parent
+                                                 : !stored_from_parent);
+        old_tie[x] = std::move(t);
+        old_known[x] = 1;
+      }
+      return old_tie[v];
+    }
+    return tie[v];
+  };
 
-  RepairOutcome out;
-  // The repair mutates labels in place, so it starts from a fat copy
-  // (identity copy when the cached tree was never compacted). Re-attach THIS
-  // graph's endpoint table: the cached tree may hold the table from before a
+  // The repair rewrites labels, so it works on a decoded copy of the old
+  // tree's hops / parent_edge and encodes the result against THIS graph's
+  // endpoint table: the cached tree may hold the table from before a
   // fresh-slot append (Graph::edges_mut clones when shared), and the cascade
-  // below writes the new slot ids into parent_edge -- compacting against the
-  // stale, shorter table would then read the endpoint vector out of bounds.
-  // Slots are append-only with preserved endpoint order, so the current
-  // table is valid for every old id too.
-  out.tree = old_tree.thawed();
-  out.tree.attach_endpoints(g.shared_endpoints());
+  // below writes the new slot ids into parent_edge. Slots are append-only
+  // with preserved endpoint order, so the current table is valid for every
+  // old id too.
+  RepairOutcome out;
   out.repaired = true;
-  Spt& nt = out.tree;
-  auto& nt_hops = nt.mutable_hops();
-  auto& nt_parent = nt.mutable_parent();
-  auto& nt_parent_edge = nt.mutable_parent_edge();
-
-  // Compact-aware fast path: when the cached tree arrived compact, record
-  // every vertex whose label this repair writes (detached forest + adopted
-  // labels -- both phases write nothing else) and re-compact at the end by
-  // patching those labels over the old compact image (Spt::compact_from)
-  // instead of the thaw -> full compact() round-trip the publication path
-  // would otherwise pay.
-  const bool want_patch = old_tree.is_compact();
-  std::vector<Vertex> patch_touched;
+  std::vector<int32_t> nt_hops(n);
+  std::vector<EdgeId> nt_parent_edge(n);
+  for (Vertex v = 0; v < n; ++v) {
+    nt_hops[v] = old_tree.hops(v);
+    nt_parent_edge[v] = old_tree.parent_edge(v);
+  }
 
   // Tentative-label heap shared by both phases, smallest (hops, tie, v)
   // first -- (hops, v) under HopsOnly. The v key cannot change exact-tier
@@ -493,12 +512,12 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
     const int32_t h = nt_hops[s] + 1;
     if (!epsilon_improves(nt_hops[w], h, q) && (q != 0 || nt_hops[w] != h))
       return false;
-    Tie t = tie[s];
+    Tie t = tie_of(s);
     policy.accumulate(t, g.label(e), travel_forward);
-    if (nt_hops[w] == h && policy.compare(tie[w], t) <= 0) return false;
+    if (nt_hops[w] == h && policy.compare(tie_of(w), t) <= 0) return false;
     nt_hops[w] = h;
     tie[w] = t;
-    nt_parent[w] = s;
+    if constexpr (kTies) relabeled[w] = 1;
     nt_parent_edge[w] = e;
     pq.push({h, std::move(t), w});
     return true;
@@ -506,17 +525,15 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
 
   // ---- Phase R: re-relax the detached region against the survivors.
   std::vector<Vertex> seeds;
-  if (detached_count > 0) {
+  if (!forest.empty()) {
     // The detached vertices in id order, with their old hops.
     std::vector<std::pair<Vertex, int32_t>> old_hops;
-    old_hops.reserve(detached_count);
+    old_hops.reserve(forest.size());
     for (Vertex v = 0; v < n; ++v) {
       if (!detached[v]) continue;
       old_hops.emplace_back(v, nt_hops[v]);
       nt_hops[v] = kUnreachable;
-      nt_parent[v] = kNoVertex;
       nt_parent_edge[v] = kNoEdge;
-      if (want_patch) patch_touched.push_back(v);
     }
     // Frontier: every surviving in-neighbor of a detached vertex offers a
     // candidate across the boundary arc (travel u -> v; iterating arcs of v,
@@ -565,7 +582,6 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
           improved[w])
         return;
       improved[w] = 1;
-      if (want_patch) patch_touched.push_back(w);
       if (++improved_count > limit) bail = true;
     };
     for (Vertex v : seeds) pq.push({nt_hops[v], tie[v], v});
@@ -586,10 +602,8 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
     }
     if (bail) return full();
   }
-  // Patch-compact on success; on decline (e.g. a fresh slot beyond the old
-  // endpoint table) the tree simply stays fat and the caller's usual
-  // publication compact() applies.
-  if (want_patch) nt.compact_from(old_tree, patch_touched);
+  Spt::encode(old_tree.root, dir, nt_hops, nt_parent_edge, g.shared_endpoints(),
+              out.tree);
   return out;
 }
 

@@ -6,25 +6,21 @@
 // represents the whole tiebreaking scheme restricted to one root and one
 // fault set.
 //
-// Storage forms. A tree exists in one of two layouts behind one read API:
-//  * fat (construction form): three n-sized SoA arrays
-//    (int32 hops, u32 parent, u32 parent_edge) -- what the engine's
-//    workspace Dijkstra writes into and what the repair paths mutate;
-//  * compact (publication form): two arrays truncated at the last reachable
-//    vertex -- u16 hops (0xFFFF = unreachable) and u32 parent_edge -- plus a
-//    shared pointer to the endpoint table of the graph the tree was built
-//    on. parent(v) is derived in O(1) as the other endpoint of
-//    parent_edge(v), so the explicit parent array is dropped entirely:
-//    6 bytes/vertex instead of 12. compact() converts in place where the
-//    serving cache admits (SptCache::Config::compact_trees); readers never
-//    notice because all access goes through the accessors below, and
-//    SptHandle ownership rules are unchanged (immutable, eviction-safe).
+// Storage layout. One layout, truncated at the last reachable vertex:
+// per-vertex hop counts and u32 parent_edge, plus a shared pointer to the
+// endpoint table of the graph the tree was built on. parent(v) is derived in
+// O(1) as the other endpoint of parent_edge(v), so no parent array is
+// stored. Hops are u16 (0xFFFF = unreachable) -- 6 bytes/vertex -- unless
+// the tree's own maximum hop reaches 0xFFFF, in which case they are stored
+// as int32 (8 bytes/vertex); that wide variant is the only way a path of
+// 65,535 hops or more is stored. Every tree producer computes plain int32
+// hops and parent_edge label arrays and emits the tree with one
+// Spt::encode call.
 // The endpoint table stays valid for the life of the tree because Graph
 // edge slots are append-only and keep their stored endpoint order across
 // tombstone flaps (see Graph::shared_endpoints).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -107,34 +103,37 @@ struct SchemeVersion {
 
 class Spt {
  public:
-  // Compact-form hop sentinel: hop counts at or above it cannot be stored
-  // compactly (compact() declines; see below).
-  static constexpr uint16_t kCompactUnreachable = 0xFFFF;
-
   Vertex root = kNoVertex;
   Direction dir = Direction::kOut;
 
-  // ---- Read API (identical answers in both forms) -------------------------
+  // The one encoder. `hops` / `parent_edge` are the n-sized labels of the
+  // tree (kUnreachable / kNoEdge for unreachable vertices and the root's
+  // edge), and `endpoints` the endpoint table of the graph they were
+  // computed on (Graph::shared_endpoints()). Storage is truncated at the
+  // last reachable vertex and the hop width picked from the labels' maximum
+  // hop. Throws std::logic_error on a parent edge the table cannot describe
+  // (parent(v) would read out of bounds). Reuses `out`'s capacity, so a
+  // pooled target stays allocation-free; a fresh target ends exactly sized.
+  static void encode(Vertex root, Direction dir, std::span<const int32_t> hops,
+                     std::span<const EdgeId> parent_edge,
+                     std::shared_ptr<const std::vector<Edge>> endpoints,
+                     Spt& out);
 
-  Vertex num_vertices() const {
-    return compact_ ? n_ : static_cast<Vertex>(hops_.size());
-  }
-  bool is_compact() const { return compact_; }
+  Vertex num_vertices() const { return n_; }
 
   // Hop distance root->v (kUnreachable if disconnected from the root in
   // G \ F).
   int32_t hops(Vertex v) const {
-    if (!compact_) return hops_[v];
-    if (v >= chops_.size()) return kUnreachable;
-    const uint16_t h = chops_[v];
-    return h == kCompactUnreachable ? kUnreachable : static_cast<int32_t>(h);
+    if (v >= parent_edge_.size()) return kUnreachable;
+    if (!wide_hops_.empty()) return wide_hops_[v];
+    const uint16_t h = narrow_hops_[v];
+    return h == kNarrowUnreachable ? kUnreachable : static_cast<int32_t>(h);
   }
 
   // The neighbor of v on the selected path one step closer to the root;
-  // kNoVertex for the root and unreachable vertices. In the compact form
-  // this is derived from the parent edge's endpoints.
+  // kNoVertex for the root and unreachable vertices. Derived from the parent
+  // edge's endpoints.
   Vertex parent(Vertex v) const {
-    if (!compact_) return parent_[v];
     const EdgeId pe = parent_edge(v);
     if (pe == kNoEdge) return kNoVertex;
     const Edge& ed = (*endpoints_)[pe];
@@ -144,11 +143,15 @@ class Spt {
   // The (local) edge id connecting v to parent(v); kNoEdge for the root and
   // unreachable vertices.
   EdgeId parent_edge(Vertex v) const {
-    if (!compact_) return parent_edge_[v];
-    return v < cpe_.size() ? cpe_[v] : kNoEdge;
+    return v < parent_edge_.size() ? parent_edge_[v] : kNoEdge;
   }
 
   bool reachable(Vertex v) const { return hops(v) != kUnreachable; }
+
+  // The endpoint table parent(v) is derived from.
+  const std::shared_ptr<const std::vector<Edge>>& endpoints() const {
+    return endpoints_;
+  }
 
   // The selected path between root and v, oriented root -> v for kOut trees
   // and v -> root for kIn trees. Empty if unreachable.
@@ -174,102 +177,27 @@ class Spt {
   std::vector<Vertex> top_order() const;
 
   // Heap footprint of this tree: object header plus the *reserved* storage
-  // (capacity, not size) of every owned array, fat and compact alike -- the
-  // exact bytes the serving cache's budget must account. The shared endpoint
+  // (capacity, not size) of every owned array -- the exact bytes the
+  // serving cache's budget must account: sizeof(Spt) + 6 bytes per stored
+  // vertex (8 when wide) for an encoder-fresh tree. The shared endpoint
   // table is deliberately excluded: it is owned by the graph and shared by
   // every tree of the same topology, so charging it per tree would overcount
   // it thousands of times.
   size_t memory_bytes() const;
 
-  // ---- Fat-form builder API ----------------------------------------------
-  //
-  // The engine's Dijkstra and the repair paths construct trees in the fat
-  // form: reset() re-initializes to n all-unreachable vertices, and the
-  // mutable_* accessors hand out the raw arrays (bind them once outside the
-  // hot loop). Calling a mutable_* accessor on a compact tree is a contract
-  // violation (asserted); mutate a thawed() copy instead.
-
-  // Fat re-initialization: n vertices, every label kUnreachable /
-  // kNoVertex / kNoEdge. Drops any compact storage and the attached
-  // endpoint table (builders re-attach after reset).
-  void reset(Vertex n);
-
-  std::vector<int32_t>& mutable_hops() {
-    assert(!compact_);
-    return hops_;
-  }
-  std::vector<Vertex>& mutable_parent() {
-    assert(!compact_);
-    return parent_;
-  }
-  std::vector<EdgeId>& mutable_parent_edge() {
-    assert(!compact_);
-    return parent_edge_;
-  }
-
-  // ---- Compaction ---------------------------------------------------------
-
-  // Attaches the endpoint table of the graph the tree was computed on
-  // (Graph::shared_endpoints()), which is what makes the tree compactible.
-  // The engine entry points attach it at build time; a tree built without
-  // one (hand-rolled test trees, the CONGEST reconstruction) simply stays
-  // fat.
-  void attach_endpoints(std::shared_ptr<const std::vector<Edge>> endpoints) {
-    endpoints_ = std::move(endpoints);
-  }
-  const std::shared_ptr<const std::vector<Edge>>& endpoints() const {
-    return endpoints_;
-  }
-
-  // In-place fat -> compact conversion. Returns false (tree unchanged) when
-  // the tree cannot be stored compactly: no endpoint table attached, some
-  // hop count >= kCompactUnreachable (a >65534-hop path cannot fit u16), or
-  // a parent-edge id the attached table cannot describe (stale table --
-  // callers keep the fat form, correctness never depends on compaction).
-  // Idempotent: returns true on an already-compact tree. The compact arrays
-  // are truncated at the last reachable vertex and sized exactly
-  // (capacity == size), so memory_bytes() drops to
-  // sizeof(Spt) + 6 bytes per stored vertex.
-  bool compact();
-
-  // A compact copy of this tree, built directly from the fat arrays without
-  // copying them first -- the publication path for trees that are already
-  // behind a shared handle (the coalescing batcher receives SptHandles from
-  // spt_batch and must never mutate through one). Falls back to a plain
-  // copy when the tree cannot compact, same conditions as compact().
-  Spt compacted() const;
-
-  // A fat copy of this tree (plain copy if already fat). This is what the
-  // repair paths start from when the cache hands them a compact tree.
-  Spt thawed() const;
-
-  // In-place fat -> compact conversion that reuses a previous compact image
-  // instead of re-encoding all n labels: `base` is the compact tree this fat
-  // tree was thawed from, and `touched` lists every vertex whose label the
-  // caller may have changed since (a superset is fine; order and duplicates
-  // do not matter). The compact arrays start as a copy of base's and only
-  // the touched entries are re-encoded, so the conversion costs
-  // O(stored + |touched|) trivially-copyable bytes instead of compact()'s
-  // per-vertex branchy scan -- the repair fast path's publication step.
-  // Result is identical to calling compact() on this tree (same truncation,
-  // exact-sized arrays). Returns false (tree unchanged, stays fat) when the
-  // patched labels cannot be stored compactly (hop count >= 0xFFFF, parent
-  // edge beyond the attached endpoint table, no table attached) or the
-  // preconditions do not hold (base not compact, vertex-count mismatch).
-  bool compact_from(const Spt& base, std::span<const Vertex> touched);
-
  private:
-  bool compact_ = false;
-  Vertex n_ = 0;  // vertex count; authoritative only in the compact form
-  // Fat form (empty when compact_):
-  std::vector<int32_t> hops_;
-  std::vector<Vertex> parent_;
-  std::vector<EdgeId> parent_edge_;
-  // Compact form (empty when fat), truncated at last reachable vertex + 1:
-  std::vector<uint16_t> chops_;  // kCompactUnreachable = unreachable
-  std::vector<EdgeId> cpe_;      // kNoEdge for root / unreachable
-  // Endpoint table for deriving parent(v) in the compact form; shared with
-  // the graph and every other tree of the same topology.
+  // Narrow-hop sentinel: a tree whose maximum hop reaches it stores its hops
+  // wide (int32).
+  static constexpr uint16_t kNarrowUnreachable = 0xFFFF;
+
+  Vertex n_ = 0;
+  // Stored prefix [0, parent_edge_.size()): one past the last reachable
+  // vertex. Exactly one hop array is non-empty when the prefix is.
+  std::vector<uint16_t> narrow_hops_;  // kNarrowUnreachable = unreachable
+  std::vector<int32_t> wide_hops_;     // kUnreachable = unreachable
+  std::vector<EdgeId> parent_edge_;    // kNoEdge for root / unreachable
+  // Endpoint table for deriving parent(v); shared with the graph and every
+  // other tree of the same topology.
   std::shared_ptr<const std::vector<Edge>> endpoints_;
 };
 
@@ -282,8 +210,7 @@ class Spt {
 // handle, never const_cast; a handle stays valid across cache evictions
 // (eviction only drops the cache's reference); equality of handles implies
 // bit-identical trees, but distinct handles may also be bit-identical
-// (e.g. computed before and after an eviction). The storage form (fat or
-// compact) is fixed before publication and never changes behind a handle.
+// (e.g. computed before and after an eviction).
 using SptHandle = std::shared_ptr<const Spt>;
 
 }  // namespace restorable

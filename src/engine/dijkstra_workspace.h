@@ -18,6 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dijkstra.h"
@@ -36,11 +39,14 @@ class DijkstraWorkspace {
   static constexpr uint32_t kNoPos = static_cast<uint32_t>(-1);
 
   // Grows (never shrinks) the flat arrays to cover n vertices and restores
-  // the clean-state invariant if a previous run died mid-way.
+  // the clean-state invariant (every vertex unseen and unlabeled) if a
+  // previous run died mid-way.
   void ensure(Vertex n) {
     if (dirty_) {
       state_.assign(state_.size(), kUnseen);
       heap_pos_.assign(heap_pos_.size(), kNoPos);
+      hops_.assign(hops_.size(), kUnreachable);
+      parent_edge_.assign(parent_edge_.size(), kNoEdge);
       heap_.clear();
       touched_.clear();
       dirty_ = false;
@@ -48,11 +54,15 @@ class DijkstraWorkspace {
     if (state_.size() < n) {
       state_.resize(n, kUnseen);
       heap_pos_.resize(n, kNoPos);
+      hops_.resize(n, kUnreachable);
+      parent_edge_.resize(n, kNoEdge);
     }
   }
 
   std::vector<uint8_t> state_;
   std::vector<uint32_t> heap_pos_;
+  std::vector<int32_t> hops_;
+  std::vector<EdgeId> parent_edge_;
   std::vector<Vertex> heap_;
   std::vector<Vertex> touched_;
   bool dirty_ = false;
@@ -68,6 +78,9 @@ DijkstraWorkspace<Policy>& thread_workspace() {
 
 // Workspace-based tiebroken Dijkstra; drop-in equivalent of tiebroken_sssp
 // (same graph/policy/root/faults/dir contract, same result layout).
+// Throws std::out_of_range for root >= n. The relaxation runs on the
+// workspace's label arrays and one Spt::encode emits the tree into res.spt,
+// reusing its capacity.
 //
 // eps_q > 0 switches the improvement test to the relaxed (1+eps) form
 // (epsilon_improves in core/spt.h): an open vertex is only re-labeled when
@@ -76,9 +89,9 @@ DijkstraWorkspace<Policy>& thread_workspace() {
 // the search touches (and re-heaps) far fewer vertices. Heap machinery,
 // reset, and tie accumulation (which keeps the pop order deterministic) are
 // shared with the exact mode. Two differences in the epsilon mode:
-//  * parents are assigned inline at relaxation time (from the just-popped,
-//    hence settled, source), because establish_sssp_parents assumes
-//    exact-tight labels that relaxed labels deliberately are not;
+//  * parent edges are assigned inline at relaxation time (from the
+//    just-popped, hence settled, source), because establish_sssp_parents
+//    assumes exact-tight labels that relaxed labels deliberately are not;
 //  * a settled label may exceed the length of its own parent chain (the
 //    chain only certifies SOME path of length <= hops[v]); parent chains
 //    still strictly descend in hops, so path_to / top_order stay valid.
@@ -90,25 +103,22 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
                          DijkstraResult<Policy>& res, uint32_t eps_q = 0) {
   using Tie = typename Policy::Tie;
   const Vertex n = g.num_vertices();
+  if (root >= n)
+    throw std::out_of_range("tiebroken_sssp_into: root " +
+                            std::to_string(root) + " out of range");
   ws.ensure(n);
   ws.dirty_ = true;
 
-  res.spt.root = root;
-  res.spt.dir = dir;
-  res.spt.reset(n);
-  res.spt.attach_endpoints(g.shared_endpoints());
   res.tie.assign(n, policy.zero());
 
   auto& state = ws.state_;
   auto& heap_pos = ws.heap_pos_;
   auto& heap = ws.heap_;
-  // Raw fat-form arrays, bound once outside the hot loop: the relaxation
-  // sweep below stays free of per-access form dispatch, and every id it
-  // touches is 32-bit (Vertex/EdgeId/heap positions), so million-node
-  // graphs run the same loop with half the index traffic of size_t code.
-  auto& hops = res.spt.mutable_hops();
-  auto& parent = res.spt.mutable_parent();
-  auto& parent_edge = res.spt.mutable_parent_edge();
+  // Plain label arrays: every id the relaxation sweep touches is 32-bit
+  // (Vertex/EdgeId/heap positions), so million-node graphs run the same
+  // loop with half the index traffic of size_t code.
+  auto& hops = ws.hops_;
+  auto& parent_edge = ws.parent_edge_;
   auto& tie = res.tie;
 
   // (hops, tie) lexicographic order on tentative labels.
@@ -188,10 +198,7 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
         hops[to] = h;
         tie[to] = tie[v];
         policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        if (eps_q) {
-          parent[to] = v;
-          parent_edge[to] = a.edge;
-        }
+        if (eps_q) parent_edge[to] = a.edge;
         state[to] = DijkstraWorkspace<Policy>::kOpen;
         ws.touched_.push_back(to);
         push(to);
@@ -200,13 +207,12 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
       if (eps_q) {
         // Relaxed test: only a better-than-(1+eps) candidate re-labels an
         // open vertex. v was just popped, so its label is final and the
-        // inline parent assignment is sound (hops[to] = hops[v] + 1 with v
-        // settled; no later relaxation can touch v).
+        // inline parent-edge assignment is sound (hops[to] = hops[v] + 1
+        // with v settled; no later relaxation can touch v).
         if (!epsilon_improves(hops[to], h, eps_q)) continue;
         hops[to] = h;
         tie[to] = tie[v];
         policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        parent[to] = v;
         parent_edge[to] = a.edge;
         sift_up(heap_pos[to]);
         continue;
@@ -224,8 +230,8 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
 
   // Every touched vertex was settled (the heap drains completely), so hops
   // and tie now hold exactly the settled labels; untouched vertices kept
-  // kUnreachable from the assign above. Exact parents come from the shared
-  // tightness pass; epsilon-mode parents were assigned inline above (the
+  // the clean kUnreachable. Exact parent edges come from the shared
+  // tightness pass; epsilon-mode ones were assigned inline above (the
   // tightness pass would reject relaxed labels).
   if (eps_q == 0)
     establish_sssp_parents(
@@ -233,12 +239,17 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
         [&state](Vertex v) {
           return state[v] == DijkstraWorkspace<Policy>::kDone;
         },
-        res);
+        hops, tie, parent_edge);
+  Spt::encode(root, dir, std::span<const int32_t>(hops.data(), n),
+              std::span<const EdgeId>(parent_edge.data(), n),
+              g.shared_endpoints(), res.spt);
 
   // O(touched) reset, restoring the clean-state invariant for the next run.
   for (const Vertex v : ws.touched_) {
     state[v] = DijkstraWorkspace<Policy>::kUnseen;
     heap_pos[v] = DijkstraWorkspace<Policy>::kNoPos;
+    hops[v] = kUnreachable;
+    parent_edge[v] = kNoEdge;
   }
   ws.touched_.clear();
   ws.dirty_ = false;

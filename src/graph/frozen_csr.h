@@ -22,8 +22,8 @@
 //   present  m x u8                 -- only when flags bit 0 is set
 // Edge slots and labels survive freezing verbatim (tombstones included), so
 // edge ids, FaultSets, and per-label tiebreak weights built against the
-// original graph stay valid against the thawed one, and epoch() carries
-// over.
+// original graph stay valid against the one thaw() returns, and epoch()
+// carries over.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +88,7 @@ class FrozenCsr {
   // sort). The result is bit-identical to the graph freeze() was given:
   // same edge slots, labels, tombstones, arc order, and epoch.
   Graph thaw() const;
-  // The thawed graph as the shared snapshot handle the serving layer
+  // The graph thaw() returns, as the shared snapshot handle the serving layer
   // (GenerationManager) consumes.
   GraphSnapshot thaw_snapshot() const {
     return std::make_shared<const Graph>(thaw());

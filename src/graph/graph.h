@@ -187,8 +187,8 @@ class Graph {
   const Edge& endpoints(EdgeId e) const { return (*edges_)[e]; }
   const std::vector<Edge>& edges() const { return *edges_; }
 
-  // The endpoint table as a shared, copy-on-write handle. Holders (compact
-  // Spts derive parent(v) from it, see core/spt.h) keep a consistent table
+  // The endpoint table as a shared, copy-on-write handle. Holders (every
+  // Spt derives parent(v) from it, see core/spt.h) keep a consistent table
   // for as long as they need: mutation clones the vector when it is shared,
   // and because edge slots are append-only with stored endpoint order
   // preserved across tombstone flaps, a holder's table remains a valid
@@ -291,7 +291,7 @@ class Graph {
   // the topology changed.
   bool apply_one(GraphDelta& delta);
 
-  // The endpoint table, mutable: clones when shared (snapshots, compact
+  // The endpoint table, mutable: clones when shared (snapshots,
   // trees) so holders of shared_endpoints() never observe a mutation.
   std::vector<Edge>& edges_mut() {
     if (edges_.use_count() > 1)

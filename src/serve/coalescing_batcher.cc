@@ -148,17 +148,9 @@ void CoalescingBatcher::flush_loop() {
           if (!tree)
             throw std::runtime_error(
                 "CoalescingBatcher: spt_batch returned a null tree");
-          // Publish to the cache; a budget-rejected insert returns null, in
-          // which case waiters still get the computed tree. Usually this is
-          // the SAME handle (zero-copy admission); a compacting cache gets
-          // (and the waiters see) a compact copy instead -- spt_batch
-          // already wrapped the tree, and nothing may mutate a published
-          // handle, so conversion here must go through compacted().
-          if (cache_ && cache_->compact_trees() && !tree->is_compact())
-            tree = std::make_shared<const Spt>(tree->compacted());
-          // Accounted on the handle actually published, AFTER compaction,
-          // so computed_bytes and OracleServer's direct_bytes (which also
-          // compacts first) measure the same storage form.
+          // Publish to the cache (zero-copy admission of the same handle); a
+          // budget-rejected insert returns null, in which case waiters still
+          // get the computed tree.
           computed_bytes_.fetch_add(tree->memory_bytes(),
                                     std::memory_order_relaxed);
           if (cache_)

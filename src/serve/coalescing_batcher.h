@@ -76,11 +76,9 @@ class CoalescingBatcher {
     uint64_t requests = 0;        // get()/get_batch() tree fetches
     uint64_t coalesced = 0;       // joined an already-in-flight computation
     uint64_t computed = 0;        // trees actually run on the engine
-    uint64_t computed_bytes = 0;  // memory_bytes() of those trees in the
-                                  // form actually published (compact when
-                                  // the cache compacts) -- the
+    uint64_t computed_bytes = 0;  // memory_bytes() of those trees -- the
                                   // bytes-materialized cost of all misses,
-                                  // form-consistent with direct_bytes
+                                  // comparable with direct_bytes
     uint64_t flushes = 0;         // pending-queue drains (one engine batch
                                   // per generation present in the drain;
                                   // almost always one)

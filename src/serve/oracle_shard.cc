@@ -44,11 +44,15 @@ const char* escalation_reason_name(EscalationReason r) {
 }
 
 // The constructor's config check: a repair ceiling must be a finite,
-// non-negative fraction.
+// non-negative fraction, and the default epsilon a non-negative number (a
+// huge one is clamped by quantize_epsilon).
 ServerConfig validated(ServerConfig config) {
   if (!std::isfinite(config.repair_fraction) || config.repair_fraction < 0.0)
     throw std::invalid_argument(
         "ServerConfig::repair_fraction must be finite and >= 0");
+  if (std::isnan(config.default_epsilon) || config.default_epsilon < 0.0)
+    throw std::invalid_argument(
+        "ServerConfig::default_epsilon must be a number >= 0");
   return config;
 }
 }  // namespace
@@ -208,9 +212,8 @@ SptHandle OracleShard::fetch_tree(const SsspRequest& req,
     t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
                                config_.engine, nullptr)[0];
   } else {
-    Spt computed = pin->scheme->spt(req.root, req.faults, req.dir);
-    if (cache_ && cache_->compact_trees()) computed.compact();
-    t = std::make_shared<const Spt>(std::move(computed));
+    t = std::make_shared<const Spt>(
+        pin->scheme->spt(req.root, req.faults, req.dir));
   }
   if (obs) obs->compute_ns = obs::now_ns() - c0;
   direct_bytes_.fetch_add(t->memory_bytes(), std::memory_order_relaxed);
@@ -467,6 +470,9 @@ ServerStats OracleShard::stats() const {
 
 int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
                               const QueryOpts& opts) {
+  // A NaN epsilon would quantize to the exact tier; reject it instead.
+  if (std::isnan(opts.epsilon))
+    throw std::invalid_argument("QueryOpts::epsilon is NaN");
   // One pin across every fetch this query performs: an approximate answer
   // and its exact re-check always read the same epoch.
   const GenerationManager::Pin pin = gens_->pin();
@@ -579,10 +585,6 @@ void OracleShard::repair_invalidated(
                                    config_.repair_fraction, inv.key.eps_q);
   });
   for (size_t i = 0; i < invalidated.size(); ++i) {
-    // Publication point: compact before wrapping (never behind a handle).
-    // The repair's compact-aware fast path usually already returned the
-    // tree compact (Spt::compact_from), making this a no-op.
-    if (cache_->compact_trees()) outcomes[i].tree.compact();
     auto tree = std::make_shared<const Spt>(std::move(outcomes[i].tree));
     direct_bytes_.fetch_add(tree->memory_bytes(),
                             std::memory_order_relaxed);

@@ -107,8 +107,9 @@ inline constexpr size_t kNumEscalationReasons = 3;
 // Per-query options of the approximate tier.
 struct QueryOpts {
   // Requested stretch slack: answers are within (1+epsilon)^d_true of exact.
-  // Negative = use ServerConfig::default_epsilon. The effective value is
-  // floor-quantized (core/spt.h), so the promised bound always holds.
+  // Negative = use ServerConfig::default_epsilon; NaN is rejected
+  // (std::invalid_argument). The effective value is floor-quantized and
+  // clamped (core/spt.h), so the promised bound always holds.
   double epsilon = -1.0;
   // Force the exact tier for this query (counted as an explicit escalation
   // when the server would otherwise have served approximately).
@@ -136,6 +137,7 @@ struct ServerConfig {
   // relaxed mode; core/spt.h quantization). 0 = the server is exact-only and
   // nothing below changes behavior. Path and replacement queries ALWAYS
   // escalate to the exact tier (path reconstruction needs a real tree walk).
+  // The constructor throws std::invalid_argument for a NaN or negative value.
   double default_epsilon = 0.0;
   // Every Nth approximate distance answer is re-checked against the exact
   // tier: the query is escalated (reason `stretch_recheck`), the EXACT

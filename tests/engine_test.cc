@@ -18,6 +18,7 @@
 #include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "rp/subset_rp.h"
+#include "serve/spt_cache.h"
 
 namespace restorable {
 namespace {
@@ -168,6 +169,37 @@ TEST(SptBatch, DefaultImplementationCoversArbitraryRpts) {
       EXPECT_EQ(got[i]->parent(v), want.parent(v));
     }
   }
+}
+
+// Regression: a root >= n used to write hops[root] past the end of the
+// label arrays (heap-buffer-overflow under ASan) in the reference Dijkstra,
+// the engine's workspace Dijkstra and ArbitraryRpts' BFS. Each of those
+// entries throws std::out_of_range instead; spt_batch rethrows it on the
+// caller, and the engine keeps serving afterwards.
+TEST(SptBatch, RejectsOutOfRangeRoot) {
+  const Graph g = gnp_connected(30, 0.12, 41);
+  const IsolationRpts pi(g, IsolationAtw(42));
+  const ArbitraryRpts arb(g);
+  const Vertex n = g.num_vertices();
+  const BatchSsspEngine engine(2);
+  const std::vector<SsspRequest> bad{{0, {}, Direction::kOut},
+                                     {n, {}, Direction::kIn}};
+  EXPECT_THROW(pi.spt(n), std::out_of_range);
+  EXPECT_THROW(pi.sssp(n + 7), std::out_of_range);
+  EXPECT_THROW(pi.spt_batch(bad, &engine), std::out_of_range);
+  SptCache cache;
+  EXPECT_THROW(pi.spt_batch(bad, &engine, &cache), std::out_of_range);
+  EXPECT_THROW(arb.spt(n), std::out_of_range);
+  EXPECT_THROW(arb.spt_batch(bad, &engine), std::out_of_range);
+  // The boundary root is valid, and the engine's workspaces are clean.
+  const auto ok = pi.spt_batch(
+      std::vector<SsspRequest>{{n - 1, {}, Direction::kOut}}, &engine);
+  const Spt want = pi.spt(n - 1);
+  for (Vertex v = 0; v < n; ++v) {
+    EXPECT_EQ(ok[0]->hops(v), want.hops(v));
+    EXPECT_EQ(ok[0]->parent_edge(v), want.parent_edge(v));
+  }
+  EXPECT_EQ(arb.spt(n - 1).hops(n - 1), 0);
 }
 
 TEST(ThreadPool, EveryIndexExactlyOnce) {

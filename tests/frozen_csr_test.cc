@@ -1,6 +1,6 @@
 // Frozen CSR: freeze -> write -> map -> query must be bit-identical to the
 // in-memory Graph, through both the zero-copy image accessors and the
-// thawed Graph, with tombstones, labels, and the epoch carried exactly.
+// Graph thaw() returns, with tombstones, labels, and the epoch carried exactly.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -108,7 +108,7 @@ TEST(FrozenCsr, TombstonesLabelsAndEpochSurvive) {
 
   const Graph t = back->thaw();
   expect_same_graph(t, g);
-  // The thawed graph is fully mutable: resurrecting the tombstone works and
+  // The graph thaw() returns is fully mutable: resurrecting the tombstone works and
   // keeps the slot's id and label, exactly as on the original.
   Graph t2 = t;
   const Edge e3 = t2.endpoints(3);

@@ -23,15 +23,14 @@ TEST(Checkers, ShortestPathsCatchesBadScheme) {
     const Graph& graph() const override { return *g_; }
     std::string name() const override { return "lying"; }
     Spt spt(Vertex root, const FaultSet&, Direction) const override {
-      // Claim everything is at distance 1 with nonsense parents.
+      // Claim everything is at distance 1 with nonsense parent edges.
+      std::vector<int32_t> hops(g_->num_vertices(), 1);
+      std::vector<EdgeId> parent_edge(g_->num_vertices(), EdgeId{0});
+      hops[root] = 0;
+      parent_edge[root] = kNoEdge;
       Spt t;
-      t.root = root;
-      t.reset(g_->num_vertices());
-      std::fill(t.mutable_hops().begin(), t.mutable_hops().end(), 1);
-      t.mutable_hops()[root] = 0;
-      std::fill(t.mutable_parent().begin(), t.mutable_parent().end(), root);
-      std::fill(t.mutable_parent_edge().begin(), t.mutable_parent_edge().end(),
-                EdgeId{0});
+      Spt::encode(root, Direction::kOut, hops, parent_edge,
+                  g_->shared_endpoints(), t);
       return t;
     }
     std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {

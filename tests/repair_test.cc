@@ -269,8 +269,8 @@ TEST(RepairTree, DisconnectionAndReattachment) {
 // table, not the one the cached tree was built with. A fresh-slot insert
 // clones the shared table inside Graph::edges_mut (copy-on-write), so every
 // pre-existing tree keeps a stale, shorter table; the repair then writes the
-// new slot id into parent_edge, and publication-time compaction against the
-// stale table would read the endpoint vector out of bounds.
+// new slot id into parent_edge, and deriving parent(v) from the stale table
+// would read the endpoint vector out of bounds.
 TEST(RepairTree, ReattachesEndpointTableAcrossFreshInsert) {
   Graph g = path_graph(8);
   const IsolationRpts pi(g, IsolationAtw(4));
@@ -292,19 +292,15 @@ TEST(RepairTree, ReattachesEndpointTableAcrossFreshInsert) {
   EXPECT_EQ(r.tree.parent_edge(7), fresh);  // the repair adopted the chord
   ASSERT_TRUE(r.tree.endpoints());
   EXPECT_GT(r.tree.endpoints()->size(), fresh);  // current table, covers it
-  Spt compacted = r.tree;
-  ASSERT_TRUE(compacted.compact());
-  EXPECT_EQ(compacted.parent(7), 0u);
-  expect_same_tree(compacted, pi.spt(0));
+  EXPECT_EQ(r.tree.parent(7), 0u);
+  expect_same_tree(r.tree, pi.spt(0));
 
   // Same contract on the epsilon repair path.
   const auto re =
       pi.repair_tree(t0, batch, FaultSet{}, 1.0, quantize_epsilon(0.25));
   ASSERT_TRUE(re.tree.endpoints());
   EXPECT_GT(re.tree.endpoints()->size(), fresh);
-  Spt ce = re.tree;
-  ASSERT_TRUE(ce.compact());
-  EXPECT_EQ(ce.parent(7), 0u);
+  EXPECT_EQ(re.tree.parent(7), 0u);
 }
 
 // The affected-region ceiling: a zero threshold clamps to the minimum
@@ -356,10 +352,25 @@ TEST(OracleServerBatch, RejectsNonFiniteOrNegativeRepairFraction) {
     fleet.shard = cfg;
     EXPECT_THROW(ShardAggregator fleet_of(pi, fleet), std::invalid_argument);
   }
+  // The default epsilon: NaN (it would quantize to the exact tier) and
+  // negative values are rejected too.
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    SCOPED_TRACE("default_epsilon=" + std::to_string(eps));
+    ServerConfig cfg;
+    cfg.default_epsilon = eps;
+    EXPECT_THROW(OracleServer server(pi, cfg), std::invalid_argument);
+    FrontEndConfig fleet;
+    fleet.num_shards = 2;
+    fleet.shard = cfg;
+    EXPECT_THROW(ShardAggregator fleet_of(pi, fleet), std::invalid_argument);
+  }
   ServerConfig ok;
   ok.repair_fraction = 0.0;
   EXPECT_NO_THROW(OracleServer server(pi, ok));
   ok.repair_fraction = 2.0;
+  EXPECT_NO_THROW(OracleServer server(pi, ok));
+  // A huge default epsilon is clamped, not rejected.
+  ok.default_epsilon = std::numeric_limits<double>::infinity();
   EXPECT_NO_THROW(OracleServer server(pi, ok));
 }
 

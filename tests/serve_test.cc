@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 
@@ -33,6 +35,16 @@ void expect_same_tree(const Spt& got, const Spt& want) {
     EXPECT_EQ(got.parent(v), want.parent(v)) << "v=" << v;
     EXPECT_EQ(got.parent_edge(v), want.parent_edge(v)) << "v=" << v;
   }
+}
+
+// The bytes one base tree of `pi` costs in a cache, by the cache's own
+// accounting (tree + key + entry overhead): budgets sized from it hold an
+// exact number of same-size trees whatever the tree layout.
+size_t cache_entry_bytes(const IRpts& pi, Vertex root) {
+  SptCache sizing;
+  sizing.insert(SptKey(pi.scheme_id(), {root, {}, Direction::kOut}),
+                pi.spt(root));
+  return sizing.stats().bytes;
 }
 
 // A generation manager over `pi`'s current topology, for driving the
@@ -92,10 +104,10 @@ TEST(SptCache, KeysDistinguishRootFaultsDirAndScheme) {
 TEST(SptCache, EvictionKeepsTinyByteBudget) {
   const Graph g = gnp_connected(60, 0.08, 7);
   const IsolationRpts pi(g, IsolationAtw(8));
-  // Room for roughly two trees in one shard: inserts must evict LRU-first
-  // and never blow the budget.
-  const Spt probe = pi.spt(0);
-  const size_t budget = 2 * probe.memory_bytes() + 1024;
+  // Room for two trees (and half of a third) in one shard: inserts must
+  // evict LRU-first and never blow the budget.
+  const size_t entry = cache_entry_bytes(pi, 0);
+  const size_t budget = 2 * entry + entry / 2;
   SptCache cache(SptCache::Config{1, budget});
 
   for (Vertex root = 0; root < 20; ++root) {
@@ -136,9 +148,9 @@ TEST(SptCache, BudgetSmallerThanOneEntryRetainsNothing) {
 TEST(SptCache, EvictionUnderLiveReadersKeepsHandleValid) {
   const Graph g = gnp_connected(60, 0.08, 7);
   const IsolationRpts pi(g, IsolationAtw(8));
-  const Spt probe = pi.spt(0);
   // Room for about two trees in one shard; every insert past that evicts.
-  SptCache cache(SptCache::Config{1, 2 * probe.memory_bytes() + 1024});
+  const size_t entry = cache_entry_bytes(pi, 0);
+  SptCache cache(SptCache::Config{1, 2 * entry + entry / 2});
   const BatchSsspEngine engine(1);
 
   const SsspRequest req{0, {}, Direction::kOut};
@@ -172,8 +184,8 @@ TEST(SptCache, EvictionUnderLiveReadersKeepsHandleValid) {
 TEST(SptCache, FaultScanRespectsTotalBudgetWhenBasesOverfillTheirFraction) {
   const Graph g = gnp_connected(60, 0.08, 23);
   const IsolationRpts pi(g, IsolationAtw(24));
-  const Spt probe = pi.spt(0);
-  SptCache cache(SptCache::Config{1, 4 * (probe.memory_bytes() + 512), 0.5});
+  const size_t entry = cache_entry_bytes(pi, 0);
+  SptCache cache(SptCache::Config{1, 4 * entry + entry / 2, 0.5});
 
   // Four base trees ~fill the whole slice (nominal protected half is two).
   for (Vertex root = 0; root < 4; ++root)
@@ -197,9 +209,9 @@ TEST(SptCache, FaultScanRespectsTotalBudgetWhenBasesOverfillTheirFraction) {
 TEST(SptCache, SegmentedAdmissionProtectsBaseTreesFromFaultScan) {
   const Graph g = gnp_connected(60, 0.08, 17);
   const IsolationRpts pi(g, IsolationAtw(18));
-  const Spt probe = pi.spt(0);
   // One shard, room for ~4 trees; protected half fits the two base trees.
-  SptCache::Config cfg{1, 4 * (probe.memory_bytes() + 512), 0.5};
+  const size_t entry = cache_entry_bytes(pi, 0);
+  SptCache::Config cfg{1, 4 * entry + entry / 2, 0.5};
 
   for (const double fraction : {0.5, 0.0}) {
     cfg.protected_fraction = fraction;
@@ -736,9 +748,9 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
 TEST(SptCache, PeekDoesNotPerturbEvictionOrder) {
   const Graph g = gnp_connected(60, 0.08, 81);
   const IsolationRpts pi(g, IsolationAtw(82));
-  const Spt probe = pi.spt(0);
   // Flat LRU (one class), one shard, room for exactly two trees.
-  SptCache cache(SptCache::Config{1, 2 * (probe.memory_bytes() + 512), 0.0});
+  const size_t entry = cache_entry_bytes(pi, 0);
+  SptCache cache(SptCache::Config{1, 2 * entry + entry / 2, 0.0});
 
   const SptKey a(pi.scheme_id(), {1, {}, Direction::kOut});
   const SptKey b(pi.scheme_id(), {2, {}, Direction::kOut});
@@ -874,6 +886,12 @@ TEST(OracleServer, RejectsOutOfRangeInputs) {
   EXPECT_THROW(server.tree({200, {}, Direction::kOut}), std::out_of_range);
   EXPECT_THROW(server.tree({0, FaultSet{junk}, Direction::kOut}),
                std::out_of_range);
+  // A NaN epsilon used to be served silently on the exact tier.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(server.distance(0, 5, {}, QueryOpts{nan}),
+               std::invalid_argument);
+  EXPECT_THROW(server.distance(0, 5, {}, QueryOpts{nan, true}),
+               std::invalid_argument);
   EXPECT_EQ(server.queries_served(), 0u);
   EXPECT_EQ(server.cache()->stats().inserts, 0u);
 
@@ -885,6 +903,13 @@ TEST(OracleServer, RejectsOutOfRangeInputs) {
             pi.distance(last_v, 0, FaultSet{last_e}));
   EXPECT_EQ(server.replacement_distance(0, last_v, last_e),
             pi.distance(0, last_v, FaultSet{last_e}));
+  // Documented epsilon meanings stay: negative = the (exact) default, and a
+  // huge value is clamped to a valid approximate answer.
+  const int32_t exact = pi.distance(0, last_v);
+  EXPECT_EQ(server.distance(0, last_v, {}, QueryOpts{-3.0}), exact);
+  const int32_t loose = server.distance(
+      0, last_v, {}, QueryOpts{std::numeric_limits<double>::infinity()});
+  EXPECT_GE(loose, exact);
 }
 
 }  // namespace

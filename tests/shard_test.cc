@@ -2,10 +2,8 @@
 // shard_aggregator.h): consistent-hash stability under fleet growth,
 // bit-identical answers at every shard count with and without aggregation,
 // deterministic submission bounds from the explicit flush rule,
-// epoch-coherent update fan-out with pinned readers surviving it, the
-// compact-aware repair fast path staying bit-identical to the
-// thaw-repair-compact round-trip it replaces, and out-of-range query
-// inputs rejected before they reach a shard.
+// epoch-coherent update fan-out with pinned readers surviving it, and
+// out-of-range query inputs rejected before they reach a shard.
 #include "serve/shard_aggregator.h"
 
 #include <gtest/gtest.h>
@@ -113,82 +111,6 @@ TEST(ShardRouter, RouteHashIgnoresEverythingButRoot) {
     EXPECT_EQ(plan.by_shard[k].size(), 3u);
     EXPECT_EQ(plan.origin[k].size(), 3u);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Compact-aware repair fast path (Spt::compact_from).
-
-// Repairing a compact tree must come back compact WITHOUT the
-// thaw -> repair -> full-compact round-trip changing a single label: the
-// patched image must be bit-identical to both the explicit round-trip and a
-// from-scratch recompute, for exact and approximate tiers alike.
-TEST(CompactRepair, PatchedImageBitIdenticalToRoundTrip) {
-  Graph g = gnp_connected(80, 0.06, 17);
-  const IsolationRpts pi(g, IsolationAtw(18));
-
-  for (const uint32_t eps_q : {uint32_t{0}, quantize_epsilon(0.25)}) {
-    // Build the old-epoch compact trees before the mutation.
-    std::vector<Spt> compact_before;
-    for (Vertex r = 0; r < 8; ++r) {
-      Spt fat = eps_q ? *pi.spt_batch(std::vector<SsspRequest>{
-                             {r, {}, Direction::kOut, eps_q}})[0]
-                      : pi.spt(r);
-      fat.attach_endpoints(g.shared_endpoints());
-      compact_before.push_back(fat.compacted());
-      ASSERT_TRUE(compact_before.back().is_compact());
-    }
-
-    // Remove a tree edge of root 0 so at least one repair does real work.
-    Vertex x = 1;
-    while (compact_before[0].parent_edge(x) == kNoEdge) ++x;
-    const GraphDelta d = GraphDelta::remove(compact_before[0].parent_edge(x));
-    const DeltaBatch batch =
-        g.apply(std::span<const GraphDelta>(&d, 1));
-    ASSERT_TRUE(batch.changed());
-
-    for (Vertex r = 0; r < 8; ++r) {
-      const Spt& old_tree = compact_before[r];
-      RepairOutcome out = pi.repair_tree(old_tree, batch, {}, 1.0, eps_q);
-      // max_affected_fraction = 1.0: the repair may touch everything, so it
-      // never declines -- and with a compact input the fast path must have
-      // handed the tree back already compact.
-      EXPECT_TRUE(out.tree.is_compact()) << "root " << r;
-
-      // Reference 1: the old round-trip, thaw -> repair -> compact().
-      RepairOutcome ref =
-          pi.repair_tree(old_tree.thawed(), batch, {}, 1.0, eps_q);
-      ASSERT_TRUE(ref.tree.compact());
-      expect_same_tree(out.tree, ref.tree);
-      EXPECT_EQ(out.repaired, ref.repaired);
-
-      // Reference 2 (exact tier only; the approximate tier's repair
-      // contract is the stretch bound, not bit-identity to a fresh relaxed
-      // run): a from-scratch recompute on the new topology.
-      if (!eps_q) expect_same_tree(out.tree, pi.spt(r));
-    }
-
-    // Heal the edge so the second (approximate) round starts from the
-    // original topology. The applied batch's copy carries the endpoints
-    // (the local delta was passed by const span and stays unfilled).
-    const GraphDelta& applied = batch.deltas.front();
-    GraphDelta heal = GraphDelta::insert(applied.u, applied.v);
-    ASSERT_TRUE(g.apply(heal));
-  }
-}
-
-// A fat repair input (no compact image to reuse) must be left fat: the fast
-// path is strictly opt-in by the old tree's storage form.
-TEST(CompactRepair, FatInputStaysFat) {
-  Graph g = gnp_connected(40, 0.1, 19);
-  const IsolationRpts pi(g, IsolationAtw(20));
-  const Spt old_tree = pi.spt(3);
-  Vertex x = 1;
-  while (old_tree.parent_edge(x) == kNoEdge) ++x;
-  const GraphDelta d = GraphDelta::remove(old_tree.parent_edge(x));
-  const DeltaBatch batch = g.apply(std::span<const GraphDelta>(&d, 1));
-  const RepairOutcome out = pi.repair_tree(old_tree, batch, {}, 1.0);
-  EXPECT_FALSE(out.tree.is_compact());
-  expect_same_tree(out.tree, pi.spt(3));
 }
 
 // ---------------------------------------------------------------------------
