@@ -31,15 +31,26 @@ struct DijkstraResult {
   std::vector<typename Policy::Tie> tie;  // accumulated perturbation per vertex
 };
 
+// Throws std::out_of_range if `faults` names an edge id >= g.num_edges().
+// Such an id matches no arc, so a search would silently return the
+// fault-free tree for a fault set that does not exist.
+inline void check_fault_ids(const Graph& g, const FaultSet& faults,
+                            const char* who) {
+  if (!faults.empty() && faults.ids().back() >= g.num_edges())
+    throw std::out_of_range(std::string(who) + ": fault edge id " +
+                            std::to_string(faults.ids().back()) +
+                            " out of range");
+}
+
 // Establishes parent edges from settled labels: the parent edge of v is the
 // arc from the in-neighbor u minimizing (dist(u) + w(u, v)), which --
 // distances being exact and unique -- reproduces the unique shortest path
 // tree. `done(v)` must report whether v was settled; `hops` / `tie` must
 // hold the settled labels. Writes parent_edge[v] for every settled
-// non-root v.
-//
-// Shared between the reference implementation below and the workspace-based
-// engine variant (engine/dijkstra_workspace.h) so the two cannot drift.
+// non-root v. This is the reference's parent pass only: the engine's sweep
+// (engine/dijkstra_workspace.h) selects parents inline, and its "first
+// strict minimum in adjacency order" rule picks the same arc as this
+// "first arc matching the settled label" rule.
 template <typename Policy, typename DoneFn>
 void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
                             const FaultSet& faults, Direction dir,
@@ -86,7 +97,8 @@ void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
 // dir == kIn: computes pi(v, root) for all v, by searching the reversed
 // graph: an arc v->u in the search corresponds to travel u->v in G*, so the
 // accumulated perturbation is r(u, v) = the arc value with the *flipped*
-// orientation flag. Throws std::out_of_range for root >= n.
+// orientation flag. Throws std::out_of_range for root >= n or a fault id
+// >= m.
 template <typename Policy>
 DijkstraResult<Policy> tiebroken_sssp(const Graph& g, const Policy& policy,
                                       Vertex root, const FaultSet& faults,
@@ -95,6 +107,7 @@ DijkstraResult<Policy> tiebroken_sssp(const Graph& g, const Policy& policy,
   if (root >= n)
     throw std::out_of_range("tiebroken_sssp: root " + std::to_string(root) +
                             " out of range");
+  check_fault_ids(g, faults, "tiebroken_sssp");
   DijkstraResult<Policy> res;
   res.tie.assign(n, policy.zero());
   std::vector<int32_t> hops(n, kUnreachable);

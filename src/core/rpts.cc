@@ -148,6 +148,7 @@ Spt ArbitraryRpts::spt(Vertex root, const FaultSet& faults,
   if (root >= n)
     throw std::out_of_range("ArbitraryRpts::spt: root " +
                             std::to_string(root) + " out of range");
+  check_fault_ids(g, faults, "ArbitraryRpts::spt");
   std::vector<int32_t> hops(n, kUnreachable);
   std::vector<Vertex> parent(n, kNoVertex);
   std::vector<EdgeId> parent_edge(n, kNoEdge);

@@ -184,10 +184,10 @@ class IRpts {
 
   // ---- The adoption rule and invariant F ----------------------------------
   //
-  // Survival and repair relax with the engine's adoption rule
-  // (engine/dijkstra_workspace.h): a candidate label (h, tie) replaces
-  // (cur, cur_tie) iff epsilon_improves(cur, h, eps_q), or, at eps_q == 0
-  // only, h == cur and the candidate's tie compares lower. The exact tier
+  // Survival and repair relax with one adoption rule: a candidate label
+  // (h, tie) replaces (cur, cur_tie) iff epsilon_improves(cur, h, eps_q),
+  // or, at eps_q == 0 only, h == cur and the candidate's tie compares
+  // lower. The exact tier
   // runs it with the scheme's policy at eps_q == 0; the approximate tier
   // runs it with HopsOnly (core/perturbation.h) at the key's eps_q. An
   // approximate tree thereby keeps a per-edge contract F rather than
@@ -620,7 +620,7 @@ class Rpts final : public IRpts {
 
   Spt spt(Vertex root, const FaultSet& faults = {},
           Direction dir = Direction::kOut) const override {
-    return tiebroken_sssp(*g_, policy_, root, faults, dir).spt;
+    return sssp(root, faults, dir).spt;
   }
 
   std::vector<SptHandle> spt_batch(std::span<const SsspRequest> requests,
@@ -668,7 +668,10 @@ class Rpts final : public IRpts {
   // Full result including exact tie values (used by the RP algorithms).
   DijkstraResult<Policy> sssp(Vertex root, const FaultSet& faults = {},
                               Direction dir = Direction::kOut) const {
-    return tiebroken_sssp(*g_, policy_, root, faults, dir);
+    DijkstraResult<Policy> res;
+    tiebroken_sssp_into(*g_, policy_, root, faults, dir,
+                        thread_workspace<Policy>(), res);
+    return res;
   }
 
   // Batched full results, in request order.

@@ -40,8 +40,8 @@ enum class Direction : uint8_t { kOut, kIn };
 // Fixed-point denominator of the quantized approximation parameter: a
 // request's eps_q encodes epsilon = eps_q / kEpsilonDenom. Quantizing keys
 // the approximate tier exactly -- two callers asking for "about 0.1" land on
-// the same cache entry -- and keeps the relaxed Dijkstra improvement test in
-// exact integer arithmetic (no float compare on the hot path).
+// the same cache entry -- and keeps the relaxed improvement test in exact
+// integer arithmetic (no float compare on the hot path).
 inline constexpr uint32_t kEpsilonDenom = 1024;
 
 // Floor-quantization: the effective epsilon never exceeds the requested one,
@@ -59,11 +59,12 @@ inline double dequantize_epsilon(uint32_t eps_q) {
   return static_cast<double>(eps_q) / static_cast<double>(kEpsilonDenom);
 }
 
-// The relaxed improvement test shared by the engine's epsilon-mode Dijkstra,
-// the serving tier's epsilon survival / repair predicates, and the tests:
-// a candidate hop count improves the current label iff
-// cur > (1 + epsilon) * cand, evaluated exactly over integers. eps_q == 0
-// degenerates to the strict test cur > cand.
+// The relaxed improvement test of the serving tier's epsilon survival /
+// repair predicates (and the tests): a candidate hop count improves the
+// current label iff cur > (1 + epsilon) * cand, evaluated exactly over
+// integers. eps_q == 0 degenerates to the strict test cur > cand. A fresh
+// engine build never needs it: its labels are exact BFS hops, which no
+// candidate improves (engine/dijkstra_workspace.h).
 inline bool epsilon_improves(int32_t cur_hops, int32_t cand_hops,
                              uint32_t eps_q) {
   if (cur_hops == kUnreachable) return true;
@@ -77,10 +78,11 @@ inline bool epsilon_improves(int32_t cur_hops, int32_t cand_hops,
 // IRpts::spt_batch interface) consume; results always come back in request
 // order, independent of scheduling.
 //
-// eps_q > 0 asks for the approximate tier: the engine runs the relaxed
-// (1+eps) improvement test, so the returned labels satisfy
-// d_true <= d <= (1+eps)^d_true * d_true per vertex. eps_q == 0 (the
-// default) is the exact tier -- bit-identical to the pre-epsilon engine.
+// eps_q > 0 asks for the approximate tier, whose trees need only satisfy
+// d_true <= d <= (1+eps)^d_true * d_true per vertex (survival and repair
+// use that slack). A fresh engine build has exact hops and picks each
+// parent by the in-neighbour's tie alone (engine/dijkstra_workspace.h).
+// eps_q == 0 (the default) is the exact tier.
 struct SsspRequest {
   Vertex root = kNoVertex;
   FaultSet faults{};

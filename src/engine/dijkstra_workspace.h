@@ -1,20 +1,40 @@
-// Reusable per-thread state for tiebroken SSSP, plus the workspace-based
-// Dijkstra variant the batch engine runs.
+// Reusable per-thread state for tiebroken SSSP, plus the hop-layered sweep
+// the batch engine (and every Rpts tree build) runs.
 //
-// The reference implementation (core/dijkstra.h) allocates a lazy-deletion
-// std::priority_queue and a `done` array per call. Under batch fan-out --
-// thousands of SSSP runs over the same graph -- those allocations and the
-// duplicate heap entries dominate. This variant keeps the sparse state
-// (done/open marks, heap positions, heap storage) in a workspace that is
-// reset in O(touched) between runs, and replaces the lazy heap with an
-// indexed 4-ary heap with decrease-key, so each vertex is in the heap at
-// most once.
+// The reference implementation (core/dijkstra.h) is a lazy-deletion heap
+// Dijkstra with a separate parent pass, allocating its arrays per call. This
+// variant needs no heap at all. Every perturbation sums to less than half a
+// hop along any path (core/perturbation.h, paper Section 3), so a perturbed
+// distance is the pair (hops, tie) compared lexicographically, and a vertex
+// v at hop h+1 takes the minimum of tie(u) + r(u -> v) over its hop-h
+// in-neighbours u. One breadth-first sweep therefore yields the exact
+// labels:
+//  * the queue holds the vertices in hop order (layer h is one contiguous
+//    range of it), so when a hop-(h+1) vertex v is dequeued every hop-h
+//    vertex already has its final tie;
+//  * one scan of v's non-fault arcs both discovers v's unlabeled
+//    neighbours (hop h+2, appended to the queue) and selects v's parent:
+//    the FIRST arc in v's adjacency order, among those from a hop-h
+//    vertex u, holding the strict minimum of the key.
 //
-// Output equivalence: settled (hops, tie) labels are the unique shortest
-// perturbed distances, identical to the reference implementation's, and the
-// parent pass is the *shared* establish_sssp_parents helper, so results are
-// element-wise identical for the exact policies (and tie-compare-equal for
-// the long-double policy). tests/engine_test.cc asserts this.
+// Exact mode (eps_q == 0): the key is tie(u) + r(u -> v). The minimum is
+// the settled Dijkstra label, and the reference's parent pass
+// (core/dijkstra.h) takes the first arc in adjacency order whose candidate
+// equals that label -- the same arc, even when ties collide. The
+// output is element-wise identical to tiebroken_sssp; tests/engine_test.cc
+// asserts this.
+//
+// Epsilon mode (eps_q > 0): the key is tie(u) alone, and v's label is
+// accumulated once along the chosen arc. Hops are exact BFS hops (so the
+// (1+eps) stretch bound of SsspRequest holds trivially); the tree keeps, per
+// vertex, the hop-h in-neighbour with the least tie, the first one in
+// adjacency order when ties are equal. Under the (1+eps) improvement test
+// of core/spt.h a heap search in (hops, tie) order never relabels a
+// vertex, so this is the tree such a search settles whenever the
+// in-neighbours' ties are distinct.
+//
+// Both modes cost O(n + m) policy operations per tree; the workspace's
+// arrays are reset in O(touched) between runs.
 #pragma once
 
 #include <cstdint>
@@ -31,40 +51,25 @@ namespace restorable {
 template <typename Policy>
 class DijkstraWorkspace {
  public:
-  // Vertex states during a run.
-  static constexpr uint8_t kUnseen = 0;
-  static constexpr uint8_t kOpen = 1;   // in the heap with a tentative label
-  static constexpr uint8_t kDone = 2;   // settled
-
-  static constexpr uint32_t kNoPos = static_cast<uint32_t>(-1);
-
   // Grows (never shrinks) the flat arrays to cover n vertices and restores
-  // the clean-state invariant (every vertex unseen and unlabeled) if a
-  // previous run died mid-way.
+  // the clean-state invariant (every vertex unlabeled) if a previous run
+  // died mid-way.
   void ensure(Vertex n) {
     if (dirty_) {
-      state_.assign(state_.size(), kUnseen);
-      heap_pos_.assign(heap_pos_.size(), kNoPos);
       hops_.assign(hops_.size(), kUnreachable);
       parent_edge_.assign(parent_edge_.size(), kNoEdge);
-      heap_.clear();
       touched_.clear();
       dirty_ = false;
     }
-    if (state_.size() < n) {
-      state_.resize(n, kUnseen);
-      heap_pos_.resize(n, kNoPos);
+    if (hops_.size() < n) {
       hops_.resize(n, kUnreachable);
       parent_edge_.resize(n, kNoEdge);
     }
   }
 
-  std::vector<uint8_t> state_;
-  std::vector<uint32_t> heap_pos_;
   std::vector<int32_t> hops_;
   std::vector<EdgeId> parent_edge_;
-  std::vector<Vertex> heap_;
-  std::vector<Vertex> touched_;
+  std::vector<Vertex> touched_;  // the BFS queue, in hop order
   bool dirty_ = false;
 };
 
@@ -76,26 +81,10 @@ DijkstraWorkspace<Policy>& thread_workspace() {
   return ws;
 }
 
-// Workspace-based tiebroken Dijkstra; drop-in equivalent of tiebroken_sssp
-// (same graph/policy/root/faults/dir contract, same result layout).
-// Throws std::out_of_range for root >= n. The relaxation runs on the
-// workspace's label arrays and one Spt::encode emits the tree into res.spt,
-// reusing its capacity.
-//
-// eps_q > 0 switches the improvement test to the relaxed (1+eps) form
-// (epsilon_improves in core/spt.h): an open vertex is only re-labeled when
-// the candidate beats its current label by more than the (1+eps) slack, so
-// the settled labels satisfy d_true <= d <= (1+eps)^d_true * d_true while
-// the search touches (and re-heaps) far fewer vertices. Heap machinery,
-// reset, and tie accumulation (which keeps the pop order deterministic) are
-// shared with the exact mode. Two differences in the epsilon mode:
-//  * parent edges are assigned inline at relaxation time (from the
-//    just-popped, hence settled, source), because establish_sssp_parents
-//    assumes exact-tight labels that relaxed labels deliberately are not;
-//  * a settled label may exceed the length of its own parent chain (the
-//    chain only certifies SOME path of length <= hops[v]); parent chains
-//    still strictly descend in hops, so path_to / top_order stay valid.
-// eps_q == 0 runs the unmodified exact branch -- bit-identical output.
+// Workspace-based tiebroken SSSP (the sweep above); drop-in equivalent of
+// tiebroken_sssp (same graph/policy/root/faults/dir contract, same result
+// layout). Throws std::out_of_range for root >= n or a fault id >= m. One
+// Spt::encode emits the tree into res.spt, reusing its capacity.
 template <typename Policy>
 void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
                          const FaultSet& faults, Direction dir,
@@ -106,152 +95,73 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   if (root >= n)
     throw std::out_of_range("tiebroken_sssp_into: root " +
                             std::to_string(root) + " out of range");
+  check_fault_ids(g, faults, "tiebroken_sssp_into");
   ws.ensure(n);
   ws.dirty_ = true;
 
   res.tie.assign(n, policy.zero());
 
-  auto& state = ws.state_;
-  auto& heap_pos = ws.heap_pos_;
-  auto& heap = ws.heap_;
-  // Plain label arrays: every id the relaxation sweep touches is 32-bit
-  // (Vertex/EdgeId/heap positions), so million-node graphs run the same
-  // loop with half the index traffic of size_t code.
+  // Plain label arrays: every id the sweep touches is 32-bit, so
+  // million-node graphs run the same loop with half the index traffic of
+  // size_t code.
   auto& hops = ws.hops_;
   auto& parent_edge = ws.parent_edge_;
+  auto& queue = ws.touched_;
   auto& tie = res.tie;
-
-  // (hops, tie) lexicographic order on tentative labels.
-  auto less = [&](Vertex a, Vertex b) {
-    if (hops[a] != hops[b]) return hops[a] < hops[b];
-    return policy.compare(tie[a], tie[b]) < 0;
-  };
-  auto place = [&](Vertex v, uint32_t pos) {
-    heap[pos] = v;
-    heap_pos[v] = pos;
-  };
-  auto sift_up = [&](uint32_t pos) {
-    const Vertex v = heap[pos];
-    while (pos > 0) {
-      const uint32_t par = (pos - 1) / 4;
-      if (!less(v, heap[par])) break;
-      place(heap[par], pos);
-      pos = par;
-    }
-    place(v, pos);
-  };
-  auto sift_down = [&](uint32_t pos) {
-    const Vertex v = heap[pos];
-    const uint32_t size = static_cast<uint32_t>(heap.size());
-    for (;;) {
-      uint32_t best = pos;
-      Vertex best_v = v;
-      const uint32_t first = 4 * pos + 1;
-      const uint32_t last = first + 4 < size ? first + 4 : size;
-      for (uint32_t c = first; c < last; ++c)
-        if (less(heap[c], best_v)) {
-          best = c;
-          best_v = heap[c];
-        }
-      if (best == pos) break;
-      place(best_v, pos);
-      pos = best;
-    }
-    place(v, pos);
-  };
-  auto push = [&](Vertex v) {
-    heap.push_back(v);
-    heap_pos[v] = static_cast<uint32_t>(heap.size() - 1);
-    sift_up(heap_pos[v]);
-  };
-  auto pop_min = [&] {
-    const Vertex top = heap[0];
-    heap_pos[top] = DijkstraWorkspace<Policy>::kNoPos;
-    const Vertex last = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) {
-      place(last, 0);
-      sift_down(0);
-    }
-    return top;
+  // Extends t across arc a of v, travelling a.to -> v: against the arc for
+  // kOut trees, along it for kIn trees (reversed search).
+  const auto extend = [&](Tie& t, const Arc& a) {
+    policy.accumulate(t, g.label(a.edge),
+                      dir == Direction::kOut ? !a.forward : a.forward);
   };
 
   hops[root] = 0;
-  state[root] = DijkstraWorkspace<Policy>::kOpen;
-  ws.touched_.push_back(root);
-  push(root);
-
-  while (!heap.empty()) {
-    const Vertex v = pop_min();
-    state[v] = DijkstraWorkspace<Policy>::kDone;
+  queue.push_back(root);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
+    const int32_t h = hops[v];
+    const Arc* best = nullptr;
+    Tie best_key{};  // exact mode: tie(best->to) + r(best->to -> v)
     for (const Arc& a : g.arcs(v)) {
-      const Vertex to = a.to;
-      if (state[to] == DijkstraWorkspace<Policy>::kDone ||
-          faults.contains(a.edge))
-        continue;
-      // Orientation of the perturbation for this hop: travelling v -> to for
-      // kOut trees, to -> v for kIn trees (reversed search).
-      const bool travel_forward =
-          dir == Direction::kOut ? a.forward : !a.forward;
-      const int32_t h = hops[v] + 1;
-      if (state[to] == DijkstraWorkspace<Policy>::kUnseen) {
-        hops[to] = h;
-        tie[to] = tie[v];
-        policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        if (eps_q) parent_edge[to] = a.edge;
-        state[to] = DijkstraWorkspace<Policy>::kOpen;
-        ws.touched_.push_back(to);
-        push(to);
+      const int32_t hu = hops[a.to];
+      if (hu == kUnreachable) {
+        if (faults.contains(a.edge)) continue;
+        hops[a.to] = h + 1;
+        queue.push_back(a.to);
         continue;
       }
+      if (hu + 1 != h || faults.contains(a.edge)) continue;
       if (eps_q) {
-        // Relaxed test: only a better-than-(1+eps) candidate re-labels an
-        // open vertex. v was just popped, so its label is final and the
-        // inline parent-edge assignment is sound (hops[to] = hops[v] + 1
-        // with v settled; no later relaxation can touch v).
-        if (!epsilon_improves(hops[to], h, eps_q)) continue;
-        hops[to] = h;
-        tie[to] = tie[v];
-        policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        parent_edge[to] = a.edge;
-        sift_up(heap_pos[to]);
+        if (!best || policy.compare(tie[a.to], tie[best->to]) < 0) best = &a;
         continue;
       }
-      if (h > hops[to]) continue;
-      Tie t = tie[v];
-      policy.accumulate(t, g.label(a.edge), travel_forward);
-      if (h < hops[to] || policy.compare(t, tie[to]) < 0) {
-        hops[to] = h;
-        tie[to] = std::move(t);
-        sift_up(heap_pos[to]);
+      Tie t = tie[a.to];
+      extend(t, a);
+      if (!best || policy.compare(t, best_key) < 0) {
+        best = &a;
+        best_key = std::move(t);
       }
+    }
+    if (!best) continue;  // the root
+    parent_edge[v] = best->edge;
+    if (eps_q) {
+      tie[v] = tie[best->to];
+      extend(tie[v], *best);
+    } else {
+      tie[v] = std::move(best_key);
     }
   }
 
-  // Every touched vertex was settled (the heap drains completely), so hops
-  // and tie now hold exactly the settled labels; untouched vertices kept
-  // the clean kUnreachable. Exact parent edges come from the shared
-  // tightness pass; epsilon-mode ones were assigned inline above (the
-  // tightness pass would reject relaxed labels).
-  if (eps_q == 0)
-    establish_sssp_parents(
-        g, policy, root, faults, dir,
-        [&state](Vertex v) {
-          return state[v] == DijkstraWorkspace<Policy>::kDone;
-        },
-        hops, tie, parent_edge);
   Spt::encode(root, dir, std::span<const int32_t>(hops.data(), n),
               std::span<const EdgeId>(parent_edge.data(), n),
               g.shared_endpoints(), res.spt);
 
   // O(touched) reset, restoring the clean-state invariant for the next run.
-  for (const Vertex v : ws.touched_) {
-    state[v] = DijkstraWorkspace<Policy>::kUnseen;
-    heap_pos[v] = DijkstraWorkspace<Policy>::kNoPos;
+  for (const Vertex v : queue) {
     hops[v] = kUnreachable;
     parent_edge[v] = kNoEdge;
   }
-  ws.touched_.clear();
+  queue.clear();
   ws.dirty_ = false;
 }
 

@@ -71,7 +71,7 @@ ReplacementPathsResult single_pair_replacement_paths(const Graph& g,
                                                      Vertex s, Vertex t) {
   ReplacementPathsResult res;
   // Workspace-based SSSP (engine/dijkstra_workspace.h): same results as
-  // tiebroken_sssp, but the heap/marks are reused across calls on this
+  // tiebroken_sssp, but the label arrays are reused across calls on this
   // thread -- this is the innermost loop of the batched subset-rp fan-out.
   // The per-pair arrays live in the pooled workspace for the same reason;
   // assign() below reuses their capacity run over run.

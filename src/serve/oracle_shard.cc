@@ -206,7 +206,7 @@ SptHandle OracleShard::fetch_tree(const SsspRequest& req,
   SptHandle t;
   if (req.eps_q) {
     // The virtual spt() has no epsilon parameter; the batch interface is the
-    // epsilon-aware entry point (Rpts routes it through the engine's relaxed
+    // epsilon-aware entry point (Rpts routes it through the engine's epsilon
     // mode). A scheme whose spt_batch ignores eps_q returns exact trees
     // under the approximate key -- sound, just stretch-free.
     t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
@@ -339,6 +339,8 @@ SptHandle OracleShard::fetch_classified(const SsspRequest& req,
 std::vector<SptHandle> OracleShard::serve_batch(
     std::span<const SsspRequest> requests, const GenerationManager::Pin& pin,
     std::vector<FetchObs>* obs) {
+  for (const SsspRequest& req : requests)
+    pin->check_query(req.root, req.root, req.faults.ids());
   queries_.fetch_add(requests.size(), std::memory_order_relaxed);
   std::vector<FetchObs> local_obs;
   std::vector<FetchObs>& fos = obs ? *obs : local_obs;

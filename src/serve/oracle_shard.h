@@ -287,8 +287,10 @@ class OracleShard {
   // A whole per-shard sub-batch as ONE serving-stack submission: every miss
   // is enrolled before the flush starts, so the batch rides the engine as
   // one spt_batch call (plus whatever concurrent callers piled on). All
-  // fetches read the pinned generation (`pin` must be non-empty; the
-  // caller has validated the requests against it). Counts requests.size()
+  // fetches read the pinned generation (`pin` must be non-empty). Every
+  // request is validated against it first (Generation::check_query): one
+  // bad root or fault id throws std::out_of_range before anything is
+  // enrolled or counted. Counts requests.size()
   // queries; each fetch is classified into the usual outcome classes, with
   // the whole batch's wall time attributed to every element's latency
   // sample (the per-element cost of an aggregated submission IS the batch,

@@ -54,6 +54,7 @@ void ShardAggregator::register_providers() {
                   flush_timeout_.load(std::memory_order_relaxed));
         b.counter("flush.explicit",
                   flush_explicit_.load(std::memory_order_relaxed));
+        b.counter("flush.idle", flush_idle_.load(std::memory_order_relaxed));
         b.counter("fanouts", fanouts_.load(std::memory_order_relaxed));
         b.gauge("shards", static_cast<int64_t>(shards_.size()));
         b.gauge("routed_epoch",
@@ -145,6 +146,15 @@ std::shared_ptr<ShardAggregator::Staged> ShardAggregator::stage_and_wait(
     // below resolves it.
     flush_capacity_.fetch_add(1, std::memory_order_relaxed);
     flush_batch(k, detach(ob));
+  } else if (active_.load(std::memory_order_relaxed) == 1) {
+    // Idle rule: this is the only query in the front-end, so no other
+    // stager can join the box within the timeout. As above, an empty
+    // detach means a concurrent trigger carried our entry off.
+    auto batch = detach(ob);
+    if (!batch.empty()) {
+      flush_idle_.fetch_add(1, std::memory_order_relaxed);
+      flush_batch(k, std::move(batch));
+    }
   }
   const auto deadline = std::chrono::microseconds(config_.flush_timeout_us);
   std::unique_lock<std::mutex> lock(st->mu);
@@ -201,6 +211,7 @@ GenerationManager::Pin ShardAggregator::pin_checked(
 }
 
 SptHandle ShardAggregator::tree(const SsspRequest& req) {
+  const ActiveQuery active(active_);
   const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
   const auto pin = pin_checked(k, req.root, req.root, req.faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -209,6 +220,7 @@ SptHandle ShardAggregator::tree(const SsspRequest& req) {
 
 std::vector<SptHandle> ShardAggregator::tree_batch(
     std::span<const SsspRequest> requests) {
+  const ActiveQuery active(active_);
   if (requests.empty()) {
     queries_.fetch_add(1, std::memory_order_relaxed);
     return {};
@@ -288,6 +300,7 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
 
 int32_t ShardAggregator::distance(Vertex s, Vertex t,
                                   const FaultSet& faults) {
+  const ActiveQuery active(active_);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
   const auto pin = pin_checked(k, s, t, faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -297,6 +310,7 @@ int32_t ShardAggregator::distance(Vertex s, Vertex t,
 }
 
 Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
+  const ActiveQuery active(active_);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
   const auto pin = pin_checked(k, s, t, faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -304,6 +318,7 @@ Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
 }
 
 int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
+  const ActiveQuery active(active_);
   // Both fetches share one root, hence one shard and one pin: the base and
   // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
@@ -380,6 +395,7 @@ FrontEndStats ShardAggregator::stats() const {
   s.flush_capacity_trigger = flush_capacity_.load(std::memory_order_relaxed);
   s.flush_timeout_trigger = flush_timeout_.load(std::memory_order_relaxed);
   s.flush_explicit_trigger = flush_explicit_.load(std::memory_order_relaxed);
+  s.flush_idle_trigger = flush_idle_.load(std::memory_order_relaxed);
   s.fanouts = fanouts_.load(std::memory_order_relaxed);
   return s;
 }

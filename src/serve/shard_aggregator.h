@@ -18,6 +18,9 @@
 //     flush_timeout_us deadline, and on expiry detaches whatever is staged
 //     (its own entry included) and serves it: bounded staging latency with
 //     no background flusher thread;
+//   * idle     -- a stager that is the only query inside the front-end
+//     serves its outbox at once: nobody can join it, so the timeout wait
+//     would be pure latency (a sleep on every lone miss);
 //   * explicit -- a multi-root query (tree_batch) stages ALL its sub-queries
 //     first, then flushes every outbox it touched immediately, piggybacking
 //     any concurrently staged singles. A k-root query therefore costs at
@@ -101,6 +104,7 @@ struct FrontEndStats {
   uint64_t flush_capacity_trigger = 0;
   uint64_t flush_timeout_trigger = 0;
   uint64_t flush_explicit_trigger = 0;
+  uint64_t flush_idle_trigger = 0;
   uint64_t fanouts = 0;  // epoch-coherent update fan-outs completed
 };
 
@@ -169,8 +173,9 @@ class ShardAggregator {
   // and resolves every entry.
   void flush_batch(size_t k, std::vector<std::shared_ptr<Staged>> batch);
   // Stage one sub-query into shard k's outbox and wait for its result,
-  // flushing on capacity (this stager filled the box) or timeout (waited
-  // flush_timeout_us without resolution). Returns the staged entry, done.
+  // flushing on capacity (this stager filled the box), idle (no other
+  // query is inside the front-end) or timeout (waited flush_timeout_us
+  // without resolution). Returns the staged entry, done.
   std::shared_ptr<Staged> stage_and_wait(size_t k, const SsspRequest& req,
                                          GenerationManager::Pin pin);
   // Unstaged submission of one sub-batch (aggregation off / explicit path).
@@ -189,6 +194,20 @@ class ShardAggregator {
                          const GenerationManager::Pin& pin);
   void book_subquery(const FetchObs& fo);
   void register_providers();
+
+  // Counts one query in active_ for the lifetime of a query call.
+  class ActiveQuery {
+   public:
+    explicit ActiveQuery(std::atomic<int>& n) : n_(n) {
+      n_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~ActiveQuery() { n_.fetch_sub(1, std::memory_order_relaxed); }
+    ActiveQuery(const ActiveQuery&) = delete;
+    ActiveQuery& operator=(const ActiveQuery&) = delete;
+
+   private:
+    std::atomic<int>& n_;
+  };
 
   const IRpts* pi_;
   FrontEndConfig config_;
@@ -223,7 +242,11 @@ class ShardAggregator {
   std::atomic<uint64_t> flush_capacity_{0};
   std::atomic<uint64_t> flush_timeout_{0};
   std::atomic<uint64_t> flush_explicit_{0};
+  std::atomic<uint64_t> flush_idle_{0};
   std::atomic<uint64_t> fanouts_{0};
+  // Query calls in progress (the idle flush rule). Only a heuristic: any
+  // value it reads leaves every staged entry resolved by some flush.
+  std::atomic<int> active_{0};
 
   // Declared LAST: unregistered before anything the provider reads dies.
   std::vector<obs::Registration> registrations_;

@@ -1,5 +1,5 @@
-// Tests for the approximate (1+eps) tier: the engine's relaxed Dijkstra
-// mode, the eps-slack survival/repair variants (invariant F, core/rpts.h),
+// Tests for the approximate (1+eps) tier: the engine's epsilon mode, the
+// eps-slack survival/repair variants (invariant F, core/rpts.h),
 // the eps-keyed cache identity, and the OracleServer escalation rules.
 //
 // The two load-bearing properties:
@@ -180,6 +180,31 @@ TEST(ApproxEngine, RelaxedLabelsWithinStretchBound) {
         expect_realizable(g, approx[i], reqs[i].faults);
       }
     }
+  }
+}
+
+// A fresh epsilon build never relabels a vertex: its hops are the exact
+// tree's at every vertex, out and in, with and without a tree-edge fault.
+TEST(ApproxEngine, FreshEpsTreeHasExactHops) {
+  const Graph g = gnp_connected(120, 0.04, 17);
+  const IsolationAtw atw(18);
+  const BatchSsspEngine eng(2);
+  const uint32_t eps_q = quantize_epsilon(1.0);
+  std::vector<SsspRequest> reqs;
+  for (Vertex r = 0; r < g.num_vertices(); r += 7)
+    for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+      const Spt base = tiebroken_sssp(g, atw, r, {}, dir).spt;
+      const EdgeId tree_edge = base.parent_edge((r + 1) % g.num_vertices());
+      reqs.push_back({r, {}, dir, eps_q});
+      reqs.push_back({r, FaultSet{tree_edge}, dir, eps_q});
+    }
+  const auto approx = eng.run_batch_spt(g, atw, reqs);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const Spt exact =
+        tiebroken_sssp(g, atw, reqs[i].root, reqs[i].faults, reqs[i].dir).spt;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      EXPECT_EQ(approx[i].hops(v), exact.hops(v))
+          << "request=" << i << " v=" << v;
   }
 }
 

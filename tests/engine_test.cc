@@ -1,5 +1,5 @@
 // Tests for the parallel batch-SSSP engine (src/engine/): the workspace
-// Dijkstra must be element-wise identical to the reference tiebroken_sssp,
+// sweep must be element-wise identical to the reference tiebroken_sssp,
 // results must be in request order at every thread count, and the thread
 // pool must execute every index exactly once.
 #include "engine/batch_sssp.h"
@@ -93,6 +93,19 @@ TEST(BatchSsspEngine, MatchesReferenceIsolationPolicy) {
                                  /*exact_tie=*/true);
 }
 
+// Weight range 0 makes every tie collide: the sweep's "first strict
+// minimum in adjacency order" must pick the reference parent pass's arc.
+// The sparse graph runs many more, and longer, hop layers.
+TEST(BatchSsspEngine, MatchesReferenceCollidingTiesAndDeepLayers) {
+  expect_batch_matches_reference(gnp_connected(60, 0.08, 3),
+                                 IsolationAtw(5, /*weight_range=*/0),
+                                 /*exact_tie=*/true);
+  expect_batch_matches_reference(grid(7, 9), IsolationAtw(6, 0),
+                                 /*exact_tie=*/true);
+  expect_batch_matches_reference(sparse_connected(2000, 3, 7), IsolationAtw(8),
+                                 /*exact_tie=*/true);
+}
+
 TEST(BatchSsspEngine, MatchesReferenceDeterministicPolicy) {
   const Graph g = gnp_connected(40, 0.1, 5);
   expect_batch_matches_reference(g, DeterministicAtw(g), /*exact_tie=*/true);
@@ -145,7 +158,9 @@ TEST(SptBatch, RptsOverrideMatchesSequentialSpt) {
   const auto got = pi.spt_batch(reqs, &engine);
   ASSERT_EQ(got.size(), reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i) {
-    const Spt want = pi.spt(reqs[i].root, reqs[i].faults, reqs[i].dir);
+    const Spt want = tiebroken_sssp(g, pi.policy(), reqs[i].root,
+                                    reqs[i].faults, reqs[i].dir)
+                         .spt;
     for (Vertex v = 0; v < want.num_vertices(); ++v) {
       EXPECT_EQ(got[i]->hops(v), want.hops(v));
       EXPECT_EQ(got[i]->parent(v), want.parent(v));
@@ -173,14 +188,17 @@ TEST(SptBatch, DefaultImplementationCoversArbitraryRpts) {
 
 // Regression: a root >= n used to write hops[root] past the end of the
 // label arrays (heap-buffer-overflow under ASan) in the reference Dijkstra,
-// the engine's workspace Dijkstra and ArbitraryRpts' BFS. Each of those
-// entries throws std::out_of_range instead; spt_batch rethrows it on the
-// caller, and the engine keeps serving afterwards.
+// the engine's workspace sweep and ArbitraryRpts' BFS; a fault id >= m
+// matched no arc, so the fault-free tree was served (and cached) under a
+// key naming a fault that does not exist. Each of those entries throws
+// std::out_of_range instead; spt_batch rethrows it on the caller, and the
+// engine keeps serving afterwards.
 TEST(SptBatch, RejectsOutOfRangeRoot) {
   const Graph g = gnp_connected(30, 0.12, 41);
   const IsolationRpts pi(g, IsolationAtw(42));
   const ArbitraryRpts arb(g);
   const Vertex n = g.num_vertices();
+  const EdgeId m = g.num_edges();
   const BatchSsspEngine engine(2);
   const std::vector<SsspRequest> bad{{0, {}, Direction::kOut},
                                      {n, {}, Direction::kIn}};
@@ -191,10 +209,30 @@ TEST(SptBatch, RejectsOutOfRangeRoot) {
   EXPECT_THROW(pi.spt_batch(bad, &engine, &cache), std::out_of_range);
   EXPECT_THROW(arb.spt(n), std::out_of_range);
   EXPECT_THROW(arb.spt_batch(bad, &engine), std::out_of_range);
-  // The boundary root is valid, and the engine's workspaces are clean.
+
+  const FaultSet bad_faults{1, m};
+  const std::vector<SsspRequest> bad_fault{{0, {}, Direction::kOut},
+                                           {3, bad_faults, Direction::kIn}};
+  EXPECT_THROW(tiebroken_sssp(g, pi.policy(), 0, bad_faults, Direction::kOut),
+               std::out_of_range);
+  EXPECT_THROW(pi.spt(0, bad_faults), std::out_of_range);
+  EXPECT_THROW(pi.sssp(0, FaultSet{m + 9}), std::out_of_range);
+  EXPECT_THROW(pi.spt_batch(bad_fault, &engine), std::out_of_range);
+  SptCache fault_cache;
+  EXPECT_THROW(pi.spt_batch(bad_fault, &engine, &fault_cache),
+               std::out_of_range);
+  EXPECT_EQ(fault_cache.stats().inserts, 0u);
+  EXPECT_THROW(arb.spt(0, bad_faults), std::out_of_range);
+  EXPECT_THROW(arb.spt_batch(bad_fault, &engine), std::out_of_range);
+
+  // The boundary root and edge are valid, and the engine's workspaces are
+  // clean.
   const auto ok = pi.spt_batch(
-      std::vector<SsspRequest>{{n - 1, {}, Direction::kOut}}, &engine);
-  const Spt want = pi.spt(n - 1);
+      std::vector<SsspRequest>{{n - 1, FaultSet{m - 1}, Direction::kOut}},
+      &engine);
+  const Spt want =
+      tiebroken_sssp(g, pi.policy(), n - 1, FaultSet{m - 1}, Direction::kOut)
+          .spt;
   for (Vertex v = 0; v < n; ++v) {
     EXPECT_EQ(ok[0]->hops(v), want.hops(v));
     EXPECT_EQ(ok[0]->parent_edge(v), want.parent_edge(v));

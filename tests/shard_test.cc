@@ -197,6 +197,31 @@ TEST(ShardAggregator, ExplicitFlushBoundsSubmissions) {
   EXPECT_GE(s_warm.remote_hits, kRoots);
 }
 
+// The idle flush rule: a single-root query alone in the front-end serves
+// its outbox at once -- nobody can join it, so sleeping out the timeout
+// would only add latency. Every submission is an idle flush, none a
+// timeout, and the answers match the scheme.
+TEST(ShardAggregator, LoneQueryFlushesWithoutTimeout) {
+  Graph g = gnp_connected(48, 0.1, 41);
+  const IsolationRpts pi(g, IsolationAtw(42));
+  const BatchSsspEngine engine(2);
+  ShardAggregator fe(pi, small_config(2, true, &engine));
+
+  const Spt base = pi.spt(3);
+  const EdgeId e = base.parent_edge(10);  // on the selected 3 -> 10 path
+  EXPECT_EQ(fe.distance(3, 10), base.hops(10));
+  expect_same_tree(*fe.tree({5, {}, Direction::kOut}), pi.spt(5));
+  // Two fetches (base, then fault tree), each flushed alone.
+  EXPECT_EQ(fe.replacement_distance(3, 10, e),
+            pi.spt(3, FaultSet{e}).hops(10));
+
+  const FrontEndStats s = fe.stats();
+  EXPECT_EQ(s.submissions, 4u);
+  EXPECT_EQ(s.flush_idle_trigger, 4u);
+  EXPECT_EQ(s.flush_timeout_trigger, 0u);
+  EXPECT_EQ(s.flush_capacity_trigger, 0u);
+}
+
 // Epoch-coherent fan-out: a pinned reader on one shard survives an
 // apply_updates whose new generation is already published on every other
 // shard; handles held across the fan-out stay bit-identical to the old
@@ -382,6 +407,41 @@ TEST(ShardAggregator, RejectsOutOfRangeInputs) {
     EXPECT_EQ(fe.distance(last_v, 0, FaultSet{last_e}),
               pi.distance(last_v, 0, FaultSet{last_e}));
   }
+}
+
+// Regression: OracleShard::serve_batch enrolled its requests unvalidated, so
+// one bad fault id failed the whole coalesced engine flight, other callers'
+// valid keys included. The batch now throws std::out_of_range before
+// anything is enrolled or counted, and the shard keeps serving.
+TEST(ShardAggregator, ServeBatchValidatesBeforeEnrolling) {
+  const Graph g = gnp_connected(80, 0.06, 95);
+  const IsolationRpts pi(g, IsolationAtw(96));
+  const BatchSsspEngine engine(2);
+  ShardAggregator fe(pi, small_config(1, false, &engine));
+  OracleShard& shard = fe.shard(0);
+  ASSERT_NE(shard.cache(), nullptr);
+  ASSERT_NE(shard.batcher(), nullptr);
+  const GenerationManager::Pin pin = shard.pin_generation();
+
+  const std::vector<SsspRequest> bad{
+      {0, {}, Direction::kOut},
+      {3, FaultSet{g.num_edges()}, Direction::kOut},
+      {5, {}, Direction::kIn}};
+  EXPECT_THROW(shard.serve_batch(bad, pin), std::out_of_range);
+  const std::vector<SsspRequest> bad_root{
+      {g.num_vertices(), {}, Direction::kOut}};
+  EXPECT_THROW(shard.serve_batch(bad_root, pin), std::out_of_range);
+  const SptCache::Stats cs = shard.cache()->stats();
+  EXPECT_EQ(cs.hits + cs.misses + cs.inserts, 0u);
+  const CoalescingBatcher::Stats bs = shard.batcher()->stats();
+  EXPECT_EQ(bs.requests + bs.computed + bs.flushes, 0u);
+  EXPECT_EQ(shard.stats().queries, 0u);
+
+  const std::vector<SsspRequest> good{{0, {}, Direction::kOut},
+                                      {5, {}, Direction::kIn}};
+  const auto trees = shard.serve_batch(good, pin);
+  expect_same_tree(*trees[0], pi.spt(0));
+  expect_same_tree(*trees[1], pi.spt(5, {}, Direction::kIn));
 }
 
 }  // namespace
