@@ -214,21 +214,32 @@ DeltaBatch Graph::apply(std::span<const GraphDelta> deltas) {
     before.emplace_back(d.edge, d.kind == GraphDelta::Kind::kRemove);
   };
 
+  // All-or-nothing: a throwing delta rolls the batch back to the state
+  // below. Deltas only append slots and flip presence, and the CSR and
+  // epoch are untouched until every delta has landed, so restoring the
+  // sizes, the absent count and the presence of each touched slot is exact.
+  const size_t m0 = edges_->size();
+  const bool had_presence = !present_.empty();
+  const EdgeId absent0 = absent_;
+
   bool any_changed = false;
   for (const GraphDelta& in : deltas) {
     GraphDelta d = in;
-    // Validation happens inside apply_one; on throw the CSR has not been
-    // touched yet, but earlier deltas of the batch may have landed. Rebuild
-    // so the object stays coherent (epoch bumps iff something changed).
     try {
       const bool changed = apply_one(d);
       if (changed) record_touch(d);
       any_changed |= changed;
     } catch (...) {
-      if (any_changed) {
-        build_csr();
-        ++epoch_;
+      if (edges_->size() != m0) edges_mut().resize(m0);
+      labels_.resize(m0);
+      if (had_presence) {
+        present_.resize(m0);
+        for (const auto& [e, was_present] : before)
+          if (e < m0) present_[e] = was_present;
+      } else {
+        present_.clear();
       }
+      absent_ = absent0;
       throw;
     }
     batch.deltas.push_back(d);

@@ -4,14 +4,6 @@
 
 namespace restorable::obs {
 
-namespace detail {
-size_t thread_shard() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t shard = next.fetch_add(1, std::memory_order_relaxed);
-  return shard;
-}
-}  // namespace detail
-
 const MetricValue* MetricsSnapshot::find(std::string_view component,
                                          std::string_view metric) const {
   for (const ComponentSnapshot& c : components) {

@@ -1,22 +1,32 @@
 // Wait-free metrics for the serving path: sharded counters, gauges,
 // fixed log2-bucket histograms, and a pull-model registry.
 //
-// The PR-6 read path is lock-free (one fetch_add pins a generation; a hit
-// costs one shard mutex that predates this layer), so any telemetry on the
-// query path must be wait-free or it silently destroys the property the
-// serving stack is built on. Every instrument here satisfies that:
+// The read path is lock-free (a pin writes only the calling thread's own
+// counter cell; a hit costs one cache shard mutex that predates this layer),
+// so any telemetry on the query path must be wait-free, and it must not
+// write a cache line that other serving threads write too, or it silently
+// destroys the scaling the serving stack is built for. Every instrument here
+// satisfies that:
 //
-//   Counter    add() is ONE relaxed fetch_add on a cache-line-padded,
-//              thread-sharded cell -- no CAS loop, no lock, no contention
-//              between serving threads beyond shard collisions. value()
-//              sums the cells (snapshot-path only).
+//   Counter    add() is ONE relaxed fetch_add on this thread's
+//              cache-line-padded cell -- no CAS loop, no lock, no line
+//              shared with another serving thread beyond shard collisions
+//              (more than kThreadCells threads). value() sums the cells
+//              (snapshot-path only). ShardedCount is the same instrument
+//              without the compile-out, for counts a component reports
+//              through its own Stats.
 //   Gauge      set()/add() are one relaxed store/fetch_add on one atomic.
-//   Histogram  record() is two relaxed fetch_adds (bucket + sum). Buckets
+//   Histogram  record() is two relaxed fetch_adds (bucket + sum) on this
+//              thread's padded cell; snapshot() sums the cells. Buckets
 //              are the log2 scheme the CoalescingBatcher's batch-size
 //              histogram established: bucket 0 counts values in [0, 2),
 //              bucket k >= 1 counts [2^k, 2^(k+1)), and the last bucket
 //              absorbs everything larger. tests/obs_test.cc pins
 //              bucket_of() to the batcher's original loop bit-for-bit.
+//
+// A thread's cell is detail::thread_shard(): a round-robin cell handed out on
+// the thread's first instrument call and kept in a constant-initialized
+// header thread_local, so finding the cell costs one TLS load.
 //
 // The registry is pull-model: components do NOT push samples anywhere.
 // They register a named provider -- a callback that reads their own relaxed
@@ -27,8 +37,8 @@
 // export surface over the same underlying counters, not a second store.
 //
 // Consistency model (the contract OracleServer::stats() documents through):
-// each individual value in a snapshot is an atomic read -- never torn --
-// but values are sampled while writers keep running, so cross-counter
+// each individual cell read in a snapshot is an atomic read -- never torn
+// -- but values are sampled while writers keep running, so cross-counter
 // invariants (hits + misses == requests, histogram sum vs a separate
 // counter) may be off by the handful of operations in flight at the sample
 // instant. All counters are monotone, so a snapshot is a consistent
@@ -38,11 +48,12 @@
 // calls made at different times.
 //
 // Compile-out: -DRESTORABLE_NO_METRICS makes kEnabled false, turning every
-// instrument mutation and obs::now_ns() into a no-op the optimizer deletes;
-// the registry and providers still function (component Stats read their own
-// non-obs atomics), so snapshots stay well-formed with the obs-backed
-// values reading zero. bench/serve_bench.cc records both builds in
-// BENCH_SERVE.json to bound the enabled-path overhead.
+// instrument mutation (except ShardedCount's) and obs::now_ns() into a
+// no-op the optimizer deletes; the registry and providers still function
+// (component Stats read their own non-obs atomics and ShardedCounts), so
+// snapshots stay well-formed with the obs-backed values reading zero.
+// bench/serve_bench.cc records both builds in BENCH_SERVE.json to bound the
+// enabled-path overhead.
 #pragma once
 
 #include <atomic>
@@ -78,22 +89,39 @@ inline uint64_t now_ns() {
 }
 
 namespace detail {
-// Stable per-thread shard assignment: threads get round-robin ids once,
-// so a serving thread always hits the same padded cell (no false sharing
-// with its neighbors, no rehash cost per increment).
-size_t thread_shard();
-}  // namespace detail
+// Number of padded per-thread cells every sharded instrument keeps. Threads
+// beyond it share cells (still exact: cells are atomic), only contended.
+inline constexpr size_t kThreadCells = 16;  // power of two
 
-// Monotone counter, thread-sharded. add() is wait-free: one relaxed
-// fetch_add on this thread's cell.
-class Counter {
+// Stable per-thread cell assignment: threads get round-robin cells on first
+// use, so a serving thread always hits the same padded cell (no false
+// sharing with its neighbors, no rehash cost per increment). The
+// thread_local is constant-initialized (0 = unassigned, else cell + 1), so
+// reading it needs no initialization guard: one TLS load and a branch.
+inline std::atomic<size_t> next_thread_shard{0};
+inline thread_local size_t thread_shard_plus1 = 0;
+
+inline size_t thread_shard() noexcept {
+  size_t s = thread_shard_plus1;
+  if (s == 0) [[unlikely]] {
+    s = (next_thread_shard.fetch_add(1, std::memory_order_relaxed) &
+         (kThreadCells - 1)) +
+        1;
+    thread_shard_plus1 = s;
+  }
+  return s - 1;
+}
+
+// Monotone count, thread-sharded; kGated makes it compile out with the
+// rest of the instruments under RESTORABLE_NO_METRICS.
+template <bool kGated>
+class ShardedCounter {
  public:
-  static constexpr size_t kShards = 16;  // power of two
+  static constexpr size_t kShards = kThreadCells;
 
   void add(uint64_t v = 1) noexcept {
-    if constexpr (!kEnabled) return;
-    cells_[detail::thread_shard() & (kShards - 1)].v.fetch_add(
-        v, std::memory_order_relaxed);
+    if constexpr (kGated && !kEnabled) return;
+    cells_[thread_shard()].v.fetch_add(v, std::memory_order_relaxed);
   }
 
   uint64_t value() const noexcept {
@@ -108,6 +136,17 @@ class Counter {
   };
   Cell cells_[kShards];
 };
+}  // namespace detail
+
+// Monotone telemetry counter, thread-sharded. add() is wait-free: one
+// relaxed fetch_add on this thread's cell. Compiles out under
+// RESTORABLE_NO_METRICS.
+using Counter = detail::ShardedCounter<true>;
+
+// The same thread-sharded count, never compiled out: for counts that are
+// part of a component's own Stats (queries served, batcher requests), which
+// a query bumps and so must not be one shared atomic.
+using ShardedCount = detail::ShardedCounter<false>;
 
 // Last-write-wins instantaneous value. set()/add() are wait-free.
 class Gauge {
@@ -126,10 +165,10 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-// Fixed log2-bucket histogram. record() is wait-free (two relaxed
-// fetch_adds); the bucket scheme is bit-identical to the batch-size
-// histogram CoalescingBatcher introduced (its Stats::batch_hist is now a
-// view over one of these).
+// Fixed log2-bucket histogram, thread-sharded. record() is wait-free (two
+// relaxed fetch_adds on this thread's cell); the bucket scheme is
+// bit-identical to the batch-size histogram CoalescingBatcher introduced
+// (its Stats::batch_hist is now a view over one of these).
 class Histogram {
  public:
   // 40 buckets cover [0, 2^40) ns ~ 18 minutes: every latency this system
@@ -138,7 +177,13 @@ class Histogram {
 
   explicit Histogram(size_t buckets = kLatencyBuckets)
       : num_buckets_(buckets ? buckets : 1),
-        buckets_(std::make_unique<std::atomic<uint64_t>[]>(num_buckets_)) {}
+        // A cell is the buckets plus the sum, rounded up to whole 64-byte
+        // lines so no two threads' cells share one.
+        stride_((num_buckets_ + 1 + kWordsPerLine - 1) / kWordsPerLine *
+                kWordsPerLine),
+        storage_(std::make_unique<std::atomic<uint64_t>[]>(
+            detail::kThreadCells * stride_ + kWordsPerLine - 1)),
+        cells_(line_aligned(storage_.get())) {}
 
   // The shared bucket rule: 0 and 1 land in bucket 0; v >= 2 lands in
   // floor(log2(v)), clamped to the last bucket. Exactly the loop
@@ -156,9 +201,9 @@ class Histogram {
 
   void record(uint64_t v) noexcept {
     if constexpr (!kEnabled) return;
-    buckets_[bucket_of(v, num_buckets_)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    std::atomic<uint64_t>* cell = cells_ + detail::thread_shard() * stride_;
+    cell[bucket_of(v, num_buckets_)].fetch_add(1, std::memory_order_relaxed);
+    cell[num_buckets_].fetch_add(v, std::memory_order_relaxed);
   }
 
   size_t num_buckets() const noexcept { return num_buckets_; }
@@ -168,24 +213,34 @@ class Histogram {
     uint64_t count = 0;  // sum over buckets (internally consistent with them)
     uint64_t sum = 0;    // sampled separately; may trail/lead count slightly
   };
-  // `count` is DERIVED from the sampled buckets, so count == sum(buckets)
-  // holds within one snapshot by construction; only `sum` is an independent
-  // read (see the consistency model above).
+  // Sums the cells. `count` is DERIVED from the summed buckets, so
+  // count == sum(buckets) holds within one snapshot by construction; only
+  // `sum` is an independent read (see the consistency model above).
   Snapshot snapshot() const {
     Snapshot s;
-    s.buckets.resize(num_buckets_);
-    for (size_t i = 0; i < num_buckets_; ++i) {
-      s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-      s.count += s.buckets[i];
+    s.buckets.assign(num_buckets_, 0);
+    for (size_t c = 0; c < detail::kThreadCells; ++c) {
+      const std::atomic<uint64_t>* cell = cells_ + c * stride_;
+      for (size_t i = 0; i < num_buckets_; ++i)
+        s.buckets[i] += cell[i].load(std::memory_order_relaxed);
+      s.sum += cell[num_buckets_].load(std::memory_order_relaxed);
     }
-    s.sum = sum_.load(std::memory_order_relaxed);
+    for (uint64_t b : s.buckets) s.count += b;
     return s;
   }
 
  private:
+  static constexpr size_t kWordsPerLine = 64 / sizeof(std::atomic<uint64_t>);
+
+  static std::atomic<uint64_t>* line_aligned(std::atomic<uint64_t>* p) {
+    const auto bits = reinterpret_cast<uintptr_t>(p);
+    return p + ((64 - bits % 64) % 64) / sizeof(std::atomic<uint64_t>);
+  }
+
   size_t num_buckets_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
-  std::atomic<uint64_t> sum_{0};
+  size_t stride_;  // words per cell, a multiple of one line
+  std::unique_ptr<std::atomic<uint64_t>[]> storage_;
+  std::atomic<uint64_t>* cells_;  // first line-aligned word of storage_
 };
 
 // ---------------------------------------------------------------------------
@@ -281,7 +336,8 @@ class ComponentBuilder {
     out_->metrics.push_back({std::move(name), MetricValue::Kind::kCounter,
                              static_cast<int64_t>(value), 0, {}});
   }
-  void counter(std::string name, const Counter& c) {
+  template <bool kGated>
+  void counter(std::string name, const detail::ShardedCounter<kGated>& c) {
     counter(std::move(name), c.value());
   }
   void gauge(std::string name, int64_t value) {

@@ -12,7 +12,7 @@ CoalescingBatcher::Enrollment CoalescingBatcher::enroll(
     const SptKey& key, const SsspRequest& req,
     const GenerationManager::Pin& pin) {
   std::lock_guard<std::mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  requests_.add();
   Enrollment e;
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
@@ -190,7 +190,7 @@ SptHandle CoalescingBatcher::get(const SsspRequest& req,
   if (cache_) {
     // Hit fast path: shard lock only, no batcher mutex.
     if (auto tree = cache_->lookup(key)) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
+      requests_.add();
       return tree;  // obs->outcome stays kHit
     }
   }
@@ -214,7 +214,7 @@ std::vector<SptHandle> CoalescingBatcher::get_batch(
     const SptKey key(version, requests[i]);
     if (cache_) {
       if ((out[i] = cache_->lookup(key))) {
-        requests_.fetch_add(1, std::memory_order_relaxed);
+        requests_.add();
         continue;  // obs stays kHit
       }
     }
@@ -237,7 +237,7 @@ std::vector<SptHandle> CoalescingBatcher::get_batch(
 
 CoalescingBatcher::Stats CoalescingBatcher::stats() const {
   Stats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
+  s.requests = requests_.value();
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.computed = computed_.load(std::memory_order_relaxed);
   s.computed_bytes = computed_bytes_.load(std::memory_order_relaxed);

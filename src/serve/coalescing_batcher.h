@@ -190,8 +190,9 @@ class CoalescingBatcher {
   obs::Histogram batch_hist_{kHistBuckets};
 
   // Counters are atomics so the cache-hit fast path never touches mu_ (the
-  // sharded cache is the only lock a steady-state hit takes).
-  std::atomic<uint64_t> requests_{0};
+  // sharded cache is the only lock a steady-state hit takes); the one a hit
+  // bumps is thread-sharded, so a hit writes no line other readers write.
+  obs::ShardedCount requests_;
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> computed_{0};
   std::atomic<uint64_t> computed_bytes_{0};

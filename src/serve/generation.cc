@@ -34,19 +34,10 @@ void Generation::check_query(Vertex s, Vertex t,
                               " m=" + std::to_string(graph->num_edges()));
 }
 
-uint64_t GenerationManager::pack(Slot* slot, uint64_t count) {
-  const auto bits = reinterpret_cast<uintptr_t>(slot);
-  // The packed word spends 16 bits on the pin count; the pointer must fit
-  // the remaining 48 (canonical user-space addresses do on x86-64/aarch64).
-  assert((bits >> (64 - kCountBits)) == 0);
-  assert(count <= kCountMask);
-  return (static_cast<uint64_t>(bits) << kCountBits) | count;
-}
-
 GenerationManager::GenerationManager(
     std::unique_ptr<const Generation> initial) {
   auto* slot = new Slot{std::move(initial)};
-  word_.store(pack(slot, 0), std::memory_order_release);
+  word_.store(reinterpret_cast<uintptr_t>(slot), std::memory_order_release);
   published_.store(1, std::memory_order_relaxed);
 }
 
@@ -55,53 +46,49 @@ GenerationManager::~GenerationManager() {
   // destructor order guarantees it -- the batcher, which stores pins in
   // pending flights, is destroyed first).
   retire_draining();
-  const uint64_t w = word_.load(std::memory_order_acquire);
-  assert(count_of(w) == 0 && "GenerationManager destroyed with live pins");
-  delete slot_of(w);
+  Slot* slot = slot_of(word_.load(std::memory_order_acquire));
+  assert(outstanding(slot->phase) == 0 &&
+         "GenerationManager destroyed with live pins");
+  delete slot;
 }
 
 GenerationManager::Pin GenerationManager::pin() {
-  // Wait-free: the fetch_add both reads the current slot and counts the pin
-  // in one RMW, so the publisher's exchange either sees this pin in the
-  // count it transfers, or this pin already landed on the next generation.
-  // acquire pairs with the release exchange in publish(): everything the
-  // mutator built into the generation happens-before any read through it.
-  const uint64_t w = word_.fetch_add(1, std::memory_order_acquire);
-  return Pin(this, slot_of(w));
+  Cell& cell = my_cell();
+  for (;;) {
+    const uintptr_t w = word_.load(std::memory_order_relaxed);
+    const uint32_t phase = static_cast<uint32_t>(w & 1);
+    // Dekker pair with publish: lock-then-recheck here, exchange-then-scan
+    // there, all seq_cst. Either the recheck sees the word unchanged and the
+    // publisher's later scan of this phase sees the lock, or the recheck
+    // sees the new word and this bump is undone. The recheck also acquires
+    // the release exchange that installed the slot, so everything the
+    // mutator built into the generation happens-before reads through the
+    // pin.
+    cell.lock[phase].fetch_add(1, std::memory_order_seq_cst);
+    if (word_.load(std::memory_order_seq_cst) == w)
+      return Pin(this, slot_of(w));
+    // A publish intervened: undo with an unlock (counts only grow), then
+    // retry on the new generation. release orders the bump before it for
+    // a scan that observes the undo.
+    cell.unlock[phase].fetch_add(1, std::memory_order_release);
+  }
 }
 
-void GenerationManager::unpin(Slot* slot) {
-  uint64_t w = word_.load(std::memory_order_relaxed);
-  while (slot_of(w) == slot) {
-    // Still the current generation: count down in the word. release makes
-    // this reader's tree reads happen-before the publisher's eventual free
-    // (the publisher's exchange acquires the word). No ABA: `slot` cannot
-    // be freed and its address reused while this pin is outstanding, so
-    // pointer equality really means "still current". Underflow is
-    // impossible: while this (word-granted) pin is unreleased the CURRENT
-    // word's count is >= 1 whenever its slot matches, and the CAS only
-    // succeeds against the current word -- a stale `w` fails and reloads.
-    if (word_.compare_exchange_weak(w, w - 1, std::memory_order_release,
-                                    std::memory_order_relaxed))
-      return;
-  }
-  // Unpublished while we held the pin: the publisher moved our count into
-  // the slot's residual channel; count ourselves down there. release pairs
-  // with the acquire load in retire_draining's drain wait.
-  slot->residual.fetch_sub(1, std::memory_order_release);
-}
-
-void GenerationManager::repin(Slot* slot) {
-  // The cloning thread already holds a pin on `slot`, so the generation is
-  // alive and the publisher's drain condition cannot be true concurrently;
-  // relaxed suffices (the clone's own unpin carries the release).
-  uint64_t w = word_.load(std::memory_order_relaxed);
-  while (slot_of(w) == slot) {
-    if (word_.compare_exchange_weak(w, w + 1, std::memory_order_relaxed,
-                                    std::memory_order_relaxed))
-      return;
-  }
-  slot->residual.fetch_add(1, std::memory_order_relaxed);
+uint64_t GenerationManager::outstanding(uint32_t phase) const {
+  // Unlocks first, then locks. Every unlock counted here had its lock
+  // happen before it (a pin is released after it was taken or cloned, on
+  // whatever thread), and the acquire loads pair with the release unlocks,
+  // so the lock sum includes the lock of every counted unlock:
+  // locks >= unlocks, and equality means every counted lock was released.
+  // The lock loads are seq_cst: the scan half of the Dekker pair with
+  // pin()'s lock-then-recheck (a seq_cst fence before relaxed loads would
+  // do the same, but ThreadSanitizer does not model fences).
+  uint64_t unlocks = 0, locks = 0;
+  for (const Cell& c : cells_)
+    unlocks += c.unlock[phase].load(std::memory_order_acquire);
+  for (const Cell& c : cells_)
+    locks += c.lock[phase].load(std::memory_order_seq_cst);
+  return locks - unlocks;
 }
 
 void GenerationManager::retire_draining() {
@@ -109,17 +96,14 @@ void GenerationManager::retire_draining() {
   // run without concurrent publishers by contract).
   Slot* slot = draining_;
   if (!slot) return;
-  // Drain condition: outstanding pins of an unpublished slot equal
-  // transferred + residual (word-channel pins moved over by the swap, plus
-  // residual-channel clones, minus residual-channel releases). residual ==
-  // -transferred is therefore exactly "no pin outstanding", and it is
-  // terminal: with no pins there is nobody left to clone one. acquire pairs
-  // with the release fetch_sub in unpin, ordering every straggler's reads
-  // before the free.
+  // Drain condition: no pin of the draining slot's phase is outstanding.
+  // It is terminal: fresh pins land on the current generation's phase, and
+  // a clone needs a live pin to clone from. Phase-mates that are not pins
+  // of this slot -- a stale reader's bump awaiting its undo -- only delay
+  // the drain until the undo lands.
   bool waited = false;
   uint64_t wait_start = 0;
-  while (slot->residual.load(std::memory_order_acquire) !=
-         -slot->transferred) {
+  while (outstanding(slot->phase) != 0) {
     if (!waited) {
       waited = true;
       wait_start = obs::now_ns();
@@ -143,16 +127,14 @@ void GenerationManager::publish(std::unique_ptr<const Generation> next) {
   // to drain before installing this one, so at most two generations are
   // ever alive. The mutator is the only party that ever waits.
   retire_draining();
-  // The swap. release publishes the fully built generation to pinning
-  // readers; acquire synchronizes with the release CAS of every word-channel
-  // unpin, so those readers' accesses happen-before this slot's eventual
-  // free.
-  const uint64_t old = word_.exchange(pack(slot, 0), std::memory_order_acq_rel);
-  Slot* prev = slot_of(old);
-  // Pins the swap captured migrate to the residual channel: stragglers see
-  // the word pointing elsewhere and count down in prev->residual.
-  // `transferred` is read only under publish_mu_, after this store.
-  prev->transferred = static_cast<int64_t>(count_of(old));
+  Slot* prev = slot_of(word_.load(std::memory_order_relaxed));
+  // Phases alternate, so the one the retired slot used is free again.
+  slot->phase = prev->phase ^ 1;
+  // The swap. seq_cst: the publisher half of the Dekker pair with pin()
+  // (the drain scan of prev's phase follows it), and a release of the fully
+  // built generation to pinning readers.
+  word_.exchange(reinterpret_cast<uintptr_t>(slot) | slot->phase,
+                 std::memory_order_seq_cst);
   draining_ = prev;
   published_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -166,17 +148,7 @@ GenerationManager::Stats GenerationManager::stats() const {
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
     s.live = draining_ ? 2 : 1;
-    // Current-word pins plus whatever is still outstanding on the draining
-    // slot (transferred pins minus residual releases). Both reads are
-    // instantaneous samples; under publish_mu_ the draining slot cannot be
-    // freed from under us.
-    s.pins_now = count_of(word_.load(std::memory_order_relaxed));
-    if (draining_) {
-      const int64_t outstanding =
-          draining_->transferred +
-          draining_->residual.load(std::memory_order_relaxed);
-      if (outstanding > 0) s.pins_now += static_cast<uint64_t>(outstanding);
-    }
+    s.pins_now = outstanding(0) + outstanding(1);
   }
   return s;
 }

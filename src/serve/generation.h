@@ -4,45 +4,41 @@
 // A Generation is one immutable world: a frozen CSR snapshot of the served
 // graph (Graph::snapshot) plus a scheme view rebound to it
 // (IRpts::snapshot_view) that answers to the live scheme's cache identity.
-// Queries never touch the live graph; they pin the current generation with
-// ONE atomic fetch_add and compute against its snapshot, so a concurrent
-// Graph::apply can rebuild the live CSR mid-query without a data race and
-// without a lock on the query path.
+// Queries never touch the live graph; they pin the current generation and
+// compute against its snapshot, so a concurrent Graph::apply can rebuild the
+// live CSR mid-query without a data race and without a lock on the query
+// path.
 //
-// GenerationManager is the publish/retire machinery:
+// GenerationManager is the publish/retire machinery, an SRCU-style (Linux's
+// sleepable RCU) two-phase counter scheme:
 //
-//   readers    pin()      one fetch_add on the packed word; wait-free
-//              ~Pin       one CAS on the packed word (or, if the generation
-//                         was unpublished meanwhile, one fetch_sub on its
-//                         residual counter); lock-free, never blocks
+//   readers    pin()      load word_, bump this thread's lock[phase], re-check
+//                         word_ (retry if a publish intervened); lock-free
+//              ~Pin       bump this thread's unlock[phase]; wait-free
 //   mutator    publish()  builds happen off to the side; the swap itself is
-//                         one exchange of the packed word. The mutator is
-//                         the ONLY party that ever waits: before installing
+//                         one exchange of word_. The mutator is the ONLY
+//                         party that ever waits: before installing
 //                         generation N+1 it drains generation N-1, so at
 //                         most TWO generations are alive at any instant
 //                         (current + one draining) -- the reader-starvation
 //                         bound is "a reader can be behind by at most one
 //                         epoch", and the memory bound is two CSR copies.
 //
-// The packed word holds (Slot* << 16 | pin-count): the pointer identifies
-// the current generation and the low 16 bits count its outstanding pins, so
-// pinning is a single fetch_add (the pointer bits are unperturbed because
-// the count cannot overflow under the documented reader limit) and
-// unpinning CASes the count down iff the generation is still current. Once
-// a generation is unpublished, its stragglers are counted down through a
-// per-generation residual counter instead; the publisher observes
-// residual == -transferred (transferred = the pin count captured by the
-// swap) exactly when no pin is outstanding, and only then frees the slot.
+// word_ holds (Slot* | phase): the current generation and the phase bit its
+// pins count under. Only publish writes it, and successive generations
+// alternate phases, so the draining generation's pins are exactly the
+// counts under the phase the current one does not use. Counts live in
+// cache-line-padded per-thread cells, so a pin writes only its own thread's
+// line. A pin released on another thread (a batcher flight, an outbox entry)
+// bumps that thread's unlock count; the counts only ever grow, so only the
+// totals matter. publish drains a phase by summing unlock[p] (acquire), then
+// lock[p] (seq_cst): equal sums mean no pin is left.
 // See docs/CONCURRENCY.md for the full protocol spec, every memory order,
-// and the proof sketch of the drain condition.
-//
-// Limits (documented contracts, not checked at runtime beyond asserts):
-// at most 65535 concurrently pinned readers (16-bit count), and Slot
-// pointers must fit 48 bits (canonical user-space addresses on x86-64 and
-// aarch64 do).
+// and the proof sketches of the drain condition.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,6 +46,7 @@
 
 #include "core/rpts.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 
 namespace restorable {
 
@@ -132,10 +129,9 @@ class GenerationManager {
     uint64_t retired = 0;        // generations drained and freed
     uint64_t publish_waits = 0;  // publishes that blocked on a drain
     uint64_t live = 0;           // 1 (steady state) or 2 (one draining)
-    // Pin occupancy at the stats() instant: pins counted in the current
-    // word plus pins still outstanding on the draining generation. A
-    // point-in-time gauge (readers keep pinning concurrently), exported as
-    // such through the metrics registry.
+    // Pin occupancy at the stats() instant: locks minus unlocks over both
+    // phases. A point-in-time gauge (readers keep pinning concurrently),
+    // exported as such through the metrics registry.
     uint64_t pins_now = 0;
     // Total wall time publishes have spent blocked in the drain wait
     // (epoch-advance latency attributable to slow readers). 0 under
@@ -152,8 +148,9 @@ class GenerationManager {
   // Caller contract: no outstanding pins (asserted in debug builds).
   ~GenerationManager();
 
-  // Pins the current generation. Wait-free: one fetch_add, no loop, no
-  // lock -- the query-path cost of the whole scheme.
+  // Pins the current generation: one RMW on this thread's own counter cell
+  // between two loads of word_; it loops only while publishes land in that
+  // window. Never takes a lock.
   Pin pin();
 
   // Installs `next` as the current generation. Serialized internally (safe
@@ -168,33 +165,48 @@ class GenerationManager {
  private:
   struct Slot {
     std::unique_ptr<const Generation> gen;
-    // Post-unpublish pin accounting (see docs/CONCURRENCY.md): releases and
-    // clones that find the packed word pointing elsewhere land here. The
-    // publisher's swap captures `transferred` = the word's pin count at
-    // unpublish; the slot is drained exactly when residual == -transferred.
-    std::atomic<int64_t> residual{0};
-    int64_t transferred = 0;  // written by the unpublishing mutator only
+    // The phase this generation's pins count under; set before the slot is
+    // published, never changed after.
+    uint32_t phase = 0;
   };
 
-  static constexpr int kCountBits = 16;
-  static constexpr uint64_t kCountMask = (uint64_t{1} << kCountBits) - 1;
+  // One thread's pin counts, per phase, on a line of its own. Monotone:
+  // a pin adds one lock, its release (on whichever thread) one unlock.
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> lock[2] = {0, 0};
+    std::atomic<uint64_t> unlock[2] = {0, 0};
+  };
+  static constexpr size_t kCells = obs::detail::kThreadCells;
 
-  static uint64_t pack(Slot* slot, uint64_t count);
-  static Slot* slot_of(uint64_t word) {
-    return reinterpret_cast<Slot*>(word >> kCountBits);
+  static Slot* slot_of(uintptr_t word) {
+    return reinterpret_cast<Slot*>(word & ~uintptr_t{1});
   }
-  static uint64_t count_of(uint64_t word) { return word & kCountMask; }
+  Cell& my_cell() { return cells_[obs::detail::thread_shard()]; }
 
-  void unpin(Slot* slot);
-  void repin(Slot* slot);
+  void unpin(Slot* slot) {
+    // release: this reader's reads of the generation happen-before the
+    // drain scan that observes the unlock (its acquire load).
+    my_cell().unlock[slot->phase].fetch_add(1, std::memory_order_release);
+  }
+  void repin(Slot* slot) {
+    // The cloning thread already holds a pin on `slot`, and that pin's
+    // release is ordered after this bump, so a drain scan that could count
+    // the original as released sees the clone first; relaxed suffices.
+    my_cell().lock[slot->phase].fetch_add(1, std::memory_order_relaxed);
+  }
+  // Locks minus unlocks under `phase`, summed over the cells unlocks first:
+  // zero means no pin of that phase is outstanding.
+  uint64_t outstanding(uint32_t phase) const;
   // Waits for the draining generation's pins to hit zero, then frees it.
   void retire_draining();
 
-  // The ONLY atomic readers touch: packed (current Slot*, pin count).
-  std::atomic<uint64_t> word_;
+  // (current Slot* | its phase). Written only by publish: readers only load
+  // it, so it sits on a line of its own, away from the cells they write.
+  alignas(64) std::atomic<uintptr_t> word_;
+  Cell cells_[kCells];
 
   // Mutator-side state, serialized by publish_mu_ (readers never take it).
-  mutable std::mutex publish_mu_;
+  alignas(64) mutable std::mutex publish_mu_;
   Slot* draining_ = nullptr;
 
   std::atomic<uint64_t> published_{0};

@@ -94,10 +94,9 @@ std::string OracleShard::comp(const char* name) const {
 void OracleShard::register_providers() {
   registrations_.push_back(
       metrics_->add(comp("server"), [this](obs::ComponentBuilder& b) {
-        b.counter("queries", queries_.load(std::memory_order_relaxed));
+        b.counter("queries", queries_);
         b.counter("updates", updates_.load(std::memory_order_relaxed));
-        b.counter("stability_fast_paths",
-                  stability_hits_.load(std::memory_order_relaxed));
+        b.counter("stability_fast_paths", stability_hits_);
         b.counter("bytes_direct",
                   direct_bytes_.load(std::memory_order_relaxed));
         for (size_t i = 0; i < kNumFetchOutcomes; ++i) {
@@ -341,7 +340,7 @@ std::vector<SptHandle> OracleShard::serve_batch(
     std::vector<FetchObs>* obs) {
   for (const SsspRequest& req : requests)
     pin->check_query(req.root, req.root, req.faults.ids());
-  queries_.fetch_add(requests.size(), std::memory_order_relaxed);
+  queries_.add(requests.size());
   std::vector<FetchObs> local_obs;
   std::vector<FetchObs>& fos = obs ? *obs : local_obs;
   fos.assign(requests.size(), FetchObs{});
@@ -380,10 +379,16 @@ void OracleShard::note_escalation(EscalationReason reason) {
 }
 
 bool OracleShard::stretch_probe_fires() {
-  if (config_.stretch_sample_every == 0) return false;
-  return stretch_probe_.fetch_add(1, std::memory_order_relaxed) %
-             config_.stretch_sample_every ==
-         0;
+  const uint32_t every = config_.stretch_sample_every;
+  if (every == 0) return false;
+  // This thread's countdown; a load and a store, not an RMW. Threads that
+  // share a cell (more than kThreadCells of them) may lose a step to a
+  // race, which only stretches that cell's interval a little.
+  std::atomic<uint32_t>& left =
+      stretch_probe_[obs::detail::thread_shard()].left;
+  const uint32_t n = left.load(std::memory_order_relaxed);
+  left.store(n == 0 ? every - 1 : n - 1, std::memory_order_relaxed);
+  return n == 0;
 }
 
 void OracleShard::record_stretch(int32_t exact_hops, int32_t approx_hops) {
@@ -479,7 +484,7 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
   // and its exact re-check always read the same epoch.
   const GenerationManager::Pin pin = gens_->pin();
   pin->check_query(s, t, faults.ids());
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.add();
   QueryCtx ctx = begin_query("distance");
   const uint32_t eps_q = effective_eps_q(opts);
   // require_exact against an approximate-tier default is an explicit
@@ -517,7 +522,7 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
 Path OracleShard::path(Vertex s, Vertex t, const FaultSet& faults) {
   const GenerationManager::Pin pin = gens_->pin();
   pin->check_query(s, t, faults.ids());
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.add();
   QueryCtx ctx = begin_query("path");
   // Path reconstruction always runs on the exact tier: on an
   // approximate-tier server that is an escalation (reason `path`).
@@ -534,7 +539,7 @@ int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   // single query always belong to the same epoch.
   const GenerationManager::Pin pin = gens_->pin();
   pin->check_query(s, t, {&e, 1});
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.add();
   QueryCtx ctx = begin_query("replacement_distance");
   // The stability fast path walks an exact parent chain, and the fault tree
   // must be exact for the selected-path test to mean anything: replacement
@@ -564,7 +569,7 @@ int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
     }
   }
   if (!on_path) {
-    stability_hits_.fetch_add(1, std::memory_order_relaxed);
+    stability_hits_.add();
     return finish(base->hops(t));
   }
   return finish(fetch({s, FaultSet{e}, Direction::kOut})->hops(t));

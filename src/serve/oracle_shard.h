@@ -31,13 +31,13 @@
 //
 // Concurrency: queries are LOCK-FREE against updates. Each query pins the
 // current generation -- a frozen CSR snapshot plus a scheme view rebound to
-// it (serve/generation.h) -- with one atomic fetch_add, and every read
-// (version, CSR, Dijkstra) goes through that pin; the live graph is never
-// touched by a reader. apply_updates builds the next generation off to the
-// side and installs it with one pointer swap; the displaced generation is
-// retired once its last pin drains. Out-of-range vertices or fault edge ids
-// throw std::out_of_range (Generation::check_query). Protocol spec:
-// docs/CONCURRENCY.md.
+// it (serve/generation.h) -- with one fetch_add on its own thread's counter
+// cell, and every read (version, CSR, Dijkstra) goes through that pin; the
+// live graph is never touched by a reader. apply_updates builds the next
+// generation off to the side and installs it with one pointer swap; the
+// displaced generation is retired once its last pin drains. Out-of-range
+// vertices or fault edge ids throw std::out_of_range
+// (Generation::check_query). Protocol spec: docs/CONCURRENCY.md.
 //
 // Sharded serving (docs/ARCHITECTURE.md "Sharded serving"): N shards of
 // this class, each owning the roots a ShardRouter assigns to it, sit behind
@@ -325,16 +325,12 @@ class OracleShard {
                        std::vector<SptCache::Invalidated>& invalidated,
                        UpdateResult& res);
 
-  uint64_t queries_served() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  uint64_t queries_served() const { return queries_.value(); }
   uint64_t updates_applied() const {
     return updates_.load(std::memory_order_relaxed);
   }
   // Replacement queries the stability fast path answered from the base tree.
-  uint64_t stability_fast_paths() const {
-    return stability_hits_.load(std::memory_order_relaxed);
-  }
+  uint64_t stability_fast_paths() const { return stability_hits_.value(); }
   // Total Spt bytes this server materialized (fresh Dijkstra results,
   // whether through the batcher or direct computes). Cache hits and
   // coalesced waits materialize nothing -- handles alias resident trees --
@@ -441,7 +437,7 @@ class OracleShard {
   // Never null. Declared before the cache and batcher so it is destroyed
   // LAST: pending flights in the batcher hold generation pins, which must
   // be released before the manager asserts quiescence. Heap-allocated so
-  // the pin word every query writes shares no cache line with the fields
+  // the pin cells every query writes share no cache line with the fields
   // every query reads.
   std::unique_ptr<GenerationManager> gens_;
   // Serializes mutators (apply_updates / absorb_update / repair_deferred):
@@ -451,9 +447,10 @@ class OracleShard {
   std::mutex mutator_mu_;
   std::unique_ptr<SptCache> cache_;             // only if enable_cache
   std::unique_ptr<CoalescingBatcher> batcher_;  // only if enable_coalescing
-  std::atomic<uint64_t> queries_{0};
+  // Bumped by queries, so thread-sharded: a hit writes no shared line.
+  obs::ShardedCount queries_;
   std::atomic<uint64_t> updates_{0};
-  std::atomic<uint64_t> stability_hits_{0};
+  obs::ShardedCount stability_hits_;
   std::atomic<uint64_t> direct_bytes_{0};  // materialized without a batcher
 
   // --- Observability (src/obs/). All instruments are wait-free; the
@@ -463,10 +460,14 @@ class OracleShard {
   obs::Tracer* tracer_;            // null = tracing off
   ClassMetrics class_metrics_[kNumFetchOutcomes];
   obs::Histogram query_latency_ns_;  // whole-query latency, all kinds
-  // Approximate-tier accounting. The probe counter is a live atomic (it
-  // decides behavior -- which queries re-check -- so it survives
-  // RESTORABLE_NO_METRICS); the rest are obs instruments.
-  std::atomic<uint64_t> stretch_probe_{0};
+  // Approximate-tier accounting. The probe countdowns decide behavior --
+  // which queries re-check -- so they survive RESTORABLE_NO_METRICS; the
+  // rest are obs instruments. One countdown per thread cell: each fires
+  // on its first query and then every stretch_sample_every-th.
+  struct alignas(64) ProbeCountdown {
+    std::atomic<uint32_t> left{0};
+  };
+  ProbeCountdown stretch_probe_[obs::detail::kThreadCells];
   std::atomic<uint64_t> max_stretch_excess_ppm_{0};
   obs::Counter escalations_total_;
   obs::Counter escalations_by_reason_[kNumEscalationReasons];

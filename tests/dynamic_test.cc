@@ -431,6 +431,36 @@ TEST(OracleServerDynamic, ApplyUpdateMatchesFromScratchRebuild) {
   }
 }
 
+// A batch that throws part-way is all-or-nothing through the server too:
+// no epoch moves, no generation is published, and every answer stays the
+// pre-batch one.
+TEST(OracleServerDynamic, ThrowingBatchLeavesServerUnchanged) {
+  Graph g = gnp_connected(40, 0.1, 35);
+  const IsolationRpts pi(g, IsolationAtw(36));
+  OracleServer server(pi);
+  std::vector<int32_t> before;
+  for (Vertex s = 0; s < 40; s += 5)
+    for (Vertex t = 1; t < 40; t += 7) before.push_back(server.distance(s, t));
+  const SptHandle t0 = server.tree({0, {}, Direction::kOut});
+  const uint64_t epoch = g.epoch();
+  const uint64_t published = server.generations()->stats().published;
+
+  const std::vector<GraphDelta> bad{
+      GraphDelta::remove(t0->parent_edge(t0->num_vertices() - 1)),
+      GraphDelta::insert(3, 3)};
+  EXPECT_THROW(server.apply_updates(g, bad), std::invalid_argument);
+
+  EXPECT_EQ(g.epoch(), epoch);
+  EXPECT_EQ(server.generations()->pin()->epoch(), epoch);
+  EXPECT_EQ(server.generations()->stats().published, published);
+  size_t i = 0;
+  for (Vertex s = 0; s < 40; s += 5)
+    for (Vertex t = 1; t < 40; t += 7)
+      EXPECT_EQ(server.distance(s, t), before[i++]) << s << "->" << t;
+  const IsolationRpts rebuilt(g, IsolationAtw(36));
+  expect_same_tree(*server.tree({0, {}, Direction::kOut}), rebuilt.spt(0));
+}
+
 // Satellite: invalidation under concurrent readers. Mutator threads flap
 // edges through apply_update while reader threads hold SptHandles and keep
 // querying; held handles must stay valid and bit-identical to the snapshot

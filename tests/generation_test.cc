@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -119,6 +120,116 @@ TEST(GenerationManager, SecondPublishWaitsForPinnedReader) {
   EXPECT_EQ(s.published, 3u);
   EXPECT_EQ(s.retired, 1u);
   EXPECT_GE(s.publish_waits, 1u);
+}
+
+// Pins are often released on a thread other than the one that took them
+// (batcher flights, outbox entries): a clone handed to another thread
+// keeps its generation alive until that thread releases it, and the
+// publish two after it waits for exactly that release.
+TEST(GenerationManager, CloneReleasedOnAnotherThreadBlocksSecondPublish) {
+  Graph g = gnp_connected(24, 0.15, 10);
+  const IsolationRpts pi(g, IsolationAtw(5));
+  GenerationManager mgr(make_generation(pi));
+
+  // A thread pins, clones, hands the clone over and releases its own pin.
+  GenerationManager::Pin handed;
+  std::thread([&] {
+    const GenerationManager::Pin mine = mgr.pin();
+    handed = mine;
+  }).join();
+  const uint64_t epoch0 = handed->epoch();
+  const size_t edges0 = handed->graph->num_present_edges();
+
+  GraphDelta cut = GraphDelta::remove(0);
+  ASSERT_TRUE(g.apply(cut));
+  mgr.publish(make_generation(pi));  // displaces the handed generation
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    mgr.publish(make_generation(pi));  // must wait for the clone
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(done.load(std::memory_order_acquire));
+  EXPECT_EQ(handed->epoch(), epoch0);
+  EXPECT_EQ(handed->graph->num_present_edges(), edges0);
+
+  std::thread([p = std::move(handed)] {}).join();  // released over there
+  publisher.join();
+  EXPECT_TRUE(done.load(std::memory_order_acquire));
+  const auto s = mgr.stats();
+  EXPECT_EQ(s.retired, 1u);
+  EXPECT_GE(s.publish_waits, 1u);
+  EXPECT_EQ(s.pins_now, 0u);
+}
+
+// The hand-off hammer: producers pin, clone and queue the clones; other
+// threads verify and release them, while a publisher flaps an edge and
+// publishes in a loop. A queued clone's generation must stay readable --
+// same epoch, same CSR -- until its release, and every pin must be
+// accounted for at the end.
+TEST(GenerationManager, ClonesReleasedOnOtherThreadsWhilePublishing) {
+  Graph g = gnp_connected(32, 0.15, 12);
+  const IsolationRpts pi(g, IsolationAtw(9));
+  GenerationManager mgr(make_generation(pi));
+  const Edge flapped = g.endpoints(0);
+
+  struct Handoff {
+    GenerationManager::Pin pin;
+    uint64_t epoch;
+    size_t degree;  // of the flapped edge's endpoint, read at pin time
+  };
+  std::mutex mu;
+  std::vector<Handoff> queue;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> verified{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&] {  // producer
+      for (int r = 0; r < 256 || !stop.load(std::memory_order_relaxed); ++r) {
+        const GenerationManager::Pin pin = mgr.pin();
+        Handoff h{pin, pin->epoch(), pin->graph->degree(flapped.u)};
+        std::lock_guard<std::mutex> lock(mu);
+        if (queue.size() < 64) queue.push_back(std::move(h));
+      }
+    });
+    threads.emplace_back([&] {  // consumer
+      for (;;) {
+        std::vector<Handoff> taken;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          taken.swap(queue);
+        }
+        if (taken.empty()) {
+          if (stop.load(std::memory_order_acquire)) break;
+          std::this_thread::yield();
+          continue;
+        }
+        for (Handoff& h : taken) {
+          ASSERT_EQ(h.pin->epoch(), h.epoch);
+          ASSERT_EQ(h.pin->graph->degree(flapped.u), h.degree);
+          verified.fetch_add(1, std::memory_order_relaxed);
+          h.pin = GenerationManager::Pin();  // released on this thread
+        }
+      }
+    });
+  }
+
+  for (int f = 0; f < 200; ++f) {
+    GraphDelta d = f % 2 == 0 ? GraphDelta::remove(0)
+                              : GraphDelta::insert(flapped.u, flapped.v);
+    EXPECT_TRUE(g.apply(d));  // not ASSERT: the threads must be joined
+    mgr.publish(make_generation(pi));
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  for (Handoff& h : queue) h.pin = GenerationManager::Pin();
+
+  EXPECT_GT(verified.load(), 0u);
+  const auto s = mgr.stats();
+  EXPECT_EQ(s.published, 201u);
+  EXPECT_EQ(s.retired, 199u);
+  EXPECT_EQ(s.pins_now, 0u);
 }
 
 // The ISSUE-mandated retirement test, end-to-end through the server: a

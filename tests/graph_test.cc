@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "graph/bfs.h"
 #include "graph/generators.h"
@@ -261,6 +265,57 @@ TEST(GraphMutation, FreshInsertNeverDuplicatesACustomLabel) {
   EXPECT_EQ(d.edge, 3u);
   EXPECT_EQ(d.label, 10u);  // max existing label + 1
   EXPECT_EQ(g.label(d.edge), 10u);
+}
+
+// Everything a batch may touch: slots (endpoints, labels, presence), the
+// CSR, and the epoch.
+struct GraphState {
+  std::vector<std::tuple<Vertex, Vertex, EdgeId, bool>> slots;
+  std::vector<std::vector<std::pair<Vertex, EdgeId>>> arcs;
+  EdgeId present = 0;
+  uint64_t epoch = 0;
+
+  explicit GraphState(const Graph& g)
+      : present(g.num_present_edges()), epoch(g.epoch()) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e)
+      slots.emplace_back(g.endpoints(e).u, g.endpoints(e).v, g.label(e),
+                         g.edge_present(e));
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      arcs.emplace_back();
+      for (const Arc& a : g.arcs(v)) arcs.back().emplace_back(a.to, a.edge);
+    }
+  }
+  bool operator==(const GraphState&) const = default;
+};
+
+TEST(GraphMutation, ThrowingBatchChangesNothing) {
+  // A remove that lands, then a self-loop: the remove must not stick.
+  Graph g = cycle(5);
+  const GraphState fresh(g);
+  const std::vector<GraphDelta> remove_then_loop{GraphDelta::remove(0),
+                                                 GraphDelta::insert(2, 2)};
+  EXPECT_THROW(g.apply(remove_then_loop), std::invalid_argument);
+  EXPECT_TRUE(GraphState(g) == fresh);
+
+  // With tombstones already present: a resurrection, a fresh append, a
+  // removal of the appended slot, then an id past every slot.
+  ASSERT_TRUE(g.remove_edge(3));
+  const GraphState tombstoned(g);
+  const Edge dead = g.endpoints(3);
+  const std::vector<GraphDelta> mixed{
+      GraphDelta::insert(dead.v, dead.u), GraphDelta::insert(0, 2),
+      GraphDelta::remove(5), GraphDelta::remove(1), GraphDelta::remove(6)};
+  EXPECT_THROW(g.apply(mixed), std::invalid_argument);
+  EXPECT_TRUE(GraphState(g) == tombstoned);
+
+  // The same batch without the bad id applies: a remove may name a slot an
+  // earlier insert of the batch appended.
+  const DeltaBatch ok = g.apply(std::span(mixed.data(), 4));
+  EXPECT_EQ(g.epoch(), tombstoned.epoch + 1);
+  EXPECT_EQ(ok.new_epoch, g.epoch());
+  EXPECT_TRUE(g.edge_present(3));
+  EXPECT_FALSE(g.edge_present(5));
+  EXPECT_FALSE(g.edge_present(1));
 }
 
 TEST(GraphMutation, PathsOverRemovedEdgesAreInvalid) {

@@ -49,9 +49,10 @@ TEST(Histogram, BucketBoundariesMatchLegacyBatcherLoop) {
   EXPECT_EQ(obs::Histogram::bucket_lower_bound(5), 32u);
 }
 
+// 20 threads: more than kThreadCells, so some threads share a cell.
 TEST(Counter, ExactTotalsAcrossThreadCounts) {
   if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 8, 20}) {
     obs::Counter c;
     constexpr uint64_t kPerThread = 20000;
     std::vector<std::thread> workers;
@@ -66,7 +67,7 @@ TEST(Counter, ExactTotalsAcrossThreadCounts) {
 
 TEST(Histogram, ExactTotalsAcrossThreadCounts) {
   if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 8, 20}) {
     obs::Histogram h(16);
     constexpr uint64_t kPerThread = 20000;
     std::vector<std::thread> workers;
@@ -78,6 +79,11 @@ TEST(Histogram, ExactTotalsAcrossThreadCounts) {
     for (auto& w : workers) w.join();
     const auto s = h.snapshot();
     EXPECT_EQ(s.count, kPerThread * static_cast<uint64_t>(threads));
+    uint64_t value_sum = 0;
+    for (int t = 0; t < threads; ++t)
+      for (uint64_t i = 0; i < kPerThread; ++i)
+        value_sum += (i + static_cast<uint64_t>(t)) % 1000;
+    EXPECT_EQ(s.sum, value_sum);
     uint64_t bucket_sum = 0;
     for (uint64_t b : s.buckets) bucket_sum += b;
     EXPECT_EQ(bucket_sum, s.count);

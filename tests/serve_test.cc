@@ -601,6 +601,45 @@ TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {
   EXPECT_GT(server.cache()->stats().hit_rate(), 0.5);
 }
 
+// The per-query counts are thread-sharded: summed over the cells they must
+// still be exact, hit for hit, when several threads query at once.
+TEST(OracleServer, ShardedQueryCountsAreExactUnderConcurrentHits) {
+  const Graph g = gnp_connected(40, 0.1, 83);
+  const IsolationRpts pi(g, IsolationAtw(84));
+  OracleServer server(pi);
+  for (Vertex s = 0; s < 8; ++s) server.distance(s, 39);  // warm 8 roots
+
+  auto latency_count = [&] {
+    const obs::MetricsSnapshot snap = server.metrics().snapshot();
+    return snap.value_or("server", "query.latency_ns");
+  };
+  const ServerStats before = server.stats();
+  const uint64_t requests_before = server.batcher()->stats().requests;
+  const int64_t latency_before = latency_count();
+
+  constexpr int kThreads = 4;
+  constexpr int kHits = 2000;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; i < kHits; ++i)
+        server.distance(static_cast<Vertex>((w + i) % 8),
+                        static_cast<Vertex>(10 + i % 30));
+    });
+  }
+  for (auto& t : workers) t.join();
+
+  const ServerStats after = server.stats();
+  constexpr uint64_t kTotal = uint64_t{kThreads} * kHits;
+  EXPECT_EQ(after.queries - before.queries, kTotal);
+  EXPECT_EQ(server.batcher()->stats().requests - requests_before, kTotal);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(after.base_hit - before.base_hit, kTotal);
+    EXPECT_EQ(latency_count() - latency_before,
+              static_cast<int64_t>(kTotal));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serving-path correctness regressions (the PR-5 bugfix satellites).
 
