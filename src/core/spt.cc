@@ -22,6 +22,23 @@ Path Spt::path_to(Vertex v) const {
   return p;
 }
 
+bool Spt::path_avoids(Vertex t, const FaultSet& faults) const {
+  if (!reachable(t)) return true;
+  // A fault on the path is the parent edge of an ancestor c of t, so c is
+  // one of its endpoints and hops(c) <= hops(t). The walk need not climb
+  // above the shallowest such candidate; with none it does not start. (A
+  // fault newer than the endpoint table is no edge of this tree.)
+  int32_t top = hops(t) + 1;
+  for (const EdgeId f : faults) {
+    if (f >= endpoints_->size()) continue;
+    for (const Vertex c : {(*endpoints_)[f].u, (*endpoints_)[f].v})
+      if (parent_edge(c) == f) top = std::min(top, hops(c));
+  }
+  for (Vertex x = t; hops(x) >= top; x = parent(x))
+    if (faults.contains(parent_edge(x))) return false;
+  return true;
+}
+
 bool Spt::uses_edge(EdgeId e) const {
   // Unreachable vertices hold kNoEdge, which never equals a real edge id.
   return std::find(parent_edge_.begin(), parent_edge_.end(), e) !=

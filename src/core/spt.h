@@ -159,6 +159,12 @@ class Spt {
   // and v -> root for kIn trees. Empty if unreachable.
   Path path_to(Vertex v) const;
 
+  // Whether the selected root~t path uses no edge of `faults`; true for the
+  // root and an unreachable t. O(hops(t)). On an exact-tier tree this is the
+  // fault-distance fast path: a path F misses survives in G \ F, so the
+  // (root, F) tree has the same hops(t) under any scheme.
+  bool path_avoids(Vertex t, const FaultSet& faults) const;
+
   // Whether any tree path uses edge e (in either orientation): one O(n)
   // scan of the parent edges. This is the stability test driving removal
   // carry-forward (IRpts::tree_survives).

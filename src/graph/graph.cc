@@ -50,10 +50,6 @@ FaultSet::FaultSet(std::vector<EdgeId> ids) : ids_(std::move(ids)) {
   ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
 }
 
-bool FaultSet::contains(EdgeId e) const {
-  return std::binary_search(ids_.begin(), ids_.end(), e);
-}
-
 void FaultSet::insert(EdgeId e) {
   auto it = std::lower_bound(ids_.begin(), ids_.end(), e);
   if (it == ids_.end() || *it != e) ids_.insert(it, e);

@@ -13,6 +13,7 @@
 // on the subgraph.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -76,7 +77,10 @@ class FaultSet {
   FaultSet(std::initializer_list<EdgeId> ids);
   explicit FaultSet(std::vector<EdgeId> ids);
 
-  bool contains(EdgeId e) const;
+  // Inline, empty set first: sweeps and repairs ask once per scanned arc.
+  bool contains(EdgeId e) const {
+    return !ids_.empty() && std::binary_search(ids_.begin(), ids_.end(), e);
+  }
   bool empty() const { return ids_.empty(); }
   size_t size() const { return ids_.size(); }
   void insert(EdgeId e);

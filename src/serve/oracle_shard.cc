@@ -497,9 +497,7 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
   int32_t ans;
   if (eps_q == 0) {
     if (explicit_escalation) note_escalation(EscalationReason::kExplicit);
-    ans = fetch_classified({s, faults, Direction::kOut}, pin, ctx,
-                           explicit_escalation)
-              ->hops(t);
+    ans = exact_distance(s, t, faults, pin, ctx, explicit_escalation);
   } else {
     ans = fetch_classified({s, faults, Direction::kOut, eps_q}, pin, ctx)
               ->hops(t);
@@ -508,15 +506,30 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
       // return the exact answer (the caller gets a strictly better result
       // for the monitoring it funded).
       note_escalation(EscalationReason::kStretchRecheck);
-      const int32_t exact =
-          fetch_classified({s, faults, Direction::kOut}, pin, ctx, true)
-              ->hops(t);
+      const int32_t exact = exact_distance(s, t, faults, pin, ctx, true);
       record_stretch(exact, ans);
       ans = exact;
     }
   }
   end_query(ctx);
   return ans;
+}
+
+int32_t OracleShard::exact_distance(Vertex s, Vertex t, const FaultSet& faults,
+                                    const GenerationManager::Pin& pin,
+                                    QueryCtx& ctx, bool escalated) {
+  const SptHandle base =
+      fetch_classified({s, {}, Direction::kOut}, pin, ctx, escalated);
+  if (faults.empty()) return base->hops(t);
+  // Stability: faults off the selected path leave the distance unchanged
+  // (Spt::path_avoids), and an unreachable t stays unreachable. Walking the
+  // O(d) parent chain beats building the fault tree whenever it applies.
+  if (base->path_avoids(t, faults)) {
+    stability_hits_.add();
+    return base->hops(t);
+  }
+  return fetch_classified({s, faults, Direction::kOut}, pin, ctx, escalated)
+      ->hops(t);
 }
 
 Path OracleShard::path(Vertex s, Vertex t, const FaultSet& faults) {
@@ -541,38 +554,13 @@ int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   pin->check_query(s, t, {&e, 1});
   queries_.add();
   QueryCtx ctx = begin_query("replacement_distance");
-  // The stability fast path walks an exact parent chain, and the fault tree
-  // must be exact for the selected-path test to mean anything: replacement
-  // queries always escalate on an approximate-tier server.
+  // The stability test walks an exact parent chain: replacement queries
+  // always escalate on an approximate-tier server.
   const bool escalated = quantize_epsilon(config_.default_epsilon) > 0;
   if (escalated) note_escalation(EscalationReason::kPath);
-  auto fetch = [&](const SsspRequest& req) {
-    return fetch_classified(req, pin, ctx, escalated);
-  };
-  auto finish = [&](int32_t ans) {
-    end_query(ctx);
-    return ans;
-  };
-  const auto base = fetch({s, {}, Direction::kOut});
-  if (!base->reachable(t)) {
-    // t unreachable even fault-free; removing e cannot help.
-    return finish(kUnreachable);
-  }
-  // Stability (Definition 13): a fault off the selected path leaves the
-  // selection -- hence the distance -- unchanged. Walking the O(d) parent
-  // chain beats building the fault tree whenever the path avoids e.
-  bool on_path = false;
-  for (Vertex x = t; x != s; x = base->parent(x)) {
-    if (base->parent_edge(x) == e) {
-      on_path = true;
-      break;
-    }
-  }
-  if (!on_path) {
-    stability_hits_.add();
-    return finish(base->hops(t));
-  }
-  return finish(fetch({s, FaultSet{e}, Direction::kOut})->hops(t));
+  const int32_t ans = exact_distance(s, t, FaultSet{e}, pin, ctx, escalated);
+  end_query(ctx);
+  return ans;
 }
 
 UpdateResult OracleShard::apply_update(Graph& graph, GraphDelta delta) {

@@ -6,12 +6,12 @@
 // (serve/generation.h) -- and answers mixed (s, t, F) queries from any
 // number of threads:
 //
-//   distance(s, t, F)              hops of pi(s, t | F)
-//   path(s, t, F)                  the selected path itself
-//   replacement_distance(s, t, e)  dist_{G \ e}(s, t), with a stability
+//   distance(s, t, F)              hops of pi(s, t | F), with a stability
 //                                  fast path: if the selected fault-free
-//                                  path avoids e, the base tree answers
+//                                  path avoids F, the base tree answers
 //                                  without computing the fault tree.
+//   path(s, t, F)                  the selected path itself
+//   replacement_distance(s, t, e)  the exact distance(s, t, {e})
 //
 // Every query reduces to tree fetches through the batcher, so repeated
 // roots hit the cache, concurrent identical misses coalesce into one
@@ -243,15 +243,16 @@ class OracleShard {
   // served from the relaxed tier's own cache entries. opts.require_exact
   // escalates to the exact tier; 1-in-N answers are escalated anyway as
   // stretch re-checks (ServerConfig::stretch_sample_every) and those return
-  // the exact answer.
+  // the exact answer. An exact answer under F != {} reads the base tree
+  // first, and the (s, F) tree only if F meets the selected path.
   int32_t distance(Vertex s, Vertex t, const FaultSet& faults = {},
                    const QueryOpts& opts = {});
 
   // The selected path pi(s, t | F), oriented s -> t; empty if disconnected.
   Path path(Vertex s, Vertex t, const FaultSet& faults = {});
 
-  // dist_{G \ e}(s, t) via the stability fast path (base tree only when the
-  // selected path avoids e).
+  // dist_{G \ e}(s, t): the exact-tier distance(s, t, {e}), escalating on
+  // an approximate-tier server.
   int32_t replacement_distance(Vertex s, Vertex t, EdgeId e);
 
   // Applies one topology mutation to the scheme's graph -- `graph` must BE
@@ -329,7 +330,7 @@ class OracleShard {
   uint64_t updates_applied() const {
     return updates_.load(std::memory_order_relaxed);
   }
-  // Replacement queries the stability fast path answered from the base tree.
+  // Exact fault distances answered from the base tree alone.
   uint64_t stability_fast_paths() const { return stability_hits_.value(); }
   // Total Spt bytes this server materialized (fresh Dijkstra results,
   // whether through the batcher or direct computes). Cache hits and
@@ -417,6 +418,13 @@ class OracleShard {
   // True for 1-in-stretch_sample_every calls (always false when disabled).
   bool stretch_probe_fires();
   void record_stretch(int32_t exact_hops, int32_t approx_hops);
+
+  // Exact hops of pi(s, t | F): the base tree (s, {}) answers alone when F
+  // misses its selected s~t path (the stability fast path), else the (s, F)
+  // tree does. Both fetches book under `escalated` (see fetch_classified).
+  int32_t exact_distance(Vertex s, Vertex t, const FaultSet& faults,
+                         const GenerationManager::Pin& pin, QueryCtx& ctx,
+                         bool escalated);
 
   // Tree fetch through the serving stack: every read -- version, CSR,
   // Dijkstra -- goes through the pinned generation.

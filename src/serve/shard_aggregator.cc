@@ -56,6 +56,7 @@ void ShardAggregator::register_providers() {
                   flush_explicit_.load(std::memory_order_relaxed));
         b.counter("flush.idle", flush_idle_.load(std::memory_order_relaxed));
         b.counter("fanouts", fanouts_.load(std::memory_order_relaxed));
+        b.counter("stability_fast_paths", stability_hits_);
         b.gauge("shards", static_cast<int64_t>(shards_.size()));
         b.gauge("routed_epoch",
                 static_cast<int64_t>(
@@ -301,11 +302,20 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
 int32_t ShardAggregator::distance(Vertex s, Vertex t,
                                   const FaultSet& faults) {
   const ActiveQuery active(active_);
+  // Both fetches share one root, hence one shard and one pin: the base and
+  // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
   const auto pin = pin_checked(k, s, t, faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
   // The front-end serves the exact tier; the approximate tier stays a
   // per-shard concern (ServerConfig::default_epsilon on direct shard use).
+  const SptHandle base = fetch_routed(k, {s, {}, Direction::kOut}, pin);
+  if (faults.empty()) return base->hops(t);
+  // Stability fast path (Spt::path_avoids), as in OracleShard.
+  if (base->path_avoids(t, faults)) {
+    stability_hits_.add();
+    return base->hops(t);
+  }
   return fetch_routed(k, {s, faults, Direction::kOut}, pin)->hops(t);
 }
 
@@ -318,25 +328,7 @@ Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
 }
 
 int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
-  const ActiveQuery active(active_);
-  // Both fetches share one root, hence one shard and one pin: the base and
-  // fault tree of a single query always read the same epoch.
-  const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  const auto pin = pin_checked(k, s, t, {&e, 1});
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const SptHandle base = fetch_routed(k, {s, {}, Direction::kOut}, pin);
-  if (!base->reachable(t)) return kUnreachable;
-  // Stability fast path, as in OracleShard::replacement_distance: a fault
-  // off the selected path leaves the distance unchanged.
-  bool on_path = false;
-  for (Vertex x = t; x != s; x = base->parent(x)) {
-    if (base->parent_edge(x) == e) {
-      on_path = true;
-      break;
-    }
-  }
-  if (!on_path) return base->hops(t);
-  return fetch_routed(k, {s, FaultSet{e}, Direction::kOut}, pin)->hops(t);
+  return distance(s, t, FaultSet{e});
 }
 
 UpdateResult ShardAggregator::apply_update(Graph& graph, GraphDelta delta) {
@@ -397,6 +389,7 @@ FrontEndStats ShardAggregator::stats() const {
   s.flush_explicit_trigger = flush_explicit_.load(std::memory_order_relaxed);
   s.flush_idle_trigger = flush_idle_.load(std::memory_order_relaxed);
   s.fanouts = fanouts_.load(std::memory_order_relaxed);
+  s.stability_fast_paths = stability_hits_.value();
   return s;
 }
 

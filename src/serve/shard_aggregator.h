@@ -106,6 +106,7 @@ struct FrontEndStats {
   uint64_t flush_explicit_trigger = 0;
   uint64_t flush_idle_trigger = 0;
   uint64_t fanouts = 0;  // epoch-coherent update fan-outs completed
+  uint64_t stability_fast_paths = 0;  // answered from the base tree alone
 };
 
 class ShardAggregator {
@@ -131,10 +132,11 @@ class ShardAggregator {
   SptHandle tree(const SsspRequest& req);
   // Multi-root batch: decomposed per shard, merged in request order.
   std::vector<SptHandle> tree_batch(std::span<const SsspRequest> requests);
+  // Exact tier. As in OracleShard, F != {} reads the base tree first, and
+  // the (s, F) tree only if F meets the selected path; both ride one pin.
   int32_t distance(Vertex s, Vertex t, const FaultSet& faults = {});
   Path path(Vertex s, Vertex t, const FaultSet& faults = {});
-  // Stability fast path as in OracleShard; both fetches ride one pin on the
-  // owning shard (base and fault tree of one query share an epoch).
+  // distance(s, t, {e}).
   int32_t replacement_distance(Vertex s, Vertex t, EdgeId e);
 
   // ---- Update surface: ONE graph apply, fleet-wide epoch-coherent fan-out.
@@ -244,6 +246,7 @@ class ShardAggregator {
   std::atomic<uint64_t> flush_explicit_{0};
   std::atomic<uint64_t> flush_idle_{0};
   std::atomic<uint64_t> fanouts_{0};
+  obs::ShardedCount stability_hits_;  // bumped per query: thread-sharded
   // Query calls in progress (the idle flush rule). Only a heuristic: any
   // value it reads leaves every staged entry resolved by some flush.
   std::atomic<int> active_{0};

@@ -208,10 +208,14 @@ TEST(ServerObs, OneSnapshotCoversEveryComponent) {
   ServerConfig cfg;
   OracleServer server(pi, cfg);
   // Mixed workload: repeated base queries (hits after the first), one fault
-  // query (miss then hit), so several classes populate.
+  // query (miss then hit), so several classes populate. The fault is the
+  // last edge of the selected 1 -> 6 path, so the stability fast path
+  // cannot answer and the fault tree is fetched.
+  const EdgeId on_path = pi.spt(1).parent_edge(6);
+  ASSERT_NE(on_path, kNoEdge);
   for (int i = 0; i < 4; ++i) server.distance(0, 5);
-  server.distance(1, 6, FaultSet{0});
-  server.distance(1, 6, FaultSet{0});
+  server.distance(1, 6, FaultSet{on_path});
+  server.distance(1, 6, FaultSet{on_path});
 
   const obs::MetricsSnapshot snap = server.metrics().snapshot();
   auto has_component = [&](const std::string& name) {
@@ -226,10 +230,12 @@ TEST(ServerObs, OneSnapshotCoversEveryComponent) {
   EXPECT_TRUE(has_component("engine"));
 
   EXPECT_EQ(snap.value_or("server", "queries"), 6);
+  EXPECT_EQ(snap.value_or("server", "stability_fast_paths"), 0);
   if (obs::kEnabled) {
-    // 4 distinct tree fetches: base miss, 3 base hits, fault miss, fault hit.
-    EXPECT_EQ(snap.value_or("server", "miss_leader.fetches"), 2);
-    EXPECT_EQ(snap.value_or("server", "base_hit.fetches"), 3);
+    // 8 fetches of 3 distinct trees: base misses of roots 0 and 1, 4 base
+    // hits (3 of root 0, 1 of root 1), fault miss, fault hit.
+    EXPECT_EQ(snap.value_or("server", "miss_leader.fetches"), 3);
+    EXPECT_EQ(snap.value_or("server", "base_hit.fetches"), 4);
     EXPECT_EQ(snap.value_or("server", "fault_hit.fetches"), 1);
     EXPECT_EQ(snap.value_or("server", "query.latency_ns"), 6);
   }
