@@ -6,9 +6,11 @@
 // deterministic stream of mixed (s, t, F) queries whose sources concentrate
 // on a hot root set (every consumer of a routing scheme asks about the same
 // few sources over and over). Cache-on serves trees from the sharded SPT
-// store through the single-flight batcher; cache-off recomputes a tiebroken
-// Dijkstra per fetch -- the honest baseline of what every query cost before
-// src/serve/ existed.
+// store through the single-flight batcher; cache-off is the same server
+// with a zero byte budget, so it retains no tree and recomputes a
+// tiebroken Dijkstra per fetch (concurrent identical misses still share
+// one flight) -- the baseline of what every query costs without the
+// store.
 //
 // Per (family, threads, mode) row: throughput (qps), latency percentiles
 // (p50/p99 us), cache hit rate, coalescing stats, and an answer-correctness
@@ -52,7 +54,6 @@
 //   --shards K        cache shards            (default 16)
 //   --budget-mb M     cache byte budget       (default 256)
 //   --hot H           size of the hot root set (default 8)
-//   --max-batch B     cap per-flush batcher drain (default 0 = unbounded)
 //   --flaps F         edge flaps in the churn scenario (default 12)
 //   --epsilon E,..    comma list of stretch slacks for the approximate-tier
 //                     scenario (default 0.25); each value adds exact-vs-
@@ -112,7 +113,6 @@ struct Options {
   size_t shards = 16;
   size_t budget_mb = 256;
   size_t hot = 8;
-  size_t max_batch = 0;
   size_t flaps = 12;
   std::vector<double> epsilons{0.25};
   uint64_t seed = 1;
@@ -198,8 +198,6 @@ Options parse_options(int argc, char** argv) {
       opt.budget_mb = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--hot")) {
       opt.hot = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--max-batch")) {
-      opt.max_batch = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--flaps")) {
       opt.flaps = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--epsilon")) {
@@ -394,10 +392,10 @@ void bench_family(Table& table, JsonRows& json, const Options& opt,
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
 
-    // Baseline: every fetch recomputes (no cache, no coalescing).
+    // Baseline: a zero byte budget retains nothing, so every fetch
+    // recomputes (only concurrent identical misses share a flight).
     ServerConfig off_cfg;
-    off_cfg.enable_cache = false;
-    off_cfg.enable_coalescing = false;
+    off_cfg.cache.byte_budget = 0;
     off_cfg.engine = &engine;
     OracleServer off(pi, off_cfg);
     const Measurement moff =
@@ -407,7 +405,6 @@ void bench_family(Table& table, JsonRows& json, const Options& opt,
     ServerConfig on_cfg;
     on_cfg.cache.shards = opt.shards;
     on_cfg.cache.byte_budget = opt.budget_mb << 20;
-    on_cfg.max_batch = opt.max_batch;
     on_cfg.engine = &engine;
     on_cfg.tracer = sinks.tracer;
     OracleServer on(pi, on_cfg);
@@ -503,7 +500,6 @@ void bench_family(Table& table, JsonRows& json, const Options& opt,
         .field("computed_bytes", batch_stats.computed_bytes)
         .field("flushes", batch_stats.flushes)
         .field("max_batch", batch_stats.max_batch)
-        .field("max_batch_cap", static_cast<uint64_t>(opt.max_batch))
         .field("max_queue_depth", batch_stats.max_queue_depth)
         .field("batch_hist", batch_hist)
         .field("base_hit", sstats.base_hit)
@@ -551,7 +547,6 @@ void bench_fault_scan(Table& scan_table, JsonRows& json, const Options& opt,
       cfg.cache.shards = 1;
       cfg.cache.byte_budget = budget;
       cfg.cache.protected_fraction = fraction;
-      cfg.max_batch = opt.max_batch;
       cfg.engine = &engine;
       cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
@@ -654,7 +649,6 @@ void bench_churn(Table& churn_table, JsonRows& json, const Options& opt,
     ServerConfig cfg;
     cfg.cache.shards = opt.shards;
     cfg.cache.byte_budget = opt.budget_mb << 20;
-    cfg.max_batch = opt.max_batch;
     cfg.engine = &engine;
     cfg.tracer = sinks.tracer;
     OracleServer server(pi, cfg);
@@ -879,7 +873,6 @@ void bench_burst(Table& burst_table, JsonRows& json, const Options& opt,
       ServerConfig cfg;
       cfg.cache.shards = opt.shards;
       cfg.cache.byte_budget = opt.budget_mb << 20;
-      cfg.max_batch = opt.max_batch;
       cfg.engine = &engine;
       cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
@@ -1032,7 +1025,6 @@ void bench_churn_rcu(Table& rcu_table, JsonRows& json, const Options& opt,
     ServerConfig cfg;
     cfg.cache.shards = opt.shards;
     cfg.cache.byte_budget = opt.budget_mb << 20;
-    cfg.max_batch = opt.max_batch;
     cfg.engine = &engine;
     cfg.tracer = sinks.tracer;
     OracleServer server(pi, cfg);
@@ -1283,7 +1275,6 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
         ServerConfig cfg;
         cfg.cache.shards = opt.shards;
         cfg.cache.byte_budget = opt.budget_mb << 20;
-        cfg.max_batch = opt.max_batch;
         cfg.engine = &engine;
         cfg.default_epsilon = tier_eps;
         cfg.tracer = sinks.tracer;
@@ -1600,7 +1591,6 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
       ServerConfig cfg;
       cfg.cache.shards = 1;  // exact LRU counts: entries compare across modes
       cfg.cache.byte_budget = budget;
-      cfg.max_batch = opt.max_batch;
       cfg.engine = &engine;
       cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
@@ -1742,22 +1732,21 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
 
 // Sharded-serving scenario (bench=serve_sharded rows): the three-layer
 // stack -- ShardRouter (consistent hashing on (scheme_id, root)), the
-// aggregating front-end's per-destination-shard outboxes, and the
-// OracleShard fleet -- swept over shards {1, 2, 4} x aggregation {on, off}
-// with the global cache budget split evenly across shards. The workload is
-// cross-shard-heavy by construction: 6/8 of queries are tree_batch fan-outs
-// over kShardFanout roots drawn uniformly from the whole vertex set (at 4
-// shards nearly every query touches every shard), 1/8 point distances and
-// 1/8 replacement distances off the hot set. Aggregation off is the naive
-// front-end baseline -- every routed sub-query is its own serve_batch
-// submission -- so the aggregation win is measured, not assumed.
+// routing front-end, and the OracleShard fleet -- swept over shards
+// {1, 2, 4} with the global cache budget split evenly across shards. The
+// workload is cross-shard-heavy by construction: 6/8 of queries are
+// tree_batch fan-outs over kShardFanout roots drawn uniformly from the
+// whole vertex set (at 4 shards nearly every query touches every shard),
+// 1/8 point distances and 1/8 replacement distances off the hot set. A
+// fan-out costs one serve_batch submission per touched shard, a point
+// fetch one submission.
 //
 // Judged signals, asserted by CI on the --small artifact:
-//   (a) the deterministic sample stream is bit-identical across ALL six
-//       configs at a thread count (reference: shards=1, aggregation off) --
-//       sharding repartitions work, it never changes answers;
-//   (b) the baseline runs at exactly one submission per routed sub-query
-//       while aggregation batches below 1 and cuts submissions >= 2x;
+//   (a) the deterministic sample stream is bit-identical across ALL three
+//       configs at a thread count (reference: shards=1) -- sharding
+//       repartitions work, it never changes answers;
+//   (b) the front-end batches below one submission per routed sub-query
+//       and cuts submissions >= 2x below one per sub-query;
 //   (c) a churn phase flaps a hot tree edge through the front-end's
 //       epoch-coherent fan-out, and every sampled answer of every phase
 //       matches a from-scratch rebuild of that phase's topology.
@@ -1867,161 +1856,150 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
   for (int threads : opt.threads) {
     const ThreadSplit ts = split_threads(threads);
     const BatchSsspEngine engine(ts.engine);
-    // Digest stream of the (shards=1, aggregation off) config: the
-    // reference every other config must match element-wise. Sample order is
-    // deterministic (phases sequential, per-worker vectors merged in worker
-    // order), so positional comparison is exact.
+    // Digest stream of the shards=1 config: the reference every other
+    // config must match element-wise. Sample order is deterministic (phases
+    // sequential, per-worker vectors merged in worker order), so positional
+    // comparison is exact.
     std::vector<uint64_t> ref_digests;
     for (const size_t shards_n : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (const bool agg : {false, true}) {
-        Graph g = g0;  // private copy: the churn phases mutate it
-        const IsolationRpts pi(g, IsolationAtw(7));
-        FrontEndConfig fc;
-        fc.num_shards = shards_n;
-        fc.enable_aggregation = agg;
-        fc.flush_timeout_us = 100;
-        fc.shard.cache.shards = opt.shards;
-        fc.shard.cache.byte_budget = (opt.budget_mb << 20) / shards_n;
-        fc.shard.max_batch = opt.max_batch;
-        fc.shard.engine = &engine;
-        fc.tracer = sinks.tracer;
-        ShardAggregator fe(pi, fc);
+      Graph g = g0;  // private copy: the churn phases mutate it
+      const IsolationRpts pi(g, IsolationAtw(7));
+      FrontEndConfig fc;
+      fc.num_shards = shards_n;
+      fc.shard.cache.shards = opt.shards;
+      fc.shard.cache.byte_budget = (opt.budget_mb << 20) / shards_n;
+      fc.shard.engine = &engine;
+      fc.tracer = sinks.tracer;
+      ShardAggregator fe(pi, fc);
 
-        std::vector<Sample> samples;
-        std::vector<double> steady_lat;
-        double steady_wall_ms = 0;
-        auto run_phase = [&](uint64_t phase_tag, size_t nq, bool steady) {
-          const size_t per_thread =
-              std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
-          std::vector<std::vector<double>> lat(ts.drivers);
-          std::vector<std::vector<Sample>> sm(ts.drivers);
-          Stopwatch wall;
-          std::vector<std::thread> workers;
-          workers.reserve(ts.drivers);
-          for (int w = 0; w < ts.drivers; ++w) {
-            workers.emplace_back([&, w, phase_tag, per_thread] {
-              lat[w].reserve(per_thread);
-              for (size_t i = 0; i < per_thread; ++i) {
-                const uint64_t seq =
-                    (phase_tag * static_cast<uint64_t>(ts.drivers) +
-                     static_cast<uint64_t>(w)) *
-                        per_thread +
-                    i;
-                const SQuery q = make_squery(seq);
-                Stopwatch sw;
-                const uint64_t got = run_squery(fe, q);
-                lat[w].push_back(sw.micros());
-                if (i % 4 == 0) sm[w].push_back({phase_tag, seq, got});
-              }
-            });
-          }
-          for (auto& t : workers) t.join();
-          const double wall_ms = wall.millis();
-          for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
-          if (steady) {
-            steady_wall_ms = wall_ms;
-            for (auto& l : lat)
-              steady_lat.insert(steady_lat.end(), l.begin(), l.end());
-          }
-        };
-
-        // Phase 0: steady state on the pristine topology (the timed
-        // window). Then sflaps churn phases, each after one edge flap
-        // applied through the epoch-coherent fan-out.
-        run_phase(0, sq, true);
-        uint64_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
-        for (size_t f = 0; f < sflaps; ++f) {
-          const UpdateResult ur =
-              f % 2 == 0 ? fe.apply_update(g, GraphDelta::remove(victim))
-                         : fe.apply_update(g, GraphDelta::insert(ends.u,
-                                                                 ends.v));
-          carried += ur.carried;
-          invalidated += ur.invalidated;
-          prewarmed += ur.prewarmed;
-          repaired += ur.repaired;
-          run_phase(f + 1, cq, false);
+      std::vector<Sample> samples;
+      std::vector<double> steady_lat;
+      double steady_wall_ms = 0;
+      auto run_phase = [&](uint64_t phase_tag, size_t nq, bool steady) {
+        const size_t per_thread =
+            std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
+        std::vector<std::vector<double>> lat(ts.drivers);
+        std::vector<std::vector<Sample>> sm(ts.drivers);
+        Stopwatch wall;
+        std::vector<std::thread> workers;
+        workers.reserve(ts.drivers);
+        for (int w = 0; w < ts.drivers; ++w) {
+          workers.emplace_back([&, w, phase_tag, per_thread] {
+            lat[w].reserve(per_thread);
+            for (size_t i = 0; i < per_thread; ++i) {
+              const uint64_t seq =
+                  (phase_tag * static_cast<uint64_t>(ts.drivers) +
+                   static_cast<uint64_t>(w)) *
+                      per_thread +
+                  i;
+              const SQuery q = make_squery(seq);
+              Stopwatch sw;
+              const uint64_t got = run_squery(fe, q);
+              lat[w].push_back(sw.micros());
+              if (i % 4 == 0) sm[w].push_back({phase_tag, seq, got});
+            }
+          });
         }
-
-        // Audits, outside every timing window. Phase p odd = victim
-        // removed, even = healed back to pristine.
-        size_t checked = 0, correct = 0;
-        for (const Sample& s : samples) {
-          ++checked;
-          const IRpts& ref = s.phase % 2 == 1 ? removed_ref : full_ref;
-          if (s.digest == ref_squery(ref, make_squery(s.seq))) ++correct;
+        for (auto& t : workers) t.join();
+        const double wall_ms = wall.millis();
+        for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
+        if (steady) {
+          steady_wall_ms = wall_ms;
+          for (auto& l : lat)
+            steady_lat.insert(steady_lat.end(), l.begin(), l.end());
         }
-        uint64_t match = 0;
-        if (ref_digests.empty()) {
-          for (const Sample& s : samples) ref_digests.push_back(s.digest);
-          match = samples.size();
-        } else if (ref_digests.size() == samples.size()) {
-          for (size_t i = 0; i < samples.size(); ++i)
-            if (samples[i].digest == ref_digests[i]) ++match;
-        }
+      };
 
-        const FrontEndStats fs = fe.stats();
-        Measurement m;
-        m.wall_ms = steady_wall_ms;
-        std::sort(steady_lat.begin(), steady_lat.end());
-        m.p50_us = steady_lat[steady_lat.size() / 2];
-        m.p99_us = steady_lat[std::min(steady_lat.size() - 1,
-                                       steady_lat.size() * 99 / 100)];
-        m.qps = static_cast<double>(steady_lat.size()) / (m.wall_ms / 1e3);
-        const double subs_per_subq =
-            fs.subqueries > 0
-                ? static_cast<double>(fs.submissions) /
-                      static_cast<double>(fs.subqueries)
-                : 0;
-        const std::string mode = "shards" + std::to_string(shards_n) +
-                                 (agg ? "_agg" : "_direct");
-        dump_registry(sinks, fe.metrics(), "serve_sharded", family, threads,
-                      mode);
-        sharded_table.add_row(
-            family, threads, static_cast<uint64_t>(shards_n),
-            agg ? "on" : "off", m.qps, fs.subqueries, fs.submissions,
-            subs_per_subq, fs.remote_hits,
-            match == samples.size() && correct == checked ? "yes" : "NO");
-        json.row()
-            .field("bench", "serve_sharded")
-            .field("family", family)
-            .field("n", static_cast<uint64_t>(g0.num_vertices()))
-            .field("m", static_cast<uint64_t>(g0.num_edges()))
-            .field("threads", threads)
-            .field("driver_threads", ts.drivers)
-            .field("engine_threads", ts.engine)
-            .field("shards", static_cast<uint64_t>(shards_n))
-            .field("aggregation", static_cast<uint64_t>(agg ? 1 : 0))
-            .field("mode", mode)
-            .field("metrics", metrics_build())
-            .field("seed", opt.seed)
-            .field("fanout_k", static_cast<uint64_t>(kShardFanout))
-            .field("queries", fs.queries)
-            .field("subqueries", fs.subqueries)
-            .field("submissions", fs.submissions)
-            .field("submissions_per_subquery", subs_per_subq)
-            .field("remote_hits", fs.remote_hits)
-            .field("aggregated", fs.aggregated)
-            .field("flush_capacity", fs.flush_capacity_trigger)
-            .field("flush_timeout", fs.flush_timeout_trigger)
-            .field("flush_explicit", fs.flush_explicit_trigger)
-            .field("fanouts", fs.fanouts)
-            .field("routed_epoch", fe.routed_epoch())
-            .field("qps", m.qps)
-            .field("p50_us", m.p50_us)
-            .field("p99_us", m.p99_us)
-            .field("flaps", static_cast<uint64_t>(sflaps))
-            .field("carried", carried)
-            .field("invalidated", invalidated)
-            .field("prewarmed", prewarmed)
-            .field("repaired", repaired)
-            .field("samples", static_cast<uint64_t>(samples.size()))
-            .field("samples_match", match)
-            .field("checked", static_cast<uint64_t>(checked))
-            .field("correct", static_cast<uint64_t>(correct))
-            .field("hw_threads",
-                   static_cast<uint64_t>(
-                       std::thread::hardware_concurrency()));
+      // Phase 0: steady state on the pristine topology (the timed
+      // window). Then sflaps churn phases, each after one edge flap
+      // applied through the epoch-coherent fan-out.
+      run_phase(0, sq, true);
+      uint64_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
+      for (size_t f = 0; f < sflaps; ++f) {
+        const UpdateResult ur =
+            f % 2 == 0 ? fe.apply_update(g, GraphDelta::remove(victim))
+                       : fe.apply_update(g, GraphDelta::insert(ends.u,
+                                                               ends.v));
+        carried += ur.carried;
+        invalidated += ur.invalidated;
+        prewarmed += ur.prewarmed;
+        repaired += ur.repaired;
+        run_phase(f + 1, cq, false);
       }
+
+      // Audits, outside every timing window. Phase p odd = victim
+      // removed, even = healed back to pristine.
+      size_t checked = 0, correct = 0;
+      for (const Sample& s : samples) {
+        ++checked;
+        const IRpts& ref = s.phase % 2 == 1 ? removed_ref : full_ref;
+        if (s.digest == ref_squery(ref, make_squery(s.seq))) ++correct;
+      }
+      uint64_t match = 0;
+      if (ref_digests.empty()) {
+        for (const Sample& s : samples) ref_digests.push_back(s.digest);
+        match = samples.size();
+      } else if (ref_digests.size() == samples.size()) {
+        for (size_t i = 0; i < samples.size(); ++i)
+          if (samples[i].digest == ref_digests[i]) ++match;
+      }
+
+      const FrontEndStats fs = fe.stats();
+      Measurement m;
+      m.wall_ms = steady_wall_ms;
+      std::sort(steady_lat.begin(), steady_lat.end());
+      m.p50_us = steady_lat[steady_lat.size() / 2];
+      m.p99_us = steady_lat[std::min(steady_lat.size() - 1,
+                                     steady_lat.size() * 99 / 100)];
+      m.qps = static_cast<double>(steady_lat.size()) / (m.wall_ms / 1e3);
+      const double subs_per_subq =
+          fs.subqueries > 0
+              ? static_cast<double>(fs.submissions) /
+                    static_cast<double>(fs.subqueries)
+              : 0;
+      const std::string mode = "shards" + std::to_string(shards_n);
+      dump_registry(sinks, fe.metrics(), "serve_sharded", family, threads,
+                    mode);
+      sharded_table.add_row(
+          family, threads, static_cast<uint64_t>(shards_n), m.qps,
+          fs.subqueries, fs.submissions, subs_per_subq, fs.remote_hits,
+          match == samples.size() && correct == checked ? "yes" : "NO");
+      json.row()
+          .field("bench", "serve_sharded")
+          .field("family", family)
+          .field("n", static_cast<uint64_t>(g0.num_vertices()))
+          .field("m", static_cast<uint64_t>(g0.num_edges()))
+          .field("threads", threads)
+          .field("driver_threads", ts.drivers)
+          .field("engine_threads", ts.engine)
+          .field("shards", static_cast<uint64_t>(shards_n))
+          .field("mode", mode)
+          .field("metrics", metrics_build())
+          .field("seed", opt.seed)
+          .field("fanout_k", static_cast<uint64_t>(kShardFanout))
+          .field("queries", fs.queries)
+          .field("subqueries", fs.subqueries)
+          .field("submissions", fs.submissions)
+          .field("submissions_per_subquery", subs_per_subq)
+          .field("remote_hits", fs.remote_hits)
+          .field("aggregated", fs.aggregated)
+          .field("fanouts", fs.fanouts)
+          .field("routed_epoch", fe.routed_epoch())
+          .field("qps", m.qps)
+          .field("p50_us", m.p50_us)
+          .field("p99_us", m.p99_us)
+          .field("flaps", static_cast<uint64_t>(sflaps))
+          .field("carried", carried)
+          .field("invalidated", invalidated)
+          .field("prewarmed", prewarmed)
+          .field("repaired", repaired)
+          .field("samples", static_cast<uint64_t>(samples.size()))
+          .field("samples_match", match)
+          .field("checked", static_cast<uint64_t>(checked))
+          .field("correct", static_cast<uint64_t>(correct))
+          .field("hw_threads",
+                 static_cast<uint64_t>(
+                     std::thread::hardware_concurrency()));
     }
   }
 }
@@ -2029,7 +2007,8 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
 int run(const Options& opt) {
   std::cout << "Serving bench: closed-loop mixed (s, t, F) queries against "
                "OracleServer.\nhot root set = "
-            << opt.hot << " sources; mode off = recompute per fetch, on = "
+            << opt.hot << " sources; mode off = zero-budget cache (recompute "
+               "per fetch), on = "
             << opt.shards << "-shard cache (" << opt.budget_mb
             << " MB) + single-flight batcher.\n\n";
   Table table({"family", "n", "m", "threads", "cache", "qps", "p50_us",
@@ -2047,9 +2026,9 @@ int run(const Options& opt) {
                    "carried_frac", "hit_rate", "max_excess", "in_bound"});
   Table large_table({"family", "n", "threads", "mode", "qps", "hit_rate",
                      "trees", "bytes_per_tree", "load_ms", "mmap"});
-  Table sharded_table({"family", "threads", "shards", "agg", "qps",
-                       "subqueries", "submissions", "subs_per_subq",
-                       "remote_hits", "answers_ok"});
+  Table sharded_table({"family", "threads", "shards", "qps", "subqueries",
+                       "submissions", "subs_per_subq", "remote_hits",
+                       "answers_ok"});
   JsonRows json;
 
   // Observability sinks. The tracer (1-in-256 sampling) is shared by every
@@ -2141,13 +2120,12 @@ int run(const Options& opt) {
                "sampled answer within the (1+eps)^d * d stretch contract:\n";
   eps_table.print();
   std::cout << "\nSharded-serving scenario: root-partitioned OracleShard "
-               "fleet behind the aggregating front-end, shards x "
-               "aggregation\n{off = one serve_batch submission per routed "
-               "sub-query (the naive front-end), on = per-shard outboxes};\n"
-               "subs_per_subq = submissions / routed sub-queries (the "
-               "aggregation win), answers_ok = every sampled digest\n"
-               "bit-identical to the shards=1 stream AND to a from-scratch "
-               "rebuild of its churn phase's topology:\n";
+               "fleet behind the routing front-end\n(one serve_batch "
+               "submission per touched shard of a fan-out, one per point "
+               "fetch);\nsubs_per_subq = submissions / routed sub-queries, "
+               "answers_ok = every sampled digest\nbit-identical to the "
+               "shards=1 stream AND to a from-scratch rebuild of its churn "
+               "phase's topology:\n";
   sharded_table.print();
   std::cout << "\nLarge-graph scenario: skewed hot-root traffic against a "
                "budget sized to half the hot set at 12 B/vertex;\nmode "

@@ -10,24 +10,24 @@
 // the key embeds the pinned generation's version, and the flight computes
 // on that generation's frozen scheme view (serve/generation.h).
 //
-// Flush policy (leader-drains): a miss enqueues its key and, if no flush is
-// running, the calling thread becomes the leader. The leader repeatedly
-// swaps out the pending queue -- bounded by `max_batch` when set, so a
-// single flush cannot balloon under overload and queued followers get
-// results in bounded installments -- and executes it as one
-// IRpts::spt_batch call until the queue stays empty, then steps down --
-// so misses arriving while a batch computes accumulate and form the next
-// batch (natural batching under load, zero added latency when idle).
-// Followers (callers whose key is already in flight) block on the
-// in-flight entry and reuse its result. With a cache attached, every
-// computed tree is published to it, so a key is computed at most once for
-// the cache's retention window regardless of concurrency.
+// Flush policy (every miss drains): a caller enqueues its misses, then
+// swaps out the whole pending queue -- its own keys plus any other
+// caller's enqueued since the last drain -- and executes it as one
+// IRpts::spt_batch call on its own thread. If another caller's drain took
+// its keys first, it just waits for those flights. Drains run
+// concurrently, so a miss never queues behind a batch that is already
+// computing: concurrent misses on distinct keys compute side by side (a
+// one-tree batch runs inline on the caller's thread, using no engine
+// worker), and a get_batch's misses ride one engine submission. Followers
+// (callers whose key is already in flight) block on the in-flight entry
+// and reuse its result. Every computed tree is published to the cache, so
+// a key is computed at most once for the cache's retention window
+// regardless of concurrency.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -50,18 +50,18 @@ namespace restorable {
 struct FetchObs {
   enum Outcome : uint8_t {
     kHit = 0,    // resolved from the cache (fast path or locked double-check)
-    kCoalesced,  // waited on a flight another caller drove
-    kLeader,     // this caller drove the flush that computed its tree
+    kCoalesced,  // joined a flight another caller's miss started
+    kLeader,     // this caller's miss started the flight for its tree
   };
   Outcome outcome = kHit;
   // enroll -> the flush drain that picked this key up (time queued).
   uint64_t queue_wait_ns = 0;
   // Wall time of the engine group that computed this tree. For kCoalesced
-  // this is attribution, not cost paid by this caller (the leader paid it);
+  // this is attribution, not cost paid by this caller (the drain paid it);
   // the caller's own blocked time is wait_ns.
   uint64_t compute_ns = 0;
-  // Time this caller spent blocked in await() (0 for hits; ~0 for the
-  // leader, whose flight resolves during its own flush_loop()).
+  // Time this caller spent blocked in await() (0 for hits; ~0 when the
+  // caller's own drain computed its tree).
   uint64_t wait_ns = 0;
 };
 
@@ -91,34 +91,30 @@ class CoalescingBatcher {
     uint64_t batch_hist_sum = 0;  // sum of recorded flush sizes (== computed)
   };
 
-  // `cache` may be null: the batcher then still deduplicates concurrent
-  // requests (single-flight) but retains nothing across quiescence.
-  // `max_batch` caps how many pending keys one flush drains (0 =
-  // unbounded): under overload the leader issues bounded engine batches,
-  // keeping per-flush latency bounded while the queue drains in order.
-  explicit CoalescingBatcher(SptCache* cache,
-                             const BatchSsspEngine* engine = nullptr,
-                             size_t max_batch = 0)
-      : cache_(cache), engine_(engine), max_batch_(max_batch) {}
+  // A cache whose budget retains nothing (byte_budget = 0) still gets
+  // single-flight deduplication of concurrent requests.
+  explicit CoalescingBatcher(SptCache& cache,
+                             const BatchSsspEngine* engine = nullptr)
+      : cache_(&cache), engine_(engine) {}
 
   CoalescingBatcher(const CoalescingBatcher&) = delete;
   CoalescingBatcher& operator=(const CoalescingBatcher&) = delete;
 
   // The tree for `req` in the generation `pin` holds (which must be
   // non-empty), from cache, an in-flight computation, or a fresh engine
-  // batch this caller leads. Thread-safe; blocks only while the tree is
-  // genuinely being computed. The key is derived from the pinned
-  // generation's version and the flight CARRIES a clone of the pin, so the
-  // compute runs against that generation's frozen snapshot even if a
-  // publish lands between enroll and flush -- a flush races no epoch bump,
-  // it just keeps the generation it started on alive until its last flight
-  // resolves. Because the epoch is part of the key, flights from different
-  // generations never coalesce with each other; one flush drain groups them
-  // by generation and issues one engine batch per group. If the compute
-  // batch throws (e.g. bad_alloc), the exception propagates to every caller
-  // waiting on that batch and the batcher stays serviceable for later
-  // requests. `obs`, when non-null, receives the fetch's outcome + latency
-  // decomposition.
+  // batch this caller or a concurrent one drains. Thread-safe; blocks only
+  // while the tree is genuinely being computed. The key is derived from
+  // the pinned generation's version and the flight CARRIES a clone of the
+  // pin, so the compute runs against that generation's frozen snapshot even
+  // if a publish lands between enroll and drain -- a drain races no epoch
+  // bump, it just keeps the generation it started on alive until its last
+  // flight resolves. Because the epoch is part of the key, flights from
+  // different generations never coalesce with each other; one drain groups
+  // them by generation and issues one engine batch per group. If the
+  // compute batch throws (e.g. bad_alloc), the exception propagates to
+  // every caller waiting on that batch and the batcher stays serviceable
+  // for later requests. `obs`, when non-null, receives the fetch's outcome
+  // + latency decomposition.
   SptHandle get(const SsspRequest& req, const GenerationManager::Pin& pin,
                 FetchObs* obs = nullptr);
 
@@ -126,9 +122,9 @@ class CoalescingBatcher {
   // batch rides one engine submission (plus whatever concurrent callers
   // piled on). Results in request order, all from `pin`'s generation --
   // this is what OracleShard::serve_batch rides, so a whole per-shard
-  // sub-batch from the aggregation layer is one epoch-coherent engine
-  // submission. `obs`, when non-null, is resized to requests.size() and
-  // receives each fetch's outcome + latency decomposition.
+  // sub-batch from the front-end is one epoch-coherent engine submission.
+  // `obs`, when non-null, is resized to requests.size() and receives each
+  // fetch's outcome + latency decomposition.
   std::vector<SptHandle> get_batch(std::span<const SsspRequest> requests,
                                    const GenerationManager::Pin& pin,
                                    std::vector<FetchObs>* obs = nullptr);
@@ -143,18 +139,19 @@ class CoalescingBatcher {
     SptHandle tree;
     std::exception_ptr error;  // set instead of tree when the batch threw
     // Decomposition for everyone who shares this flight; written by the
-    // leader under `mu` before done = true, read by waiters under `mu`.
+    // draining caller under `mu` before done = true, read by waiters under
+    // `mu`.
     uint64_t queue_wait_ns = 0;
     uint64_t compute_ns = 0;
   };
 
   // Outcome of registering one miss: `hit` resolved on the locked cache
-  // double-check, else the in-flight entry to wait on, plus whether the
-  // caller must drive the flush loop.
+  // double-check, else the in-flight entry to wait on, and whether this
+  // miss started it.
   struct Enrollment {
     SptHandle hit;
     std::shared_ptr<InFlight> fl;
-    bool leader = false;
+    bool started = false;
   };
 
   // One not-yet-flushed miss. `pin` keeps the generation whose version
@@ -169,20 +166,18 @@ class CoalescingBatcher {
 
   Enrollment enroll(const SptKey& key, const SsspRequest& req,
                     const GenerationManager::Pin& pin);
-  void flush_loop();
+  // Swaps out the pending queue and computes it; returns at once when it
+  // is empty (another caller's drain took it).
+  void drain();
   static SptHandle await(InFlight& fl, FetchObs* obs);
 
-  SptCache* cache_;
+  SptCache* cache_;  // never null
   const BatchSsspEngine* engine_;
-  const size_t max_batch_;  // 0 = drain everything per flush
 
   mutable std::mutex mu_;
   std::unordered_map<SptKey, std::shared_ptr<InFlight>, SptKeyHash> inflight_;
-  // Not-yet-flushed misses; a deque so the bounded drain pops prefixes in
-  // O(taken), not O(remaining) -- the remainder must not be shifted under
-  // mu_ while enrolling callers wait.
-  std::deque<Pending> pending_;
-  bool flushing_ = false;
+  // Not-yet-drained misses; each drain swaps out the whole queue.
+  std::vector<Pending> pending_;
   // Flush-shape telemetry. The high-water mark is mutated only under mu_
   // (enroll already holds it); the batch-size histogram is the shared
   // wait-free obs::Histogram (recorded outside the lock).

@@ -29,9 +29,9 @@
 // alternate phases, so the draining generation's pins are exactly the
 // counts under the phase the current one does not use. Counts live in
 // cache-line-padded per-thread cells, so a pin writes only its own thread's
-// line. A pin released on another thread (a batcher flight, an outbox entry)
-// bumps that thread's unlock count; the counts only ever grow, so only the
-// totals matter. publish drains a phase by summing unlock[p] (acquire), then
+// line. A pin released on another thread (a batcher flight) bumps that
+// thread's unlock count; the counts only ever grow, so only the totals
+// matter. publish drains a phase by summing unlock[p] (acquire), then
 // lock[p] (seq_cst): equal sums mean no pin is left.
 // See docs/CONCURRENCY.md for the full protocol spec, every memory order,
 // and the proof sketches of the drain condition.

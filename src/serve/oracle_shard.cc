@@ -22,10 +22,6 @@ const char* fetch_outcome_name(FetchOutcome o) {
       return "approx_hit";
     case FetchOutcome::kEscalated:
       return "escalated";
-    case FetchOutcome::kRemoteHit:
-      return "remote_hit";
-    case FetchOutcome::kAggregated:
-      return "aggregated";
   }
   return "?";
 }
@@ -72,12 +68,9 @@ OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
       config_(validated(std::move(config))),
       // Generation 0: the current topology.
       gens_(std::make_unique<GenerationManager>(
-          Generation::of(pi, pi.graph().snapshot()))) {
-  if (config_.enable_cache)
-    cache_ = std::make_unique<SptCache>(config_.cache);
-  if (config_.enable_coalescing)
-    batcher_ = std::make_unique<CoalescingBatcher>(
-        cache_.get(), config_.engine, config_.max_batch);
+          Generation::of(pi, pi.graph().snapshot()))),
+      cache_(std::make_unique<SptCache>(config_.cache)),
+      batcher_(std::make_unique<CoalescingBatcher>(*cache_, config_.engine)) {
   metrics_ = config_.metrics;
   if (!metrics_) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -127,48 +120,42 @@ void OracleShard::register_providers() {
         b.counter("update.repaired", repaired_);
         b.counter("update.recomputed", recomputed_);
       }));
-  if (cache_) {
-    registrations_.push_back(
-        metrics_->add(comp("cache"), [this](obs::ComponentBuilder& b) {
-          const SptCache::Stats s = cache_->stats();
-          b.counter("hits", s.hits);
-          b.counter("misses", s.misses);
-          b.counter("inserts", s.inserts);
-          b.counter("evictions", s.evictions);
-          b.counter("carried_forward", s.carried_forward);
-          b.counter("invalidated", s.invalidated);
-          b.counter("purged_stale", s.purged_stale);
-          b.counter("rejected_stale", s.rejected_stale);
-          b.counter("base_hits", s.base_hits);
-          b.counter("base_misses", s.base_misses);
-          b.gauge("entries", static_cast<int64_t>(s.entries));
-          b.gauge("bytes", static_cast<int64_t>(s.bytes));
-          b.gauge("sum_shard_peak_bytes",
-                  static_cast<int64_t>(s.sum_shard_peak_bytes));
-          b.gauge("protected_entries",
-                  static_cast<int64_t>(s.protected_entries));
-          b.gauge("protected_bytes",
-                  static_cast<int64_t>(s.protected_bytes));
-        }));
-  }
-  if (batcher_) {
-    registrations_.push_back(
-        metrics_->add(comp("batcher"), [this](obs::ComponentBuilder& b) {
-          const CoalescingBatcher::Stats s = batcher_->stats();
-          b.counter("requests", s.requests);
-          b.counter("coalesced", s.coalesced);
-          b.counter("computed", s.computed);
-          b.counter("computed_bytes", s.computed_bytes);
-          b.counter("flushes", s.flushes);
-          b.gauge("max_batch", static_cast<int64_t>(s.max_batch));
-          b.gauge("max_queue_depth",
-                  static_cast<int64_t>(s.max_queue_depth));
-          b.histogram("batch_size",
-                      std::span<const uint64_t>(
-                          s.batch_hist, CoalescingBatcher::kHistBuckets),
-                      s.batch_hist_sum);
-        }));
-  }
+  registrations_.push_back(
+      metrics_->add(comp("cache"), [this](obs::ComponentBuilder& b) {
+        const SptCache::Stats s = cache_->stats();
+        b.counter("hits", s.hits);
+        b.counter("misses", s.misses);
+        b.counter("inserts", s.inserts);
+        b.counter("evictions", s.evictions);
+        b.counter("carried_forward", s.carried_forward);
+        b.counter("invalidated", s.invalidated);
+        b.counter("purged_stale", s.purged_stale);
+        b.counter("rejected_stale", s.rejected_stale);
+        b.counter("base_hits", s.base_hits);
+        b.counter("base_misses", s.base_misses);
+        b.gauge("entries", static_cast<int64_t>(s.entries));
+        b.gauge("bytes", static_cast<int64_t>(s.bytes));
+        b.gauge("sum_shard_peak_bytes",
+                static_cast<int64_t>(s.sum_shard_peak_bytes));
+        b.gauge("protected_entries",
+                static_cast<int64_t>(s.protected_entries));
+        b.gauge("protected_bytes", static_cast<int64_t>(s.protected_bytes));
+      }));
+  registrations_.push_back(
+      metrics_->add(comp("batcher"), [this](obs::ComponentBuilder& b) {
+        const CoalescingBatcher::Stats s = batcher_->stats();
+        b.counter("requests", s.requests);
+        b.counter("coalesced", s.coalesced);
+        b.counter("computed", s.computed);
+        b.counter("computed_bytes", s.computed_bytes);
+        b.counter("flushes", s.flushes);
+        b.gauge("max_batch", static_cast<int64_t>(s.max_batch));
+        b.gauge("max_queue_depth", static_cast<int64_t>(s.max_queue_depth));
+        b.histogram("batch_size",
+                    std::span<const uint64_t>(s.batch_hist,
+                                              CoalescingBatcher::kHistBuckets),
+                    s.batch_hist_sum);
+      }));
   registrations_.push_back(
       metrics_->add(comp("generations"), [this](obs::ComponentBuilder& b) {
         const GenerationManager::Stats s = gens_->stats();
@@ -188,42 +175,6 @@ void OracleShard::register_providers() {
         b.counter("batches", s.batches);
         b.counter("requests", s.requests);
       }));
-}
-
-SptHandle OracleShard::fetch_tree(const SsspRequest& req,
-                                  const GenerationManager::Pin& pin,
-                                  FetchObs* obs) {
-  if (batcher_) return batcher_->get(req, pin, obs);
-  const SptKey key(pin->version(), req);
-  if (cache_) {
-    if (auto t = cache_->lookup(key)) return t;  // obs->outcome stays kHit
-  }
-  // Direct compute: this caller does the work itself, the closest analogue
-  // of a batcher leader.
-  if (obs) obs->outcome = FetchObs::kLeader;
-  const uint64_t c0 = obs::now_ns();
-  SptHandle t;
-  if (req.eps_q) {
-    // The virtual spt() has no epsilon parameter; the batch interface is the
-    // epsilon-aware entry point (Rpts routes it through the engine's epsilon
-    // mode). A scheme whose spt_batch ignores eps_q returns exact trees
-    // under the approximate key -- sound, just stretch-free.
-    t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
-                               config_.engine, nullptr)[0];
-  } else {
-    t = std::make_shared<const Spt>(
-        pin->scheme->spt(req.root, req.faults, req.dir));
-  }
-  if (obs) obs->compute_ns = obs::now_ns() - c0;
-  direct_bytes_.fetch_add(t->memory_bytes(), std::memory_order_relaxed);
-  if (cache_) {
-    // A straggler pinned to a just-retired epoch may reach here after the
-    // mutator advanced the cache; the stale-epoch rejection inside insert
-    // (serve/spt_cache.h) is the publish-side guard that keeps its tree
-    // out of the store without costing it the answer.
-    if (auto resident = cache_->insert(key, t)) return resident;
-  }
-  return t;
 }
 
 namespace {
@@ -328,7 +279,7 @@ SptHandle OracleShard::fetch_classified(const SsspRequest& req,
                                         QueryCtx& ctx, bool escalated) {
   FetchObs fo;
   const uint64_t f0 = obs::now_ns();
-  SptHandle tree = fetch_tree(req, pin, &fo);
+  SptHandle tree = batcher_->get(req, pin, &fo);
   if constexpr (!obs::kEnabled) return tree;
   const uint64_t dur = obs::now_ns() - f0;
   book_fetch(classify_fetch(req, fo, escalated), req, fo, f0, dur, &ctx);
@@ -343,20 +294,11 @@ std::vector<SptHandle> OracleShard::serve_batch(
   queries_.add(requests.size());
   std::vector<FetchObs> local_obs;
   std::vector<FetchObs>& fos = obs ? *obs : local_obs;
-  fos.assign(requests.size(), FetchObs{});
   const uint64_t f0 = obs::now_ns();
-  std::vector<SptHandle> out;
-  if (batcher_) {
-    out = batcher_->get_batch(requests, pin, &fos);
-  } else {
-    out.resize(requests.size());
-    // No batcher: fall back to per-request fetches (no coalescing to lose).
-    for (size_t i = 0; i < requests.size(); ++i)
-      out[i] = fetch_tree(requests[i], pin, &fos[i]);
-  }
+  std::vector<SptHandle> out = batcher_->get_batch(requests, pin, &fos);
   if constexpr (obs::kEnabled) {
-    // The whole batch's wall time is every element's latency sample: an
-    // aggregated submission's per-element cost IS the batch it rode.
+    // The whole batch's wall time is every element's latency sample: a
+    // batched submission's per-element cost IS the batch it rode.
     const uint64_t dur = obs::now_ns() - f0;
     for (size_t i = 0; i < requests.size(); ++i) {
       book_fetch(classify_fetch(requests[i], fos[i], /*escalated=*/false),
@@ -419,9 +361,8 @@ SptHandle OracleShard::tree(const SsspRequest& req) {
 }
 
 uint64_t OracleShard::bytes_materialized() const {
-  uint64_t total = direct_bytes_.load(std::memory_order_relaxed);
-  if (batcher_) total += batcher_->stats().computed_bytes;
-  return total;
+  return direct_bytes_.load(std::memory_order_relaxed) +
+         batcher_->stats().computed_bytes;
 }
 
 ServerStats OracleShard::stats() const {
@@ -439,9 +380,9 @@ ServerStats OracleShard::stats() const {
   s.bytes_materialized =
       static_cast<uint64_t>(snap.value_or(server, "bytes_direct")) +
       static_cast<uint64_t>(snap.value_or(batcher, "computed_bytes"));
-  uint64_t* counts[kNumFetchOutcomes] = {
-      &s.base_hit,   &s.fault_hit, &s.miss_coalesced, &s.miss_leader,
-      &s.approx_hit, &s.escalated, &s.remote_hit,     &s.aggregated};
+  uint64_t* counts[kNumFetchOutcomes] = {&s.base_hit,       &s.fault_hit,
+                                         &s.miss_coalesced, &s.miss_leader,
+                                         &s.approx_hit,     &s.escalated};
   for (size_t i = 0; i < kNumFetchOutcomes; ++i) {
     const std::string cls = fetch_outcome_name(static_cast<FetchOutcome>(i));
     *counts[i] =
@@ -570,7 +511,7 @@ UpdateResult OracleShard::apply_update(Graph& graph, GraphDelta delta) {
 void OracleShard::repair_invalidated(
     const DeltaBatch& batch, std::vector<SptCache::Invalidated>& invalidated,
     UpdateResult& res) {
-  if (invalidated.empty() || !cache_) return;
+  if (invalidated.empty()) return;
   CounterTimer repair_timer(&repair_ns_);
   const BatchSsspEngine& eng = BatchSsspEngine::or_shared(config_.engine);
   std::vector<RepairOutcome> outcomes(invalidated.size());
@@ -634,28 +575,25 @@ void OracleShard::absorb_locked(
   // the published one.
   auto next = Generation::of(*pi_, std::move(snap));
 
-  SptCache::AdvanceStats adv;
+  // Shadow-advance the cache BEFORE publishing: survivors are rekeyed to
+  // the new epoch (readers pinned to the old generation miss and
+  // recompute -- correct, just cold), and the per-shard latest-epoch
+  // watermark is armed so a straggler publishing an old-epoch tree after
+  // this point is rejected (rejected_stale) instead of poisoning the
+  // store -- the publish-side guard of the RCU path. ONE walk for the
+  // whole burst, judged against the batch's net effect: a flap healed
+  // within the batch has no net delta and every tree survives it.
   std::vector<SptCache::Invalidated> invalidated;
-  if (cache_) {
-    // Shadow-advance the cache BEFORE publishing: survivors are rekeyed to
-    // the new epoch (readers pinned to the old generation miss and
-    // recompute -- correct, just cold), and the per-shard latest-epoch
-    // watermark is armed so a straggler publishing an old-epoch tree after
-    // this point is rejected (rejected_stale) instead of poisoning the
-    // store -- the publish-side guard of the RCU path. ONE walk for the
-    // whole burst, judged against the batch's net effect: a flap healed
-    // within the batch has no net delta and every tree survives it.
-    adv = cache_->advance_epoch(
-        pi_->scheme_id(), res.old_epoch, res.new_epoch,
-        [&](const SptKey& key, const Spt& tree) {
-          // Approximate-tier entries survive under the epsilon-slack test
-          // (invariant F, core/rpts.h) -- measurably more of them carry
-          // forward than exact entries under the same churn.
-          return pi_->batch_survives(res.batch, tree, key.fault_set(),
-                                     key.eps_q);
-        },
-        config_.prewarm_on_update ? &invalidated : nullptr);
-  }
+  const SptCache::AdvanceStats adv = cache_->advance_epoch(
+      pi_->scheme_id(), res.old_epoch, res.new_epoch,
+      [&](const SptKey& key, const Spt& tree) {
+        // Approximate-tier entries survive under the epsilon-slack test
+        // (invariant F, core/rpts.h) -- measurably more of them carry
+        // forward than exact entries under the same churn.
+        return pi_->batch_survives(res.batch, tree, key.fault_set(),
+                                   key.eps_q);
+      },
+      &invalidated);
 
   // The swap: queries that pin after this point see the new topology.
   gens_->publish(std::move(next));

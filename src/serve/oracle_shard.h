@@ -24,8 +24,8 @@
 // graph, bumps the composite (scheme_id, epoch) version, and walks the
 // cache ONCE: trees the batch provably cannot change (IRpts::batch_survives)
 // are rekeyed to the new epoch zero-copy, affected trees are invalidated
-// (and optionally repaired/pre-warmed as one engine batch), and dead-version
-// strays are aged out. The oracle keeps serving correct answers across edge
+// (and repaired/pre-warmed as one engine batch), and dead-version strays
+// are aged out. The oracle keeps serving correct answers across edge
 // inserts/removals without a full rebuild or cache flush; handles held by
 // in-flight readers stay valid and bit-identical throughout (see SptHandle).
 //
@@ -76,23 +76,16 @@ namespace restorable {
 enum class FetchOutcome : uint8_t {
   kBaseHit = 0,     // fault-free EXACT tree served from the cache
   kFaultHit,        // exact fault tree served from the cache
-  kMissCoalesced,   // miss that waited on a flight another caller drove
-  kMissLeader,      // miss that drove the compute (batcher leader, or the
-                    // direct compute when coalescing is disabled)
+  kMissCoalesced,   // miss that joined a flight another request started
+  kMissLeader,      // miss that started its flight (first request for key)
   kApproxHit,       // approximate-tier (eps_q > 0) tree served from the
                     // cache (base and fault trees alike)
   kEscalated,       // an EXACT fetch performed on behalf of an escalated
                     // query (path/replacement reconstruction, require_exact,
                     // or a sampled stretch re-check), whatever its hit/miss
                     // fate -- its cost belongs to the escalation tier
-  kRemoteHit,       // front-end view: the routed sub-query resolved from the
-                    // owning shard's cache (never counted by a shard itself;
-                    // booked by the ShardAggregator's `frontend` component)
-  kAggregated,      // front-end view: the routed sub-query was staged in a
-                    // per-shard outbox and rode an aggregated submission
-                    // (never counted by a shard itself)
 };
-inline constexpr size_t kNumFetchOutcomes = 8;
+inline constexpr size_t kNumFetchOutcomes = 6;
 const char* fetch_outcome_name(FetchOutcome o);
 
 // Why a query left the approximate tier for the exact one. Counted under
@@ -117,20 +110,19 @@ struct QueryOpts {
 };
 
 struct ServerConfig {
-  SptCache::Config cache;           // shards + budget + protected fraction
-  bool enable_cache = true;         // false: recompute every fetch
-  bool enable_coalescing = true;    // false: no single-flight (baseline)
-  size_t max_batch = 0;             // cap per-flush drain (0 = unbounded)
-  // After an update, repair the invalidated trees eagerly as one engine
-  // batch (incremental Ramalingam-Reps repair where the affected region is
-  // small, from-scratch recompute otherwise), so the first post-update
-  // queries on the hot keys hit instead of paying the rebuild inline.
-  bool prewarm_on_update = true;
-  // Ceiling on the affected region an incremental repair may grow to, as a
-  // fraction of the vertex count, before the repair falls back to a full
-  // recompute (see IRpts::repair_tree); >= 1 never falls back. The
-  // constructor throws std::invalid_argument for a NaN, infinite or
-  // negative value.
+  // Shards + budget + protected fraction. byte_budget = 0 retains no tree:
+  // every fetch recomputes, though concurrent identical misses still share
+  // one flight.
+  SptCache::Config cache;
+  // After an update the server repairs the invalidated trees eagerly as
+  // one engine batch (incremental Ramalingam-Reps repair where the affected
+  // region is small, from-scratch recompute otherwise), so the first
+  // post-update queries on the hot keys hit instead of paying the rebuild
+  // inline. This is the ceiling on the affected region an incremental
+  // repair may grow to, as a fraction of the vertex count, before the
+  // repair falls back to a full recompute (see IRpts::repair_tree); >= 1
+  // never falls back. The constructor throws std::invalid_argument for a
+  // NaN, infinite or negative value.
   double repair_fraction = kDefaultRepairFraction;
   // Approximate tier default: distance queries that do not specify their own
   // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (engine
@@ -172,10 +164,10 @@ struct UpdateResult {
   size_t carried = 0;      // cached trees rekeyed forward zero-copy
   size_t invalidated = 0;  // cached trees the batch may have changed
   size_t purged_stale = 0; // dead-version entries aged out
-  // Invalidated trees re-admitted eagerly (prewarm_on_update), counting
-  // only entries actually re-populated -- never null slots. `repaired` of
-  // them came from the incremental repair path; the remaining
-  // prewarmed - repaired fell back to from-scratch recomputes.
+  // Invalidated trees re-admitted eagerly by the update's repair batch,
+  // counting only entries actually re-populated -- never null slots.
+  // `repaired` of them came from the incremental repair path; the
+  // remaining prewarmed - repaired fell back to from-scratch recomputes.
   size_t prewarmed = 0;
   size_t repaired = 0;
 
@@ -190,21 +182,17 @@ struct ServerStats {
   uint64_t queries = 0;
   uint64_t updates = 0;
   uint64_t stability_fast_paths = 0;
-  // direct_bytes + the batcher's computed_bytes, composed from the SAME
+  // bytes_direct + the batcher's computed_bytes, composed from the SAME
   // snapshot document -- the torn two-clock read the old accessor pair
   // allowed cannot happen here.
   uint64_t bytes_materialized = 0;
   // Query-path outcome classes (counts of tree fetches per class).
-  // remote_hit / aggregated are front-end classes: always 0 on a shard's own
-  // stats; the ShardAggregator books them in its `frontend` component.
   uint64_t base_hit = 0;
   uint64_t fault_hit = 0;
   uint64_t miss_coalesced = 0;
   uint64_t miss_leader = 0;
   uint64_t approx_hit = 0;
   uint64_t escalated = 0;
-  uint64_t remote_hit = 0;
-  uint64_t aggregated = 0;
   // Approximate-tier escalation accounting (queries, not fetches: one
   // escalated query may perform several exact fetches).
   uint64_t escalations_total = 0;
@@ -259,9 +247,9 @@ class OracleShard {
   // that graph (passed explicitly because the server only holds a const
   // view; the caller owns mutability) -- and advances the serving stack to
   // the new epoch: unaffected cached trees carry forward zero-copy,
-  // affected ones are invalidated and (per config) pre-warmed through the
-  // batch engine. Concurrent queries are NEVER blocked: they keep computing
-  // on the pinned old generation until the new one is published
+  // affected ones are invalidated and pre-warmed through the batch engine.
+  // Concurrent queries are NEVER blocked: they keep computing on the
+  // pinned old generation until the new one is published
   // (build-publish-retire; see docs/CONCURRENCY.md). Answers begun after
   // this returns reflect the new topology, and handles held across it stay
   // valid and bit-identical. Thread-safe against any number of concurrent
@@ -291,11 +279,10 @@ class OracleShard {
   // fetches read the pinned generation (`pin` must be non-empty). Every
   // request is validated against it first (Generation::check_query): one
   // bad root or fault id throws std::out_of_range before anything is
-  // enrolled or counted. Counts requests.size()
-  // queries; each fetch is classified into the usual outcome classes, with
-  // the whole batch's wall time attributed to every element's latency
-  // sample (the per-element cost of an aggregated submission IS the batch,
-  // by design). `obs`, when
+  // enrolled or counted. Counts requests.size() queries; each fetch is
+  // classified into the usual outcome classes, with the whole batch's wall
+  // time attributed to every element's latency sample (the per-element
+  // cost of a batched submission IS the batch, by design). `obs`, when
   // non-null, receives each fetch's outcome + decomposition -- the
   // front-end uses it to split remote_hit from aggregated.
   std::vector<SptHandle> serve_batch(std::span<const SsspRequest> requests,
@@ -332,8 +319,8 @@ class OracleShard {
   }
   // Exact fault distances answered from the base tree alone.
   uint64_t stability_fast_paths() const { return stability_hits_.value(); }
-  // Total Spt bytes this server materialized (fresh Dijkstra results,
-  // whether through the batcher or direct computes). Cache hits and
+  // Total Spt bytes this server materialized (fresh Dijkstra results of
+  // the batcher, plus trees the update path repaired). Cache hits and
   // coalesced waits materialize nothing -- handles alias resident trees --
   // so bytes_materialized / queries_served is the bytes-per-query cost the
   // zero-copy serving stack is judged by. NOTE: composed from two relaxed
@@ -359,8 +346,8 @@ class OracleShard {
   // batcher()->stats() etc. at different times.
   ServerStats stats() const;
 
-  // Null when the respective layer is disabled by config.
-  SptCache* cache() { return cache_ ? cache_.get() : nullptr; }
+  // Never null.
+  SptCache* cache() { return cache_.get(); }
   const CoalescingBatcher* batcher() const { return batcher_.get(); }
 
   // Never null. Exposed non-const so callers needing several coherent
@@ -390,7 +377,8 @@ class OracleShard {
 
   QueryCtx begin_query(const char* kind);
   void end_query(QueryCtx& ctx);
-  // Classified fetch: fetch_tree, then attributes the fetch's latency
+  // Classified fetch through the batcher, reading the pinned generation;
+  // then attributes the fetch's latency
   // decomposition to its outcome class and appends trace spans when the
   // query is sampled. `escalated` forces the kEscalated class: the fetch
   // serves a query that left the approximate tier, so its cost belongs
@@ -426,10 +414,6 @@ class OracleShard {
                          const GenerationManager::Pin& pin, QueryCtx& ctx,
                          bool escalated);
 
-  // Tree fetch through the serving stack: every read -- version, CSR,
-  // Dijkstra -- goes through the pinned generation.
-  SptHandle fetch_tree(const SsspRequest& req,
-                       const GenerationManager::Pin& pin, FetchObs* obs);
   // The update stage apply_updates and absorb_update share: caller holds
   // mutator_mu_ and `res` is UpdateResult::of a changed batch. Advances the
   // cache, publishes the generation built from `snap`, then repairs inline
@@ -453,13 +437,13 @@ class OracleShard {
   // graph, which is safe exactly because no reader does and no second
   // mutator runs.
   std::mutex mutator_mu_;
-  std::unique_ptr<SptCache> cache_;             // only if enable_cache
-  std::unique_ptr<CoalescingBatcher> batcher_;  // only if enable_coalescing
+  std::unique_ptr<SptCache> cache_;             // never null
+  std::unique_ptr<CoalescingBatcher> batcher_;  // never null
   // Bumped by queries, so thread-sharded: a hit writes no shared line.
   obs::ShardedCount queries_;
   std::atomic<uint64_t> updates_{0};
   obs::ShardedCount stability_hits_;
-  std::atomic<uint64_t> direct_bytes_{0};  // materialized without a batcher
+  std::atomic<uint64_t> direct_bytes_{0};  // trees the update path repaired
 
   // --- Observability (src/obs/). All instruments are wait-free; the
   // registry is only touched at construction and in snapshot().

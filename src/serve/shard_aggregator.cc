@@ -1,7 +1,6 @@
 #include "serve/shard_aggregator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -30,7 +29,6 @@ ShardAggregator::ShardAggregator(const IRpts& pi, FrontEndConfig config)
     sc.metrics_prefix = "shard" + std::to_string(i) + ".";
     if (!engines_.empty()) sc.engine = engines_[i].get();
     shards_.push_back(std::make_unique<OracleShard>(pi, std::move(sc)));
-    outboxes_.push_back(std::make_unique<Outbox>());
   }
   routed_epoch_.store(pi_->version().epoch, std::memory_order_release);
   register_providers();
@@ -48,13 +46,6 @@ void ShardAggregator::register_providers() {
         b.counter("remote_hits",
                   remote_hits_.load(std::memory_order_relaxed));
         b.counter("aggregated", aggregated_.load(std::memory_order_relaxed));
-        b.counter("flush.capacity",
-                  flush_capacity_.load(std::memory_order_relaxed));
-        b.counter("flush.timeout",
-                  flush_timeout_.load(std::memory_order_relaxed));
-        b.counter("flush.explicit",
-                  flush_explicit_.load(std::memory_order_relaxed));
-        b.counter("flush.idle", flush_idle_.load(std::memory_order_relaxed));
         b.counter("fanouts", fanouts_.load(std::memory_order_relaxed));
         b.counter("stability_fast_paths", stability_hits_);
         b.gauge("shards", static_cast<int64_t>(shards_.size()));
@@ -66,8 +57,8 @@ void ShardAggregator::register_providers() {
 
 void ShardAggregator::book_subquery(const FetchObs& fo) {
   // The front-end half of the outcome taxonomy: a routed sub-query that the
-  // owning shard's cache resolved is a remote_hit; one that rode a staged
-  // flush or direct submission shows up as aggregated. The shard's own
+  // owning shard's cache resolved is a remote_hit; one the shard computed
+  // (or joined a flight for) shows up as aggregated. The shard's own
   // classes (miss_leader etc.) carry the compute decomposition.
   if (fo.outcome == FetchObs::kHit)
     remote_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -75,128 +66,15 @@ void ShardAggregator::book_subquery(const FetchObs& fo) {
     aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<std::shared_ptr<ShardAggregator::Staged>> ShardAggregator::detach(
-    Outbox& ob) {
-  std::vector<std::shared_ptr<Staged>> out;
-  std::lock_guard<std::mutex> lock(ob.mu);
-  out.swap(ob.staged);
-  return out;
-}
-
-void ShardAggregator::flush_batch(size_t k,
-                                  std::vector<std::shared_ptr<Staged>> batch) {
-  if (batch.empty()) return;
-  // One serve_batch per pinned generation present in the drain (almost
-  // always one; briefly two around a fan-out, since entries staged before
-  // and after the gate carry different pins and must not share an engine
-  // submission's snapshot).
-  std::vector<const Generation*> groups;
-  for (const auto& st : batch) {
-    if (std::find(groups.begin(), groups.end(), st->pin.get()) == groups.end())
-      groups.push_back(st->pin.get());
-  }
-  for (const Generation* g : groups) {
-    std::vector<size_t> members;
-    std::vector<SsspRequest> reqs;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i]->pin.get() != g) continue;
-      members.push_back(i);
-      reqs.push_back(batch[i]->req);
-    }
-    submissions_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<FetchObs> obs;
-    try {
-      auto trees =
-          shards_[k]->serve_batch(reqs, batch[members.front()]->pin, &obs);
-      for (size_t j = 0; j < members.size(); ++j) {
-        batch[members[j]]->tree = std::move(trees[j]);
-        batch[members[j]]->obs = obs[j];
-      }
-    } catch (...) {
-      // Fail the whole group's entries, never strand a waiter: a staged
-      // entry must always resolve to a tree or an exception.
-      for (const size_t j : members)
-        batch[j]->error = std::current_exception();
-    }
-  }
-  for (const auto& st : batch) {
-    {
-      std::lock_guard<std::mutex> lock(st->mu);
-      st->done = true;
-    }
-    st->cv.notify_all();
-  }
-}
-
-std::shared_ptr<ShardAggregator::Staged> ShardAggregator::stage_and_wait(
-    size_t k, const SsspRequest& req, GenerationManager::Pin pin) {
-  Outbox& ob = *outboxes_[k];
-  auto st = std::make_shared<Staged>();
-  st->req = req;
-  st->pin = std::move(pin);
-  bool at_capacity = false;
-  {
-    std::lock_guard<std::mutex> lock(ob.mu);
-    ob.staged.push_back(st);
-    at_capacity = ob.staged.size() >= config_.flush_capacity;
-  }
-  if (at_capacity) {
-    // Capacity rule: the stager that filled the box serves the batch (its
-    // own entry rides along). detach() may come back empty if a concurrent
-    // trigger won the race -- then our entry is in THAT batch and the wait
-    // below resolves it.
-    flush_capacity_.fetch_add(1, std::memory_order_relaxed);
-    flush_batch(k, detach(ob));
-  } else if (active_.load(std::memory_order_relaxed) == 1) {
-    // Idle rule: this is the only query in the front-end, so no other
-    // stager can join the box within the timeout. As above, an empty
-    // detach means a concurrent trigger carried our entry off.
-    auto batch = detach(ob);
-    if (!batch.empty()) {
-      flush_idle_.fetch_add(1, std::memory_order_relaxed);
-      flush_batch(k, std::move(batch));
-    }
-  }
-  const auto deadline = std::chrono::microseconds(config_.flush_timeout_us);
-  std::unique_lock<std::mutex> lock(st->mu);
-  while (!st->done) {
-    if (st->cv.wait_for(lock, deadline, [&] { return st->done; })) break;
-    // Timeout rule: nobody flushed within the staging budget, so this
-    // waiter detaches whatever is staged (its own entry included) and
-    // serves it. If another trigger detached our entry meanwhile, the
-    // detach is empty/foreign and we just wait again -- whoever holds the
-    // batch always resolves it.
-    lock.unlock();
-    auto batch = detach(ob);
-    if (!batch.empty()) {
-      flush_timeout_.fetch_add(1, std::memory_order_relaxed);
-      flush_batch(k, std::move(batch));
-    }
-    lock.lock();
-  }
-  return st;
-}
-
-std::vector<SptHandle> ShardAggregator::submit(
-    size_t k, std::span<const SsspRequest> requests,
-    const GenerationManager::Pin& pin, std::vector<FetchObs>* obs) {
-  submissions_.fetch_add(1, std::memory_order_relaxed);
-  return shards_[k]->serve_batch(requests, pin, obs);
-}
-
 SptHandle ShardAggregator::fetch_routed(size_t k, const SsspRequest& req,
                                         const GenerationManager::Pin& pin) {
   subqueries_.fetch_add(1, std::memory_order_relaxed);
-  if (!config_.enable_aggregation) {
-    std::vector<FetchObs> obs;
-    auto out = submit(k, std::span<const SsspRequest>(&req, 1), pin, &obs);
-    book_subquery(obs[0]);
-    return std::move(out[0]);
-  }
-  const auto st = stage_and_wait(k, req, pin);
-  if (st->error) std::rethrow_exception(st->error);
-  book_subquery(st->obs);
-  return st->tree;
+  submissions_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<FetchObs> obs;
+  auto out = shards_[k]->serve_batch(std::span<const SsspRequest>(&req, 1),
+                                     pin, &obs);
+  book_subquery(obs[0]);
+  return std::move(out[0]);
 }
 
 GenerationManager::Pin ShardAggregator::pin_checked(
@@ -212,7 +90,6 @@ GenerationManager::Pin ShardAggregator::pin_checked(
 }
 
 SptHandle ShardAggregator::tree(const SsspRequest& req) {
-  const ActiveQuery active(active_);
   const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
   const auto pin = pin_checked(k, req.root, req.root, req.faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -221,7 +98,6 @@ SptHandle ShardAggregator::tree(const SsspRequest& req) {
 
 std::vector<SptHandle> ShardAggregator::tree_batch(
     std::span<const SsspRequest> requests) {
-  const ActiveQuery active(active_);
   if (requests.empty()) {
     queries_.fetch_add(1, std::memory_order_relaxed);
     return {};
@@ -240,68 +116,23 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
       pins[k]->check_query(req.root, req.root, req.faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
   subqueries_.fetch_add(requests.size(), std::memory_order_relaxed);
+  // One submission per touched shard: a k-root query costs at most
+  // min(k, shards) serve_batch calls.
   std::vector<SptHandle> out(requests.size());
-  if (!config_.enable_aggregation) {
-    // The unaggregated baseline: every routed sub-query is its own
-    // submission, exactly what a naive front-end would do -- k roots cost k
-    // serve_batch calls. This is the contrast the aggregation layer's >= 2x
-    // submission reduction is measured against (bench serve_sharded).
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const size_t k = router_.shard_of(pi_->scheme_id(), requests[i].root);
-      std::vector<FetchObs> obs;
-      auto sub = submit(k, std::span<const SsspRequest>(&requests[i], 1),
-                        pins[k], &obs);
-      out[i] = std::move(sub[0]);
-      book_subquery(obs[0]);
-    }
-    return out;
-  }
-  // Explicit flush rule: stage EVERY sub-query first (no capacity triggers
-  // -- the flush is imminent and bigger batches are the point), then flush
-  // each touched outbox once, piggybacking concurrently staged singles. A
-  // k-root query costs at most min(k, shards) submissions, deterministically.
-  std::vector<std::shared_ptr<Staged>> mine;
-  mine.reserve(requests.size());
   for (const size_t k : plan.touched) {
-    Outbox& ob = *outboxes_[k];
-    std::lock_guard<std::mutex> lock(ob.mu);
-    for (const SsspRequest& req : plan.by_shard[k]) {
-      auto st = std::make_shared<Staged>();
-      st->req = req;
-      st->pin = pins[k];
-      ob.staged.push_back(st);
-      mine.push_back(st);
+    submissions_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<FetchObs> obs;
+    auto trees = shards_[k]->serve_batch(plan.by_shard[k], pins[k], &obs);
+    for (size_t j = 0; j < trees.size(); ++j) {
+      book_subquery(obs[j]);
+      out[plan.origin[k][j]] = std::move(trees[j]);
     }
   }
-  for (const size_t k : plan.touched) {
-    auto batch = detach(*outboxes_[k]);
-    if (batch.empty()) continue;  // a concurrent trigger took ours along
-    flush_explicit_.fetch_add(1, std::memory_order_relaxed);
-    flush_batch(k, std::move(batch));
-  }
-  // Entries a concurrent capacity/timeout trigger carried off resolve under
-  // that trigger's flush; everything self-flushed above is already done.
-  size_t m = 0;
-  std::exception_ptr first_error;
-  for (const size_t k : plan.touched) {
-    for (size_t j = 0; j < plan.by_shard[k].size(); ++j, ++m) {
-      const auto& st = mine[m];
-      {
-        std::unique_lock<std::mutex> lock(st->mu);
-        st->cv.wait(lock, [&] { return st->done; });
-      }
-      if (st->error && !first_error) first_error = st->error;
-      book_subquery(st->obs);
-      out[plan.origin[k][j]] = st->tree;
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
   return out;
 }
 
 int32_t ShardAggregator::distance(Vertex s, Vertex t,
                                   const FaultSet& faults) {
-  const ActiveQuery active(active_);
   // Both fetches share one root, hence one shard and one pin: the base and
   // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
@@ -320,7 +151,6 @@ int32_t ShardAggregator::distance(Vertex s, Vertex t,
 }
 
 Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
-  const ActiveQuery active(active_);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
   const auto pin = pin_checked(k, s, t, faults.ids());
   queries_.fetch_add(1, std::memory_order_relaxed);
@@ -384,10 +214,6 @@ FrontEndStats ShardAggregator::stats() const {
   s.submissions = submissions_.load(std::memory_order_relaxed);
   s.remote_hits = remote_hits_.load(std::memory_order_relaxed);
   s.aggregated = aggregated_.load(std::memory_order_relaxed);
-  s.flush_capacity_trigger = flush_capacity_.load(std::memory_order_relaxed);
-  s.flush_timeout_trigger = flush_timeout_.load(std::memory_order_relaxed);
-  s.flush_explicit_trigger = flush_explicit_.load(std::memory_order_relaxed);
-  s.flush_idle_trigger = flush_idle_.load(std::memory_order_relaxed);
   s.fanouts = fanouts_.load(std::memory_order_relaxed);
   s.stability_fast_paths = stability_hits_.value();
   return s;

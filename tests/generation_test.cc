@@ -123,7 +123,7 @@ TEST(GenerationManager, SecondPublishWaitsForPinnedReader) {
 }
 
 // Pins are often released on a thread other than the one that took them
-// (batcher flights, outbox entries): a clone handed to another thread
+// (batcher flights): a clone handed to another thread
 // keeps its generation alive until that thread releases it, and the
 // publish two after it waits for exactly that release.
 TEST(GenerationManager, CloneReleasedOnAnotherThreadBlocksSecondPublish) {

@@ -353,7 +353,7 @@ TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
   GenerationManager gens = make_generations(pi);
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(&cache, &engine);
+  CoalescingBatcher batcher(cache, &engine);
   const GenerationManager::Pin pin = gens.pin();
 
   // Preheat a few keys so the hammer mixes hits and misses.
@@ -446,7 +446,7 @@ TEST(CoalescingBatcher, ComputeExceptionPropagatesAndBatcherSurvives) {
     GenerationManager gens = make_generations(pi);
     SptCache cache;
     const BatchSsspEngine engine(width);
-    CoalescingBatcher batcher(&cache, &engine);
+    CoalescingBatcher batcher(cache, &engine);
     const GenerationManager::Pin pin = gens.pin();
 
     EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin),
@@ -470,7 +470,7 @@ TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
   const IsolationRpts pi(g, IsolationAtw(42));
   GenerationManager gens = make_generations(pi);
   SptCache cache;
-  CoalescingBatcher batcher(&cache);
+  CoalescingBatcher batcher(cache);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 5u, 1u})  // in-batch duplicates
@@ -485,37 +485,13 @@ TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
   EXPECT_EQ(stats.flushes, 1u);
   EXPECT_EQ(stats.computed, 3u);
   EXPECT_EQ(stats.max_batch, 3u);
-}
-
-TEST(CoalescingBatcher, MaxBatchDrainsBoundedInstallments) {
-  const Graph g = gnp_connected(40, 0.1, 43);
-  const IsolationRpts pi(g, IsolationAtw(44));
-  GenerationManager gens = make_generations(pi);
-  SptCache cache;
-  CoalescingBatcher batcher(&cache, nullptr, /*max_batch=*/2);
-
-  std::vector<SsspRequest> reqs;
-  for (Vertex root : {1u, 5u, 9u, 13u, 17u})
-    reqs.push_back({root, {}, Direction::kOut});
-  const auto trees = batcher.get_batch(reqs, gens.pin());
-  ASSERT_EQ(trees.size(), reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i)
-    expect_same_tree(*trees[i], pi.spt(reqs[i].root));
-
-  // 5 unique misses, drained 2 + 2 + 1: no flush exceeds the cap, the
-  // queue high-water saw all 5 registered before the leader drained.
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.computed, 5u);
-  EXPECT_EQ(stats.flushes, 3u);
-  EXPECT_LE(stats.max_batch, 2u);
-  EXPECT_EQ(stats.max_queue_depth, 5u);
+  EXPECT_EQ(stats.max_queue_depth, 3u);
   EXPECT_GT(stats.computed_bytes, 0u);
   if (obs::kEnabled) {  // histogram is documented as zeroed when compiled out
     uint64_t hist_total = 0;
     for (uint64_t b : stats.batch_hist) hist_total += b;
     EXPECT_EQ(hist_total, stats.flushes);
-    EXPECT_EQ(stats.batch_hist[0], 1u);  // the size-1 remainder flush
-    EXPECT_EQ(stats.batch_hist[1], 2u);  // the two size-2 flushes
+    EXPECT_EQ(stats.batch_hist[1], 1u);  // the one size-3 flush
     EXPECT_EQ(stats.batch_hist_sum, stats.computed);
   }
 }
@@ -556,17 +532,23 @@ TEST(OracleServer, ReplacementDistanceUsesStabilityFastPath) {
   EXPECT_GT(server.stability_fast_paths(), server.queries_served() / 2);
 }
 
-TEST(OracleServer, CacheOffModeStaysCorrect) {
+// A zero byte budget retains nothing: every fetch recomputes, and the
+// answers stay exact.
+TEST(OracleServer, ZeroBudgetCacheStaysCorrect) {
   const Graph g = gnp_connected(30, 0.12, 71);
   const IsolationRpts pi(g, IsolationAtw(72));
   ServerConfig off;
-  off.enable_cache = false;
-  off.enable_coalescing = false;
+  off.cache.byte_budget = 0;
   OracleServer server(pi, off);
-  EXPECT_EQ(server.cache(), nullptr);
   for (Vertex s = 0; s < 6; ++s)
-    for (Vertex t = 20; t < 26; ++t)
+    for (Vertex t = 20; t < 26; ++t) {
       EXPECT_EQ(server.distance(s, t), pi.distance(s, t));
+      EXPECT_EQ(server.path(s, t, FaultSet{s}), pi.path(s, t, FaultSet{s}));
+    }
+  const SptCache::Stats cs = server.cache()->stats();
+  EXPECT_EQ(cs.entries, 0u);
+  EXPECT_EQ(cs.bytes, 0u);
+  EXPECT_EQ(cs.hits, 0u);
 }
 
 TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {
@@ -762,7 +744,7 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
   GenerationManager gens = make_generations(pi);
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(&cache, &engine);
+  CoalescingBatcher batcher(cache, &engine);
   const GenerationManager::Pin pin = gens.pin();
 
   // The poisoned key throws a real exception instead of crashing...

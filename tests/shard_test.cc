@@ -1,7 +1,8 @@
 // Tests for the sharded serving tier (src/serve/shard_router.h,
 // shard_aggregator.h): consistent-hash stability under fleet growth,
-// bit-identical answers at every shard count with and without aggregation,
-// deterministic submission bounds from the explicit flush rule,
+// bit-identical answers at every shard count, deterministic submission
+// counts (one per touched shard for a fan-out, one per routed fetch),
+// cross-query dedup of concurrent misses inside the owning shard,
 // epoch-coherent update fan-out with pinned readers surviving it, and
 // out-of-range query inputs rejected before they reach a shard.
 #include "serve/shard_aggregator.h"
@@ -9,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,23 +119,20 @@ TEST(ShardRouter, RouteHashIgnoresEverythingButRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation layer.
+// Front-end layer.
 
-FrontEndConfig small_config(size_t shards, bool aggregation,
-                            const BatchSsspEngine* engine) {
+FrontEndConfig small_config(size_t shards, const BatchSsspEngine* engine) {
   FrontEndConfig fc;
   fc.num_shards = shards;
-  fc.enable_aggregation = aggregation;
   fc.shard.engine = engine;
   fc.shard.cache.shards = 2;
   return fc;
 }
 
-// The tentpole acceptance gate in miniature: the same query stream answered
-// at 1, 2, and 4 shards, with and without aggregation, must be bit-identical
-// to the single-scheme reference -- sharding repartitions work, never
-// changes the scheme.
-TEST(ShardAggregator, BitIdenticalAcrossShardCountsAndAggregation) {
+// The same query stream answered at 1, 2, and 4 shards must be
+// bit-identical to the single-scheme reference -- sharding repartitions
+// work, never changes the scheme.
+TEST(ShardAggregator, BitIdenticalAcrossShardCounts) {
   Graph g = gnp_connected(60, 0.08, 7);
   const IsolationRpts pi(g, IsolationAtw(8));
   const BatchSsspEngine engine(2);
@@ -140,35 +142,32 @@ TEST(ShardAggregator, BitIdenticalAcrossShardCountsAndAggregation) {
     all.push_back({r, {}, Direction::kOut});
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    for (const bool aggregation : {true, false}) {
-      ShardAggregator fe(pi, small_config(shards, aggregation, &engine));
-      const auto trees = fe.tree_batch(all);
-      ASSERT_EQ(trees.size(), all.size());
-      for (Vertex r = 0; r < g.num_vertices(); ++r) {
-        ASSERT_NE(trees[r], nullptr);
-        expect_same_tree(*trees[r], pi.spt(r));
-      }
-      // Point queries agree too, including the fault tier and the
-      // stability fast path.
-      EXPECT_EQ(fe.distance(0, 5), pi.spt(0).hops(5));
-      EXPECT_EQ(fe.distance(3, 9, FaultSet{1}),
-                pi.spt(3, FaultSet{1}).hops(9));
-      const Spt base = pi.spt(2);
-      Vertex x = 1;
-      while (base.parent_edge(x) == kNoEdge) ++x;
-      EXPECT_EQ(fe.replacement_distance(2, x, base.parent_edge(x)),
-                pi.spt(2, FaultSet{base.parent_edge(x)}).hops(x));
-      const auto s = fe.stats();
-      EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
+    ShardAggregator fe(pi, small_config(shards, &engine));
+    const auto trees = fe.tree_batch(all);
+    ASSERT_EQ(trees.size(), all.size());
+    for (Vertex r = 0; r < g.num_vertices(); ++r) {
+      ASSERT_NE(trees[r], nullptr);
+      expect_same_tree(*trees[r], pi.spt(r));
     }
+    // Point queries agree too, including the fault tier and the
+    // stability fast path.
+    EXPECT_EQ(fe.distance(0, 5), pi.spt(0).hops(5));
+    EXPECT_EQ(fe.distance(3, 9, FaultSet{1}),
+              pi.spt(3, FaultSet{1}).hops(9));
+    const Spt base = pi.spt(2);
+    Vertex x = 1;
+    while (base.parent_edge(x) == kNoEdge) ++x;
+    EXPECT_EQ(fe.replacement_distance(2, x, base.parent_edge(x)),
+              pi.spt(2, FaultSet{base.parent_edge(x)}).hops(x));
+    const auto s = fe.stats();
+    EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
   }
 }
 
-// The explicit flush rule's deterministic bound: a k-root cold tree_batch
-// costs at most min(k, shards) submissions when aggregation is on, and
-// exactly k when it is off -- the >= 2x reduction the bench asserts is a
-// structural property, not a timing accident.
-TEST(ShardAggregator, ExplicitFlushBoundsSubmissions) {
+// A k-root cold tree_batch costs exactly one submission per touched shard
+// -- at most min(k, shards) -- so the >= 2x cut below one submission per
+// sub-query is a structural property, not a timing accident.
+TEST(ShardAggregator, FanoutCostsOneSubmissionPerTouchedShard) {
   Graph g = gnp_connected(64, 0.07, 27);
   const IsolationRpts pi(g, IsolationAtw(28));
   const BatchSsspEngine engine(2);
@@ -177,49 +176,110 @@ TEST(ShardAggregator, ExplicitFlushBoundsSubmissions) {
   std::vector<SsspRequest> reqs;
   for (Vertex r = 0; r < kRoots; ++r) reqs.push_back({r, {}, Direction::kOut});
 
-  ShardAggregator on(pi, small_config(kShards, true, &engine));
-  on.tree_batch(reqs);
-  const FrontEndStats s_on = on.stats();
-  EXPECT_EQ(s_on.subqueries, kRoots);
-  EXPECT_LE(s_on.submissions, kShards);
-  EXPECT_GT(s_on.flush_explicit_trigger, 0u);
+  ShardAggregator fe(pi, small_config(kShards, &engine));
+  const ShardRouter::Plan plan = fe.router().decompose(pi.scheme_id(), reqs);
+  fe.tree_batch(reqs);
+  const FrontEndStats s_cold = fe.stats();
+  EXPECT_EQ(s_cold.subqueries, kRoots);
+  EXPECT_EQ(s_cold.submissions, plan.touched.size());
+  EXPECT_LE(s_cold.submissions, kRoots / 2);
+  EXPECT_EQ(s_cold.aggregated, kRoots);
 
-  ShardAggregator off(pi, small_config(kShards, false, &engine));
-  off.tree_batch(reqs);
-  const FrontEndStats s_off = off.stats();
-  EXPECT_EQ(s_off.submissions, kRoots);
-  EXPECT_GE(s_off.submissions, 2 * s_on.submissions);
-
-  // Warm repeat: every sub-query is a remote hit; submissions still bounded.
-  on.tree_batch(reqs);
-  const FrontEndStats s_warm = on.stats();
+  // Warm repeat: every sub-query is a remote hit; still one submission per
+  // touched shard.
+  fe.tree_batch(reqs);
+  const FrontEndStats s_warm = fe.stats();
   EXPECT_EQ(s_warm.remote_hits + s_warm.aggregated, s_warm.subqueries);
-  EXPECT_GE(s_warm.remote_hits, kRoots);
+  EXPECT_EQ(s_warm.remote_hits, kRoots);
+  EXPECT_EQ(s_warm.submissions, 2 * plan.touched.size());
 }
 
-// The idle flush rule: a single-root query alone in the front-end serves
-// its outbox at once -- nobody can join it, so sleeping out the timeout
-// would only add latency. Every submission is an idle flush, none a
-// timeout, and the answers match the scheme.
-TEST(ShardAggregator, LoneQueryFlushesWithoutTimeout) {
+// A single-root query goes straight to its shard: each routed fetch is
+// exactly one submission, and the answers match the scheme.
+TEST(ShardAggregator, EachRoutedFetchIsOneSubmission) {
   Graph g = gnp_connected(48, 0.1, 41);
   const IsolationRpts pi(g, IsolationAtw(42));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   const Spt base = pi.spt(3);
   const EdgeId e = base.parent_edge(10);  // on the selected 3 -> 10 path
   EXPECT_EQ(fe.distance(3, 10), base.hops(10));
   expect_same_tree(*fe.tree({5, {}, Direction::kOut}), pi.spt(5));
-  // Two fetches (base, then fault tree), each flushed alone.
+  // Two fetches (base, then fault tree), one submission each.
   EXPECT_EQ(fe.replacement_distance(3, 10, e),
             pi.spt(3, FaultSet{e}).hops(10));
 
   const FrontEndStats s = fe.stats();
+  EXPECT_EQ(s.subqueries, 4u);
   EXPECT_EQ(s.submissions, 4u);
-  EXPECT_EQ(s.flush_idle_trigger, 4u);
-  EXPECT_EQ(s.flush_timeout_trigger, 0u);
-  EXPECT_EQ(s.flush_capacity_trigger, 0u);
+}
+
+// A scheme whose tree computation waits until `open()` holds (or 10 s
+// pass), so a test can keep a flight in the air while other callers arrive.
+class GatedRpts final : public IRpts {
+ public:
+  GatedRpts(const Graph& g, std::shared_ptr<std::function<bool()>> open)
+      : g_(&g), open_(std::move(open)) {}
+  const Graph& graph() const override { return *g_; }
+  std::string name() const override { return "gated"; }
+  Spt spt(Vertex root, const FaultSet& faults = {},
+          Direction dir = Direction::kOut) const override {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!(*open_)() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    return ArbitraryRpts(*g_).spt(root, faults, dir);
+  }
+  std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+    auto view = std::make_unique<GatedRpts>(frozen, open_);
+    view->adopt_identity(*this);
+    return view;
+  }
+
+ private:
+  const Graph* g_;
+  std::shared_ptr<std::function<bool()>> open_;
+};
+
+// Concurrent queries for the same cold root meet in the owning shard's
+// single-flight batcher: the compute is held until all 8 callers have
+// reached the batcher, and the tree is still computed exactly once.
+TEST(ShardAggregator, ConcurrentColdRootComputesOnce) {
+  Graph g = gnp_connected(60, 0.08, 43);
+  auto open = std::make_shared<std::function<bool()>>([] { return true; });
+  const GatedRpts pi(g, open);
+  const BatchSsspEngine engine(2);
+  ShardAggregator fe(pi, small_config(2, &engine));
+  const Vertex root = 17;
+  const CoalescingBatcher& batcher =
+      *fe.shard(fe.router().shard_of(pi.scheme_id(), root)).batcher();
+  constexpr int kThreads = 8;
+  *open = [&] { return batcher.stats().requests >= kThreads; };
+
+  const Spt want = ArbitraryRpts(g).spt(root);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      const SptHandle tree = fe.tree({root, {}, Direction::kOut});
+      for (Vertex v = 0; v < want.num_vertices(); ++v)
+        if (tree->hops(v) != want.hops(v) ||
+            tree->parent_edge(v) != want.parent_edge(v)) {
+          mismatches.fetch_add(1);
+          break;
+        }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const CoalescingBatcher::Stats bs = batcher.stats();
+  EXPECT_EQ(bs.requests, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(bs.computed, 1u);
+  EXPECT_EQ(bs.coalesced, static_cast<uint64_t>(kThreads - 1));
+  const FrontEndStats s = fe.stats();
+  EXPECT_EQ(s.submissions, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(s.aggregated, static_cast<uint64_t>(kThreads));
 }
 
 // Epoch-coherent fan-out: a pinned reader on one shard survives an
@@ -232,7 +292,7 @@ TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
   Graph g = gnp_connected(60, 0.08, 37);
   const IsolationRpts pi(g, IsolationAtw(38));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   // From-scratch reference on the OLD topology, taken before the mutation.
   std::vector<Spt> before;
@@ -292,7 +352,7 @@ TEST(ShardAggregator, ChurnDuringCrossShardLoad) {
   Graph g = gnp_connected(40, 0.1, 47);
   const IsolationRpts pi(g, IsolationAtw(48));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   const Spt t0 = pi.spt(0);
   Vertex x = 1;
@@ -349,7 +409,7 @@ TEST(ShardAggregator, FleetReportsIntoOneRegistry) {
   Graph g = gnp_connected(40, 0.1, 57);
   const IsolationRpts pi(g, IsolationAtw(58));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   std::vector<SsspRequest> all;
   for (Vertex r = 0; r < g.num_vertices(); ++r)
@@ -375,38 +435,35 @@ TEST(ShardAggregator, FleetReportsIntoOneRegistry) {
 // Regression: the front-end routed out-of-range inputs straight into a
 // shard -- t >= n read past the tree's arrays, s >= n ran Dijkstra off the
 // CSR, an unknown fault id was cached under a junk key. Every routed query
-// kind, aggregated or not, must throw std::out_of_range, cache nothing on
-// any shard, and leave the fleet serving. Most meaningful under ASan.
+// kind must throw std::out_of_range, cache nothing on any shard, and leave
+// the fleet serving. Most meaningful under ASan.
 TEST(ShardAggregator, RejectsOutOfRangeInputs) {
   const Graph g = gnp_connected(200, 0.03, 93);
   const IsolationRpts pi(g, IsolationAtw(94));
   const BatchSsspEngine engine(2);
   const EdgeId junk = EdgeId{1} << 30;
-  for (const bool aggregation : {false, true}) {
-    SCOPED_TRACE(aggregation ? "aggregated" : "direct");
-    ShardAggregator fe(pi, small_config(2, aggregation, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
-    EXPECT_THROW(fe.distance(0, 200), std::out_of_range);
-    EXPECT_THROW(fe.distance(100000, 5), std::out_of_range);
-    EXPECT_THROW(fe.distance(0, 5, FaultSet{junk}), std::out_of_range);
-    EXPECT_THROW(fe.path(0, 200), std::out_of_range);
-    EXPECT_THROW(fe.replacement_distance(0, 5, junk), std::out_of_range);
-    EXPECT_THROW(fe.tree({200, {}, Direction::kOut}), std::out_of_range);
-    // One bad request fails the whole batch before anything is staged.
-    const std::vector<SsspRequest> mixed{{0, {}, Direction::kOut},
-                                         {7, FaultSet{junk}, Direction::kOut}};
-    EXPECT_THROW(fe.tree_batch(mixed), std::out_of_range);
-    for (size_t k = 0; k < fe.num_shards(); ++k)
-      EXPECT_EQ(fe.shard(k).cache()->stats().inserts, 0u) << "shard " << k;
-    EXPECT_EQ(fe.stats().queries, 0u);
-    EXPECT_EQ(fe.stats().submissions, 0u);
+  EXPECT_THROW(fe.distance(0, 200), std::out_of_range);
+  EXPECT_THROW(fe.distance(100000, 5), std::out_of_range);
+  EXPECT_THROW(fe.distance(0, 5, FaultSet{junk}), std::out_of_range);
+  EXPECT_THROW(fe.path(0, 200), std::out_of_range);
+  EXPECT_THROW(fe.replacement_distance(0, 5, junk), std::out_of_range);
+  EXPECT_THROW(fe.tree({200, {}, Direction::kOut}), std::out_of_range);
+  // One bad request fails the whole batch before anything is submitted.
+  const std::vector<SsspRequest> mixed{{0, {}, Direction::kOut},
+                                       {7, FaultSet{junk}, Direction::kOut}};
+  EXPECT_THROW(fe.tree_batch(mixed), std::out_of_range);
+  for (size_t k = 0; k < fe.num_shards(); ++k)
+    EXPECT_EQ(fe.shard(k).cache()->stats().inserts, 0u) << "shard " << k;
+  EXPECT_EQ(fe.stats().queries, 0u);
+  EXPECT_EQ(fe.stats().submissions, 0u);
 
-    const Vertex last_v = g.num_vertices() - 1;
-    const EdgeId last_e = g.num_edges() - 1;
-    EXPECT_EQ(fe.distance(0, last_v), pi.distance(0, last_v));
-    EXPECT_EQ(fe.distance(last_v, 0, FaultSet{last_e}),
-              pi.distance(last_v, 0, FaultSet{last_e}));
-  }
+  const Vertex last_v = g.num_vertices() - 1;
+  const EdgeId last_e = g.num_edges() - 1;
+  EXPECT_EQ(fe.distance(0, last_v), pi.distance(0, last_v));
+  EXPECT_EQ(fe.distance(last_v, 0, FaultSet{last_e}),
+            pi.distance(last_v, 0, FaultSet{last_e}));
 }
 
 // Regression: OracleShard::serve_batch enrolled its requests unvalidated, so
@@ -417,7 +474,7 @@ TEST(ShardAggregator, ServeBatchValidatesBeforeEnrolling) {
   const Graph g = gnp_connected(80, 0.06, 95);
   const IsolationRpts pi(g, IsolationAtw(96));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(1, false, &engine));
+  ShardAggregator fe(pi, small_config(1, &engine));
   OracleShard& shard = fe.shard(0);
   ASSERT_NE(shard.cache(), nullptr);
   ASSERT_NE(shard.batcher(), nullptr);
