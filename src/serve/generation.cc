@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -151,6 +152,19 @@ GenerationManager::Stats GenerationManager::stats() const {
     s.pins_now = outstanding(0) + outstanding(1);
   }
   return s;
+}
+
+obs::Registration GenerationManager::register_metrics(
+    obs::MetricsRegistry& registry, std::string component) const {
+  return registry.add(std::move(component), [this](obs::ComponentBuilder& b) {
+    const Stats s = stats();
+    b.counter("published", s.published);
+    b.counter("retired", s.retired);
+    b.counter("publish_waits", s.publish_waits);
+    b.counter("publish_wait_ns", s.publish_wait_ns);
+    b.gauge("live", static_cast<int64_t>(s.live));
+    b.gauge("pins_now", static_cast<int64_t>(s.pins_now));
+  });
 }
 
 }  // namespace restorable

@@ -43,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 
 #include "core/rpts.h"
 #include "graph/graph.h"
@@ -161,6 +162,12 @@ class GenerationManager {
   void publish(std::unique_ptr<const Generation> next);
 
   Stats stats() const;
+
+  // Registers stats() as `component` of `registry`: counters published,
+  // retired, publish_waits, publish_wait_ns; gauges live, pins_now. The
+  // manager must outlive the registration.
+  [[nodiscard]] obs::Registration register_metrics(
+      obs::MetricsRegistry& registry, std::string component) const;
 
  private:
   struct Slot {

@@ -64,11 +64,18 @@ UpdateResult UpdateResult::of(DeltaBatch batch) {
 }
 
 OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
+    : OracleShard(pi, std::move(config), nullptr, "") {}
+
+OracleShard::OracleShard(const IRpts& pi, ServerConfig config,
+                         GenerationManager* gens, std::string metrics_prefix)
     : pi_(&pi),
       config_(validated(std::move(config))),
-      // Generation 0: the current topology.
-      gens_(std::make_unique<GenerationManager>(
-          Generation::of(pi, pi.graph().snapshot()))),
+      metrics_prefix_(std::move(metrics_prefix)),
+      // Standalone: generation 0 is the current topology.
+      owned_gens_(gens ? nullptr
+                       : std::make_unique<GenerationManager>(
+                             Generation::of(pi, pi.graph().snapshot()))),
+      gens_(gens ? gens : owned_gens_.get()),
       cache_(std::make_unique<SptCache>(config_.cache)),
       batcher_(std::make_unique<CoalescingBatcher>(*cache_, config_.engine)) {
   metrics_ = config_.metrics;
@@ -81,7 +88,7 @@ OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
 }
 
 std::string OracleShard::comp(const char* name) const {
-  return config_.metrics_prefix + name;
+  return metrics_prefix_ + name;
 }
 
 void OracleShard::register_providers() {
@@ -156,16 +163,10 @@ void OracleShard::register_providers() {
                                               CoalescingBatcher::kHistBuckets),
                     s.batch_hist_sum);
       }));
-  registrations_.push_back(
-      metrics_->add(comp("generations"), [this](obs::ComponentBuilder& b) {
-        const GenerationManager::Stats s = gens_->stats();
-        b.counter("published", s.published);
-        b.counter("retired", s.retired);
-        b.counter("publish_waits", s.publish_waits);
-        b.counter("publish_wait_ns", s.publish_wait_ns);
-        b.gauge("live", static_cast<int64_t>(s.live));
-        b.gauge("pins_now", static_cast<int64_t>(s.pins_now));
-      }));
+  // A fleet registers its one manager itself.
+  if (owned_gens_)
+    registrations_.push_back(
+        owned_gens_->register_metrics(*metrics_, comp("generations")));
   registrations_.push_back(
       metrics_->add(comp("engine"), [this](obs::ComponentBuilder& b) {
         // NOTE: with no configured engine this reads the process-wide
@@ -354,6 +355,7 @@ void OracleShard::record_stretch(int32_t exact_hops, int32_t approx_hops) {
 SptHandle OracleShard::tree(const SsspRequest& req) {
   const GenerationManager::Pin pin = gens_->pin();
   pin->check_query(req.root, req.root, req.faults.ids());
+  queries_.add();
   QueryCtx ctx = begin_query("tree");
   SptHandle t = fetch_classified(req, pin, ctx);
   end_query(ctx);
@@ -541,85 +543,77 @@ void OracleShard::repair_invalidated(
 
 UpdateResult OracleShard::apply_updates(Graph& graph,
                                         std::span<const GraphDelta> deltas) {
-  if (&graph != &pi_->graph())
+  if (!owned_gens_)
+    throw std::logic_error(
+        "apply_updates: a fleet shard is updated through its "
+        "ShardAggregator");
+  std::lock_guard<std::mutex> mutator(mutator_mu_);
+  OracleShard* self = this;
+  return run_update({&self, 1}, *gens_, graph, deltas);
+}
+
+UpdateResult OracleShard::run_update(std::span<OracleShard* const> shards,
+                                     GenerationManager& gens, Graph& graph,
+                                     std::span<const GraphDelta> deltas) {
+  const IRpts& pi = *shards.front()->pi_;
+  if (&graph != &pi.graph())
     throw std::invalid_argument(
         "apply_updates: graph is not the served scheme's graph");
-  // Build-publish-retire. Everything here runs under the mutator mutex and
-  // NEVER blocks a query: readers compute on pinned generations, and the
-  // live graph -- which this function mutates and the repair batch reads --
-  // is touched by nobody else. publish() in absorb_locked is the only
-  // ordering point readers observe.
-  std::lock_guard<std::mutex> mutator(mutator_mu_);
-  CounterTimer apply_timer(&apply_ns_);
+  // Build-publish-retire. Everything here runs under the caller's mutator
+  // lock and NEVER blocks a query: readers compute on pinned generations,
+  // and the live graph -- which this function mutates and the repair batch
+  // reads -- is touched by nobody else. The one publish() below is the
+  // only ordering point readers observe.
+  const uint64_t t0 = obs::now_ns();
   UpdateResult res = UpdateResult::of(graph.apply(deltas));
-  if (res.changed) absorb_locked(res, graph.snapshot(), nullptr);
-  return res;
-}
-
-UpdateResult OracleShard::absorb_update(
-    const DeltaBatch& batch, const GraphSnapshot& snap,
-    std::vector<SptCache::Invalidated>* deferred) {
-  std::lock_guard<std::mutex> mutator(mutator_mu_);
-  CounterTimer apply_timer(&apply_ns_);
-  UpdateResult res = UpdateResult::of(batch);
-  if (res.changed) absorb_locked(res, snap, deferred);
-  return res;
-}
-
-void OracleShard::absorb_locked(
-    UpdateResult& res, GraphSnapshot snap,
-    std::vector<SptCache::Invalidated>* deferred) {
-  updates_.fetch_add(1, std::memory_order_relaxed);
+  if (!res.changed) return res;
 
   // Build the next generation off to the side while readers keep serving
   // the published one.
-  auto next = Generation::of(*pi_, std::move(snap));
+  auto next = Generation::of(pi, graph.snapshot());
 
-  // Shadow-advance the cache BEFORE publishing: survivors are rekeyed to
-  // the new epoch (readers pinned to the old generation miss and
-  // recompute -- correct, just cold), and the per-shard latest-epoch
+  // Shadow-advance every shard's cache BEFORE publishing: survivors are
+  // rekeyed to the new epoch (readers pinned to the old generation miss
+  // and recompute -- correct, just cold), and each cache's latest-epoch
   // watermark is armed so a straggler publishing an old-epoch tree after
   // this point is rejected (rejected_stale) instead of poisoning the
-  // store -- the publish-side guard of the RCU path. ONE walk for the
-  // whole burst, judged against the batch's net effect: a flap healed
-  // within the batch has no net delta and every tree survives it.
-  std::vector<SptCache::Invalidated> invalidated;
-  const SptCache::AdvanceStats adv = cache_->advance_epoch(
-      pi_->scheme_id(), res.old_epoch, res.new_epoch,
-      [&](const SptKey& key, const Spt& tree) {
-        // Approximate-tier entries survive under the epsilon-slack test
-        // (invariant F, core/rpts.h) -- measurably more of them carry
-        // forward than exact entries under the same churn.
-        return pi_->batch_survives(res.batch, tree, key.fault_set(),
+  // store -- the publish-side guard of the RCU path. ONE walk per cache
+  // for the whole burst, judged against the batch's net effect: a flap
+  // healed within the batch has no net delta and every tree survives it.
+  std::vector<std::vector<SptCache::Invalidated>> invalidated(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    OracleShard& shard = *shards[i];
+    shard.updates_.fetch_add(1, std::memory_order_relaxed);
+    const SptCache::AdvanceStats adv = shard.cache_->advance_epoch(
+        pi.scheme_id(), res.old_epoch, res.new_epoch,
+        [&](const SptKey& key, const Spt& tree) {
+          // Approximate-tier entries survive under the epsilon-slack test
+          // (invariant F, core/rpts.h) -- measurably more of them carry
+          // forward than exact entries under the same churn.
+          return pi.batch_survives(res.batch, tree, key.fault_set(),
                                    key.eps_q);
-      },
-      &invalidated);
-
-  // The swap: queries that pin after this point see the new topology.
-  gens_->publish(std::move(next));
-  res.carried = adv.carried;
-  res.invalidated = adv.invalidated;
-  res.purged_stale = adv.purged_stale;
-
-  if (deferred) {
-    // Epoch-coherent fan-out: hand the non-survivors back so the caller can
-    // publish EVERY shard before ANY shard's repair batch runs.
-    *deferred = std::move(invalidated);
-    return;
+        },
+        &invalidated[i]);
+    res.carried += adv.carried;
+    res.invalidated += adv.invalidated;
+    res.purged_stale += adv.purged_stale;
   }
-  // Repair the non-survivors at the new epoch as ONE engine batch --
-  // incrementally where the affected region is small, from scratch
-  // otherwise, bit-identical either way -- with no guard at all: the
-  // mutator mutex already excludes the only other writer of the live CSR,
-  // and readers never dereference it.
-  repair_invalidated(res.batch, invalidated, res);
-}
 
-void OracleShard::repair_deferred(
-    const DeltaBatch& batch, std::vector<SptCache::Invalidated>& invalidated,
-    UpdateResult& res) {
-  std::lock_guard<std::mutex> mutator(mutator_mu_);
-  repair_invalidated(batch, invalidated, res);
+  // The swap: queries that pin after this point see the new topology on
+  // every shard at once, since every shard serves on `gens`.
+  gens.publish(std::move(next));
+
+  // Repair the non-survivors at the new epoch, one engine batch per shard
+  // -- incrementally where the affected region is small, from scratch
+  // otherwise, bit-identical either way -- with no guard at all: the
+  // mutator lock already excludes the only other writer of the live CSR,
+  // and readers never dereference it. Queries flow meanwhile and at worst
+  // recompute a cold key on demand.
+  for (size_t i = 0; i < shards.size(); ++i)
+    shards[i]->repair_invalidated(res.batch, invalidated[i], res);
+  const uint64_t dur = obs::now_ns() - t0;
+  for (OracleShard* shard : shards) shard->apply_ns_.add(dur);
+  return res;
 }
 
 }  // namespace restorable

@@ -3,8 +3,8 @@
 // An OracleShard owns the full single-node serving stack for one scheme --
 // a sharded SPT cache (serve/spt_cache.h), a single-flight coalescing
 // batcher (serve/coalescing_batcher.h), and an RCU generation manager
-// (serve/generation.h) -- and answers mixed (s, t, F) queries from any
-// number of threads:
+// (serve/generation.h; a fleet's shards share one) -- and answers mixed
+// (s, t, F) queries from any number of threads:
 //
 //   distance(s, t, F)              hops of pi(s, t | F), with a stability
 //                                  fast path: if the selected fault-free
@@ -41,14 +41,15 @@
 //
 // Sharded serving (docs/ARCHITECTURE.md "Sharded serving"): N shards of
 // this class, each owning the roots a ShardRouter assigns to it, sit behind
-// a ShardAggregator front-end. The shard-facing surface is three calls:
-// pin_generation() + serve_batch() (one pinned engine submission for a
-// whole per-shard sub-batch) on the query path, and absorb_update() /
-// repair_deferred() on the update path (the front-end applies the deltas to
-// the shared graph once, then every shard absorbs the SAME DeltaBatch +
-// snapshot so the fleet advances as one epoch-coherent fan-out).
-// OracleServer (serve/oracle_server.h) is the N=1 case: a subclass adding
-// nothing, so the single-server API and behavior are unchanged.
+// a ShardAggregator front-end and share ONE GenerationManager, so a single
+// pin covers the whole fleet. The shard is the only query implementation:
+// the front-end forwards every single-root query to the owning shard's
+// tree / distance / path / replacement_distance, and splits a multi-root
+// query into one pinned serve_batch() per touched shard. An update runs
+// one sequence for the whole fleet: graph.apply, every shard's cache
+// advance, ONE publish, every shard's repair. OracleServer
+// (serve/oracle_server.h) is the N=1 case: a subclass adding nothing,
+// which owns its generation manager and runs the same sequence alone.
 #pragma once
 
 #include <atomic>
@@ -141,16 +142,13 @@ struct ServerConfig {
   // External metrics registry to register this server's components into
   // (must outlive the server). nullptr = the server owns a private one,
   // reachable via metrics(). Component names are fixed (server / cache /
-  // batcher / generations / engine) modulo `metrics_prefix`, so give each
-  // server its own registry unless you only ever read the merged document.
+  // batcher / generations / engine; a ShardAggregator prefixes each shard's
+  // with "shard<i>."), so give each server its own registry unless you only
+  // ever read the merged document.
   obs::MetricsRegistry* metrics = nullptr;
   // Sampled per-query trace collector (must outlive the server). nullptr =
   // tracing off; unsampled queries then pay nothing at all.
   obs::Tracer* tracer = nullptr;
-  // Prepended to every component name this shard registers ("" for the
-  // single-server case, "shard3." under a ShardAggregator), so N shards
-  // report into ONE registry and one snapshot() covers the whole fleet.
-  std::string metrics_prefix;
 };
 
 // What one apply_update / apply_updates did, for telemetry and tests.
@@ -253,7 +251,9 @@ class OracleShard {
   // (build-publish-retire; see docs/CONCURRENCY.md). Answers begun after
   // this returns reflect the new topology, and handles held across it stay
   // valid and bit-identical. Thread-safe against any number of concurrent
-  // queriers; concurrent updaters are serialized against each other.
+  // queriers; concurrent updaters are serialized against each other. A
+  // ShardAggregator's shard throws std::logic_error: the fleet updates
+  // all its shards at once (ShardAggregator::apply_updates).
   UpdateResult apply_update(Graph& graph, GraphDelta delta);
 
   // Batched form -- the amortized path for a burst of k topology deltas:
@@ -266,11 +266,12 @@ class OracleShard {
   UpdateResult apply_updates(Graph& graph,
                              std::span<const GraphDelta> deltas);
 
-  // ---- Shard-facing surface (the ShardAggregator's three entry points;
+  // ---- Shard-facing surface (the ShardAggregator's fan-out entry point;
   // ---- equally usable by any caller wanting multi-fetch epoch coherence).
 
-  // A pin on the current generation. Holding one delays generation
-  // retirement, never correctness; copies re-pin the same generation.
+  // A pin on the current generation -- the fleet's, on a ShardAggregator
+  // shard. Holding one delays generation retirement, never correctness;
+  // copies re-pin the same generation.
   GenerationManager::Pin pin_generation() { return gens_->pin(); }
 
   // A whole per-shard sub-batch as ONE serving-stack submission: every miss
@@ -289,30 +290,6 @@ class OracleShard {
                                      const GenerationManager::Pin& pin,
                                      std::vector<FetchObs>* obs = nullptr);
 
-  // Update-path fan-out half 1: absorb a DeltaBatch ALREADY applied to the
-  // scheme's graph (by the front-end, exactly once for the whole fleet)
-  // and advance this shard to its epoch -- advance_epoch cache walk,
-  // build + publish of the next generation from `snap`. When `deferred` is
-  // non-null the invalidated trees are handed back instead of repaired
-  // inline, so the front-end can unblock the new epoch for the whole fleet
-  // FIRST and run every shard's repair_deferred() after -- queries never
-  // wait on prewarming. apply_updates is this same stage behind its own
-  // graph.apply.
-  UpdateResult absorb_update(const DeltaBatch& batch,
-                             const GraphSnapshot& snap,
-                             std::vector<SptCache::Invalidated>* deferred);
-
-  // Update-path fan-out half 2: repair/prewarm the trees absorb_update
-  // deferred, as one engine batch at the new epoch, accumulating
-  // prewarmed/repaired into `res` (the UpdateResult absorb_update
-  // returned). Must be called with the SAME batch, after every shard has
-  // absorbed (the live graph is read here, so the caller must still hold
-  // whatever excludes the next mutation -- the ShardAggregator holds its
-  // mutator lock across both halves).
-  void repair_deferred(const DeltaBatch& batch,
-                       std::vector<SptCache::Invalidated>& invalidated,
-                       UpdateResult& res);
-
   uint64_t queries_served() const { return queries_.value(); }
   uint64_t updates_applied() const {
     return updates_.load(std::memory_order_relaxed);
@@ -330,12 +307,12 @@ class OracleShard {
 
   // The registry every component of this server reports into: `server`
   // (query counters, outcome classes, latency decomposition, update-path
-  // repair split), `cache`, `batcher`, `generations`, `engine` -- each name
-  // prefixed by ServerConfig::metrics_prefix, each a provider over that
-  // component's own relaxed atomics, so ONE snapshot() yields one document
-  // covering the whole stack (or the whole sharded fleet, when every shard
-  // shares the front-end's registry). Never sampled on the query path;
-  // snapshot() cost is borne entirely by the caller.
+  // repair split), `cache`, `batcher`, `generations`, `engine` -- each a
+  // provider over that component's own relaxed atomics, so ONE snapshot()
+  // yields one document covering the whole stack (or the whole sharded
+  // fleet, whose shards share one registry under "shard<i>." prefixes and
+  // whose one manager is the unprefixed `generations`). Never sampled on
+  // the query path; snapshot() cost is borne entirely by the caller.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   // Composite counters via ONE metrics().snapshot() pass. Consistency
@@ -350,13 +327,23 @@ class OracleShard {
   SptCache* cache() { return cache_.get(); }
   const CoalescingBatcher* batcher() const { return batcher_.get(); }
 
-  // Never null. Exposed non-const so callers needing several coherent
-  // fetches (and tests) can hold a Pin of their own; a held pin delays
-  // generation retirement, never correctness.
-  GenerationManager* generations() { return gens_.get(); }
-  const GenerationManager* generations() const { return gens_.get(); }
+  // Never null; on a ShardAggregator shard, the fleet's one manager.
+  // Exposed non-const so callers needing several coherent fetches (and
+  // tests) can hold a Pin of their own; a held pin delays generation
+  // retirement, never correctness.
+  GenerationManager* generations() { return gens_; }
+  const GenerationManager* generations() const { return gens_; }
 
  private:
+  friend class ShardAggregator;
+
+  // A fleet shard: serves on the fleet's `gens` (which must outlive it)
+  // and registers its components as `metrics_prefix` + name, leaving the
+  // `generations` component to the fleet. A null `gens` is the standalone
+  // case: the shard owns a manager over the current topology.
+  OracleShard(const IRpts& pi, ServerConfig config, GenerationManager* gens,
+              std::string metrics_prefix);
+
   // Per-query observability context: the entry timestamp, the (usually
   // null) sampled trace, and its root span. Costs two clock reads + one
   // histogram record per query when metrics are enabled; nothing under
@@ -414,28 +401,34 @@ class OracleShard {
                          const GenerationManager::Pin& pin, QueryCtx& ctx,
                          bool escalated);
 
-  // The update stage apply_updates and absorb_update share: caller holds
-  // mutator_mu_ and `res` is UpdateResult::of a changed batch. Advances the
-  // cache, publishes the generation built from `snap`, then repairs inline
-  // or defers per `deferred`.
-  void absorb_locked(UpdateResult& res, GraphSnapshot snap,
-                     std::vector<SptCache::Invalidated>* deferred);
+  // The update sequence, shared by a standalone server (shards = {this})
+  // and a fleet: ONE graph.apply, every shard's cache advance_epoch, ONE
+  // publish of the generation built from the new snapshot onto `gens`,
+  // then every shard's repair. The caller holds the mutator lock that
+  // excludes other updates of `gens`' shards. The shards' counters are
+  // summed into the result.
+  static UpdateResult run_update(std::span<OracleShard* const> shards,
+                                 GenerationManager& gens, Graph& graph,
+                                 std::span<const GraphDelta> deltas);
   void repair_invalidated(const DeltaBatch& batch,
                           std::vector<SptCache::Invalidated>& invalidated,
                           UpdateResult& res);
 
   const IRpts* pi_;
   ServerConfig config_;
-  // Never null. Declared before the cache and batcher so it is destroyed
-  // LAST: pending flights in the batcher hold generation pins, which must
-  // be released before the manager asserts quiescence. Heap-allocated so
-  // the pin cells every query writes share no cache line with the fields
-  // every query reads.
-  std::unique_ptr<GenerationManager> gens_;
-  // Serializes mutators (apply_updates / absorb_update / repair_deferred):
-  // the build-publish-retire sequence and the repair batch read the LIVE
+  std::string metrics_prefix_;  // "" standalone, "shard<i>." in a fleet
+  // Null on a fleet shard. Declared before the cache and batcher so it is
+  // destroyed LAST: pending flights in the batcher hold generation pins,
+  // which must be released before the manager asserts quiescence (a fleet
+  // declares its manager before its shards for the same reason).
+  // Heap-allocated so the pin cells every query writes share no cache line
+  // with the fields every query reads.
+  std::unique_ptr<GenerationManager> owned_gens_;
+  GenerationManager* gens_;  // never null: owned_gens_ or the fleet's
+  // Serializes a standalone server's updates (run_update): the
+  // build-publish-retire sequence and the repair batch read the LIVE
   // graph, which is safe exactly because no reader does and no second
-  // mutator runs.
+  // mutator runs. A fleet holds its own mutator lock instead.
   std::mutex mutator_mu_;
   std::unique_ptr<SptCache> cache_;             // never null
   std::unique_ptr<CoalescingBatcher> batcher_;  // never null
@@ -465,7 +458,7 @@ class OracleShard {
   obs::Counter escalations_by_reason_[kNumEscalationReasons];
   obs::Histogram stretch_excess_ppm_;  // observed excess over exact, ppm
   obs::Counter repair_ns_;           // update-path repair/prewarm wall time
-  obs::Counter apply_ns_;            // whole apply_updates wall time
+  obs::Counter apply_ns_;            // wall time of the changed updates
   obs::Counter repaired_;            // prewarmed via incremental repair
   obs::Counter recomputed_;          // prewarmed via full recompute
   // Declared LAST so they are destroyed FIRST: providers read the members

@@ -1,26 +1,28 @@
 // The routing front-end of the sharded serving tier.
 //
-// A ShardAggregator owns N OracleShards (serve/oracle_shard.h) and a
-// ShardRouter assigning every root to exactly one of them. Every routed
-// query goes straight to its owning shard's serve_batch(): a single-root
-// query (tree, distance, path) is one submission per fetch, and a
-// multi-root tree_batch is decomposed per shard and submitted once per
-// touched shard, so a k-root query costs at most min(k, N) submissions.
-// There is no staging at the front-end: concurrent requests for the same
-// tree meet in the owning shard's single-flight CoalescingBatcher, which
-// computes it once (docs/ARCHITECTURE.md "Sharded serving").
+// A ShardAggregator owns N OracleShards (serve/oracle_shard.h), ONE
+// GenerationManager they all serve on, and a ShardRouter assigning every
+// root to exactly one shard. Every exact answer for (s, t, F) is read from
+// a tree rooted at s, and the router hashes the root alone, so a
+// single-root query (tree, distance, path, replacement_distance) is a
+// single-shard query: the front-end forwards it to the owning shard, which
+// answers it in full (ε tier, escalation, tracing and all). The front-end
+// keeps only what spans shards: tree_batch, decomposed per shard under one
+// pin and submitted once per touched shard (a k-root query costs at most
+// min(k, N) submissions), and apply_updates. There is no staging at the
+// front-end: concurrent requests for the same tree meet in the owning
+// shard's single-flight CoalescingBatcher, which computes it once
+// (docs/ARCHITECTURE.md "Sharded serving").
 //
 // Epoch-coherent updates: apply_updates() applies the delta batch to the
-// shared graph ONCE, then fans the SAME DeltaBatch + snapshot out to every
-// shard (OracleShard::absorb_update) under the exclusive side of a
-// fan-out gate that queries hold shared ONLY while collecting their
-// generation pins. A multi-shard query therefore sees all-old or all-new,
-// never a mix: all shards advance, then the router unblocks the new epoch
-// (routed_epoch() bumps, the gate reopens), and only afterwards does each
-// shard repair/prewarm its invalidated trees (repair_deferred) -- readers
-// never wait on prewarming. Submissions whose pins were taken before the
-// fan-out simply compute on the old generation; the SptCache's stale-epoch
-// insert rejection keeps their straggler publishes out of the store.
+// shared graph ONCE, advances every shard's cache to the new epoch, then
+// publishes ONE generation on the fleet's manager, and only afterwards
+// repairs each shard's invalidated trees -- readers never wait on
+// prewarming. A query reads through one pin on that manager, so it sees
+// all-old or all-new on every shard it touches, never a mix, with no lock
+// on the query path. Fetches whose pin predates the publish simply compute
+// on the old generation; each SptCache's stale-epoch insert rejection keeps
+// their straggler publishes out of the store.
 //
 // Everything is in-process: shards are objects, not processes, so CI runs
 // the full three-layer stack (shard_test, bench serve_sharded) and answers
@@ -32,13 +34,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
 #include "core/rpts.h"
 #include "engine/batch_sssp.h"
 #include "obs/metrics.h"
+#include "serve/generation.h"
 #include "serve/oracle_shard.h"
 #include "serve/shard_router.h"
 
@@ -46,7 +48,6 @@ namespace restorable {
 
 struct FrontEndConfig {
   size_t num_shards = 1;
-  uint32_t num_slots = ShardRouter::kDefaultSlots;
   // Total engine worker threads across the fleet: each shard gets an owned
   // BatchSsspEngine slice of max(1, total_engine_threads / num_shards)
   // threads -- the NUMA story's single-machine shape (one pool per shard).
@@ -54,21 +55,21 @@ struct FrontEndConfig {
   // engine).
   size_t total_engine_threads = 0;
   // Per-shard template. cache.byte_budget is PER SHARD (the caller divides
-  // a global budget by num_shards if that is the intent);
-  // metrics_prefix/metrics/tracer are overwritten per shard so the whole
-  // fleet reports into one registry ("shard0.server", "shard1.cache", ...).
+  // a global budget by num_shards if that is the intent). shard.metrics is
+  // the fleet's registry (nullptr = the aggregator owns a private one):
+  // every shard reports into it under a "shard<i>." prefix, beside the
+  // front-end's `frontend` and the fleet's `generations` components.
+  // shard.tracer is shared by every shard.
   ServerConfig shard;
-  // Registry for the whole fleet + the front-end's own `frontend`
-  // component. nullptr = the aggregator owns a private one.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
 };
 
 // Front-end counters (also registered as the `frontend` metrics component).
 struct FrontEndStats {
-  uint64_t queries = 0;      // front-end API calls
-  uint64_t subqueries = 0;   // routed per-shard tree fetches
-  uint64_t submissions = 0;  // serve_batch calls issued to shards
+  uint64_t queries = 0;  // front-end API calls, point queries included
+  // The fan-out half: tree_batch sub-queries and the serve_batch calls that
+  // carried them. Point queries are the owning shard's and count there.
+  uint64_t subqueries = 0;
+  uint64_t submissions = 0;
   // Per-sub-query outcome classes, the front-end half of FetchOutcome:
   // remote_hit = resolved from the owning shard's cache; aggregated = miss
   // side, computed (or joined a flight) inside the shard's submission.
@@ -76,7 +77,9 @@ struct FrontEndStats {
   uint64_t remote_hits = 0;
   uint64_t aggregated = 0;
   uint64_t fanouts = 0;  // epoch-coherent update fan-outs completed
-  uint64_t stability_fast_paths = 0;  // answered from the base tree alone
+  // Exact fault distances answered from the base tree alone, summed over
+  // the shards' `server.stability_fast_paths`.
+  uint64_t stability_fast_paths = 0;
 };
 
 class ShardAggregator {
@@ -91,25 +94,25 @@ class ShardAggregator {
   size_t num_shards() const { return shards_.size(); }
   OracleShard& shard(size_t i) { return *shards_[i]; }
   const ShardRouter& router() const { return router_; }
-  // Epoch the router has unblocked: every shard has absorbed up to here.
-  uint64_t routed_epoch() const {
-    return routed_epoch_.load(std::memory_order_acquire);
-  }
+  // Epoch of the fleet's published generation: every shard's cache has
+  // advanced up to here.
+  uint64_t routed_epoch() const { return gens_->pin()->epoch(); }
 
-  // ---- Query surface (routed; same semantics as OracleShard's, including
-  // ---- std::out_of_range for vertices or fault edge ids outside the graph).
+  // ---- Point queries: forwarded to the owning shard, with OracleShard's
+  // ---- semantics (std::out_of_range for inputs outside the graph).
 
   SptHandle tree(const SsspRequest& req);
-  // Multi-root batch: decomposed per shard, merged in request order.
-  std::vector<SptHandle> tree_batch(std::span<const SsspRequest> requests);
-  // Exact tier. As in OracleShard, F != {} reads the base tree first, and
-  // the (s, F) tree only if F meets the selected path; both ride one pin.
-  int32_t distance(Vertex s, Vertex t, const FaultSet& faults = {});
+  int32_t distance(Vertex s, Vertex t, const FaultSet& faults = {},
+                   const QueryOpts& opts = {});
   Path path(Vertex s, Vertex t, const FaultSet& faults = {});
-  // distance(s, t, {e}).
   int32_t replacement_distance(Vertex s, Vertex t, EdgeId e);
 
-  // ---- Update surface: ONE graph apply, fleet-wide epoch-coherent fan-out.
+  // Multi-root batch: decomposed per shard under one pin, merged in request
+  // order. One bad request throws std::out_of_range before any shard is
+  // asked.
+  std::vector<SptHandle> tree_batch(std::span<const SsspRequest> requests);
+
+  // ---- Update surface: ONE graph apply, ONE publish for the whole fleet.
   // Returns the front-end's own accounting with per-shard counters summed
   // (carried/invalidated/prewarmed/repaired across the fleet).
   UpdateResult apply_update(Graph& graph, GraphDelta delta);
@@ -119,16 +122,9 @@ class ShardAggregator {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  // Pins shard k's current generation under the fan-out gate and checks the
-  // query's inputs against it (Generation::check_query).
-  GenerationManager::Pin pin_checked(size_t k, Vertex s, Vertex t,
-                                     std::span<const EdgeId> faults);
-  // One routed single-tree fetch: one serve_batch submission on shard k,
-  // booking remote_hit/aggregated. The pin must have been taken under the
-  // fan-out gate.
-  SptHandle fetch_routed(size_t k, const SsspRequest& req,
-                         const GenerationManager::Pin& pin);
-  void book_subquery(const FetchObs& fo);
+  OracleShard& owner(Vertex root) {
+    return *shards_[router_.shard_of(pi_->scheme_id(), root)];
+  }
   void register_providers();
 
   const IRpts* pi_;
@@ -137,31 +133,24 @@ class ShardAggregator {
   // Declared before shards_ so the registry outlives them: every shard's
   // destructor unregisters its components from metrics_, which must still
   // be alive then (same reason owned engines precede shards -- a shard's
-  // batcher flushes into its engine until the moment it dies).
+  // batcher flushes into its engine until the moment it dies -- and the
+  // manager does: pending flights hold pins on it until their shard dies).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;
   std::vector<std::unique_ptr<BatchSsspEngine>> engines_;
+  std::unique_ptr<GenerationManager> gens_;  // the fleet's one manager
   std::vector<std::unique_ptr<OracleShard>> shards_;
 
-  // Fan-out gate: queries hold it SHARED only while collecting generation
-  // pins (so one query's pins are all-old or all-new across shards);
-  // apply_updates holds it EXCLUSIVE across graph.apply + every shard's
-  // absorb_update. Submissions and their computes happen outside the gate,
-  // so a publish never waits on an engine batch -- only on pin collection,
-  // which is a few atomic fetch_adds.
-  std::shared_mutex fanout_mu_;
-  // Serializes mutators across the fleet AND covers repair_deferred, which
-  // reads the live CSR after the gate reopens.
+  // Serializes the fleet's updates: the repair phase reads the live CSR
+  // after the publish, so the next mutation must not land mid-repair.
   std::mutex mutator_mu_;
-  std::atomic<uint64_t> routed_epoch_{0};
 
-  std::atomic<uint64_t> queries_{0};
+  obs::ShardedCount queries_;  // bumped per query: thread-sharded
   std::atomic<uint64_t> subqueries_{0};
   std::atomic<uint64_t> submissions_{0};
   std::atomic<uint64_t> remote_hits_{0};
   std::atomic<uint64_t> aggregated_{0};
   std::atomic<uint64_t> fanouts_{0};
-  obs::ShardedCount stability_hits_;  // bumped per query: thread-sharded
 
   // Declared LAST: unregistered before anything the provider reads dies.
   std::vector<obs::Registration> registrations_;

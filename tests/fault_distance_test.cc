@@ -87,13 +87,17 @@ class Differential {
   }
 
   // Every front-end's stability counter, through its accessor and through
-  // one registry snapshot, equals the off-path tally exactly.
+  // one registry snapshot (a fleet's are its shards' `server` rows),
+  // equals the off-path tally exactly.
   void expect_counters() {
     for (ShardAggregator* fe : {&agg1_, &agg2_}) {
       EXPECT_EQ(fe->stats().stability_fast_paths, off_path_);
-      EXPECT_EQ(fe->metrics().snapshot().value_or("frontend",
-                                                  "stability_fast_paths"),
-                static_cast<double>(off_path_));
+      const obs::MetricsSnapshot snap = fe->metrics().snapshot();
+      int64_t rows = 0;
+      for (size_t k = 0; k < fe->num_shards(); ++k)
+        rows += snap.value_or("shard" + std::to_string(k) + ".server",
+                              "stability_fast_paths");
+      EXPECT_EQ(rows, static_cast<int64_t>(off_path_));
     }
     EXPECT_EQ(server_.stability_fast_paths(), off_path_);
     EXPECT_EQ(server_.stats().stability_fast_paths, off_path_);

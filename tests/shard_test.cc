@@ -1,10 +1,11 @@
 // Tests for the sharded serving tier (src/serve/shard_router.h,
 // shard_aggregator.h): consistent-hash stability under fleet growth,
-// bit-identical answers at every shard count, deterministic submission
-// counts (one per touched shard for a fan-out, one per routed fetch),
-// cross-query dedup of concurrent misses inside the owning shard,
-// epoch-coherent update fan-out with pinned readers surviving it, and
-// out-of-range query inputs rejected before they reach a shard.
+// bit-identical answers at every shard count (exact and ε), deterministic
+// submission counts (one per touched shard for a fan-out, none for a point
+// query, which the owning shard answers), cross-query dedup of concurrent
+// misses inside the owning shard, one fleet generation published once per
+// update with pinned readers surviving it, and out-of-range query inputs
+// rejected before they reach a shard.
 #include "serve/shard_aggregator.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +14,13 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.h"
+#include "serve/oracle_server.h"
 #include "serve/shard_router.h"
 
 namespace restorable {
@@ -164,6 +167,89 @@ TEST(ShardAggregator, BitIdenticalAcrossShardCounts) {
   }
 }
 
+// The approximate tier through the fleet: the owning shard answers every
+// point query in full, so ε answers at any shard count equal a standalone
+// OracleServer's under the same config, and path / replacement queries
+// escalate on the owning shard. Fresh relaxed trees are exact; an insert
+// across the graph makes carried ones answer above exact, which the fleet
+// must reproduce too.
+TEST(ShardAggregator, EpsilonAnswersMatchOracleServer) {
+  const Graph g0 = gnp_connected(30, 0.12, 61);
+  const Vertex n = g0.num_vertices();
+  const BatchSsspEngine engine(2);
+  ServerConfig cfg;
+  cfg.engine = &engine;
+  cfg.cache.shards = 2;
+  cfg.default_epsilon = 0.5;
+  cfg.stretch_sample_every = 0;
+  const auto fault_of = [&](Vertex s, Vertex t) {
+    return FaultSet{static_cast<EdgeId>((7 * s + t) % g0.num_edges())};
+  };
+  // The chord joins the two ends of a longest shortest path.
+  Vertex a = 0, b = 0;
+  {
+    const IsolationRpts pi(g0, IsolationAtw(62));
+    int32_t longest = 0;
+    for (Vertex s = 0; s < n; ++s) {
+      const Spt tree = pi.spt(s);
+      for (Vertex t = 0; t < n; ++t)
+        if (tree.hops(t) > longest) longest = tree.hops(t), a = s, b = t;
+    }
+  }
+  // Every (s, t) fault-free and under one fault, before and after the
+  // chord goes in.
+  const auto answers = [&](auto& fe, Graph& g) {
+    std::vector<int32_t> out;
+    const auto sweep = [&] {
+      for (Vertex s = 0; s < n; ++s)
+        for (Vertex t = 0; t < n; ++t) {
+          out.push_back(fe.distance(s, t));
+          out.push_back(fe.distance(s, t, fault_of(s, t)));
+        }
+    };
+    sweep();
+    EXPECT_TRUE(fe.apply_update(g, GraphDelta::insert(a, b)).changed);
+    sweep();
+    return out;
+  };
+
+  Graph gs = g0;
+  const IsolationRpts pis(gs, IsolationAtw(62));
+  OracleServer server(pis, cfg);
+  const std::vector<int32_t> want = answers(server, gs);
+  // Not a tautology: some carried relaxed tree answers above exact.
+  size_t above = 0, i = want.size() / 2;
+  for (Vertex s = 0; s < n; ++s)
+    for (Vertex t = 0; t < n; ++t) {
+      above += want[i++] > pis.distance(s, t);
+      above += want[i++] > pis.distance(s, t, fault_of(s, t));
+    }
+  EXPECT_GT(above, 0u);
+
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Graph g = g0;
+    const IsolationRpts pi(g, IsolationAtw(62));
+    FrontEndConfig fc;
+    fc.num_shards = shards;
+    fc.shard = cfg;
+    ShardAggregator fe(pi, fc);
+    EXPECT_EQ(answers(fe, g), want);
+
+    for (const Vertex s : {Vertex{0}, Vertex{11}, Vertex{23}}) {
+      const Vertex t = (s + 13) % n;
+      const EdgeId e = *fault_of(s, t).begin();
+      OracleShard& owner = fe.shard(fe.router().shard_of(pi.scheme_id(), s));
+      const uint64_t before = owner.stats().escalations_path;
+      EXPECT_EQ(fe.path(s, t).edges, server.path(s, t).edges);
+      EXPECT_EQ(owner.stats().escalations_path, before + 1);
+      EXPECT_EQ(fe.replacement_distance(s, t, e),
+                server.replacement_distance(s, t, e));
+      EXPECT_EQ(owner.stats().escalations_path, before + 2);
+    }
+  }
+}
+
 // A k-root cold tree_batch costs exactly one submission per touched shard
 // -- at most min(k, shards) -- so the >= 2x cut below one submission per
 // sub-query is a structural property, not a timing accident.
@@ -194,9 +280,10 @@ TEST(ShardAggregator, FanoutCostsOneSubmissionPerTouchedShard) {
   EXPECT_EQ(s_warm.submissions, 2 * plan.touched.size());
 }
 
-// A single-root query goes straight to its shard: each routed fetch is
-// exactly one submission, and the answers match the scheme.
-TEST(ShardAggregator, EachRoutedFetchIsOneSubmission) {
+// A single-root query is forwarded to the shard that owns its root, which
+// answers it in full: the front-end counts the call and makes no
+// submission of its own, and the owning shard's `server` rows count it.
+TEST(ShardAggregator, PointQueriesLandOnOwningShard) {
   Graph g = gnp_connected(48, 0.1, 41);
   const IsolationRpts pi(g, IsolationAtw(42));
   const BatchSsspEngine engine(2);
@@ -206,13 +293,28 @@ TEST(ShardAggregator, EachRoutedFetchIsOneSubmission) {
   const EdgeId e = base.parent_edge(10);  // on the selected 3 -> 10 path
   EXPECT_EQ(fe.distance(3, 10), base.hops(10));
   expect_same_tree(*fe.tree({5, {}, Direction::kOut}), pi.spt(5));
-  // Two fetches (base, then fault tree), one submission each.
+  // On-path fault: the owning shard reads the base tree, then the fault
+  // tree.
   EXPECT_EQ(fe.replacement_distance(3, 10, e),
             pi.spt(3, FaultSet{e}).hops(10));
+  EXPECT_EQ(fe.path(5, 10).edges, pi.path(5, 10).edges);
 
   const FrontEndStats s = fe.stats();
-  EXPECT_EQ(s.subqueries, 4u);
-  EXPECT_EQ(s.submissions, 4u);
+  EXPECT_EQ(s.queries, 4u);
+  EXPECT_EQ(s.subqueries, 0u);
+  EXPECT_EQ(s.submissions, 0u);
+  EXPECT_EQ(s.remote_hits + s.aggregated, 0u);
+  std::vector<uint64_t> want(fe.num_shards(), 0);
+  want[fe.router().shard_of(pi.scheme_id(), 3)] += 2;
+  want[fe.router().shard_of(pi.scheme_id(), 5)] += 2;
+  const obs::MetricsSnapshot snap = fe.metrics().snapshot();
+  for (size_t k = 0; k < fe.num_shards(); ++k) {
+    EXPECT_EQ(fe.shard(k).stats().queries, want[k]) << "shard " << k;
+    EXPECT_EQ(snap.value_or("shard" + std::to_string(k) + ".server",
+                            "queries"),
+              static_cast<int64_t>(want[k]))
+        << "shard " << k;
+  }
 }
 
 // A scheme whose tree computation waits until `open()` holds (or 10 s
@@ -277,17 +379,23 @@ TEST(ShardAggregator, ConcurrentColdRootComputesOnce) {
   EXPECT_EQ(bs.requests, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(bs.computed, 1u);
   EXPECT_EQ(bs.coalesced, static_cast<uint64_t>(kThreads - 1));
+  // Point queries: the owning shard classifies every fetch, the
+  // front-end submits nothing.
+  const ServerStats ss =
+      fe.shard(fe.router().shard_of(pi.scheme_id(), root)).stats();
+  EXPECT_EQ(ss.miss_leader, 1u);
+  EXPECT_EQ(ss.miss_coalesced, static_cast<uint64_t>(kThreads - 1));
   const FrontEndStats s = fe.stats();
-  EXPECT_EQ(s.submissions, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(s.aggregated, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(s.queries, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(s.submissions, 0u);
 }
 
-// Epoch-coherent fan-out: a pinned reader on one shard survives an
-// apply_updates whose new generation is already published on every other
-// shard; handles held across the fan-out stay bit-identical to the old
-// topology, post-update answers are bit-identical to from-scratch rebuilds
-// on the new one, and the router's epoch unblocks only after ALL shards
-// absorbed.
+// Epoch-coherent fan-out: the fleet's shards serve on ONE generation, so
+// every shard pins the same Generation before and after an update, and an
+// update publishes exactly once. A pinned reader survives the publish;
+// handles held across it stay bit-identical to the old topology,
+// post-update answers are bit-identical to from-scratch rebuilds on the
+// new one, and the routed epoch moves only once every shard advanced.
 TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
   Graph g = gnp_connected(60, 0.08, 37);
   const IsolationRpts pi(g, IsolationAtw(38));
@@ -306,6 +414,12 @@ TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
   const auto held = fe.tree_batch(all);
   GenerationManager::Pin pin = fe.shard(0).pin_generation();
   ASSERT_TRUE(pin);
+  for (size_t k = 0; k < fe.num_shards(); ++k)
+    EXPECT_EQ(fe.shard(k).pin_generation().get(), pin.get()) << "shard " << k;
+  const auto published = [&] {
+    return fe.metrics().snapshot().value_or("generations", "published");
+  };
+  const int64_t published_before = published();
 
   // Remove a tree edge (guaranteed-effective mutation).
   Vertex x = 1;
@@ -322,14 +436,34 @@ TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
   EXPECT_GT(res.invalidated, 0u);
   EXPECT_EQ(res.prewarmed, res.invalidated);
 
+  // One publish for the whole fleet, and every shard pins its result.
+  EXPECT_EQ(published(), published_before + 1);
+  const GenerationManager::Pin now = fe.shard(0).pin_generation();
+  EXPECT_NE(now.get(), pin.get());
+  EXPECT_EQ(now->epoch(), g.epoch());
+  for (size_t k = 0; k < fe.num_shards(); ++k)
+    EXPECT_EQ(fe.shard(k).pin_generation().get(), now.get()) << "shard " << k;
+  // The fleet registers its one manager once, unprefixed.
+  const obs::MetricsSnapshot snap = fe.metrics().snapshot();
+  for (size_t k = 0; k < fe.num_shards(); ++k)
+    EXPECT_EQ(snap.find("shard" + std::to_string(k) + ".generations",
+                        "published"),
+              nullptr);
+  // A no-op update (the edge is already gone) publishes nothing, and a
+  // shard cannot update on its own: the fleet advances all of them.
+  EXPECT_FALSE(fe.apply_update(g, GraphDelta::remove(victim)).changed);
+  EXPECT_THROW(fe.shard(1).apply_update(g, GraphDelta::remove(victim)),
+               std::logic_error);
+  EXPECT_EQ(published(), published_before + 1);
+  EXPECT_EQ(fe.stats().fanouts, 1u);
+
   // Held handles are bit-identical to the old topology's from-scratch
   // reference -- the fan-out never touched them.
   for (Vertex r = 0; r < g.num_vertices(); ++r)
     expect_same_tree(*held[r], before[r]);
 
-  // The pinned generation is still serviceable on its shard after the
-  // fan-out published elsewhere: an old-epoch serve_batch through it
-  // returns old-topology answers.
+  // The pinned generation is still serviceable after the publish: an
+  // old-epoch serve_batch through it returns old-topology answers.
   {
     std::vector<SsspRequest> one{{all[0]}};
     const auto old_view = fe.shard(0).serve_batch(one, pin);
@@ -345,9 +479,10 @@ TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
 }
 
 // Churn under concurrent cross-shard load: writer flaps one hot edge while
-// query threads hammer multi-shard batches. Answers observed after the last
-// flap must match from-scratch rebuilds; every intermediate answer is
-// internally consistent (this is the TSan-facing test of the tier).
+// query threads hammer multi-shard batches and point queries on both
+// shards. Answers observed after the last flap must match from-scratch
+// rebuilds; every intermediate answer is internally consistent (this is
+// the TSan-facing test of the tier).
 TEST(ShardAggregator, ChurnDuringCrossShardLoad) {
   Graph g = gnp_connected(40, 0.1, 47);
   const IsolationRpts pi(g, IsolationAtw(48));
@@ -358,11 +493,33 @@ TEST(ShardAggregator, ChurnDuringCrossShardLoad) {
   Vertex x = 1;
   while (t0.parent_edge(x) == kNoEdge) ++x;
   const EdgeId victim = t0.parent_edge(x);
+
+  // Point queries on a root of each shard race the same publishes. The
+  // heal re-inserts the victim under its old id, so every answer is the
+  // pristine topology's ([0]) or the cut one's ([1]).
+  struct Point {
+    Vertex s;
+    EdgeId e;  // on the selected s -> kT path
+    int32_t dist[2], repl[2];
+  };
+  const Vertex kT = 33;
+  std::vector<Point> points;
+  for (Vertex s = 1; points.size() < fe.num_shards(); ++s)
+    if (s != kT && fe.router().shard_of(pi.scheme_id(), s) == points.size())
+      points.push_back({s, pi.spt(s).parent_edge(kT), {}, {}});
+  const auto record = [&](int topology) {
+    for (Point& p : points) {
+      p.dist[topology] = pi.distance(p.s, kT);
+      p.repl[topology] = pi.distance(p.s, kT, FaultSet{p.e});
+    }
+  };
+  record(0);
   // First flap up front so the applied delta reports the edge's endpoints
   // (the heal flaps below re-insert exactly that edge).
   const UpdateResult first = fe.apply_update(g, GraphDelta::remove(victim));
   ASSERT_TRUE(first.changed);
   const Vertex vu = first.delta.u, vv = first.delta.v;
+  record(1);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -378,6 +535,12 @@ TEST(ShardAggregator, ChurnDuringCrossShardLoad) {
         for (size_t i = 0; i < reqs.size(); ++i) {
           ASSERT_NE(trees[i], nullptr);
           ASSERT_EQ(trees[i]->root, reqs[i].root);
+        }
+        for (const Point& p : points) {
+          const int32_t d = fe.distance(p.s, kT);
+          ASSERT_TRUE(d == p.dist[0] || d == p.dist[1]) << "s=" << p.s;
+          const int32_t r = fe.replacement_distance(p.s, kT, p.e);
+          ASSERT_TRUE(r == p.repl[0] || r == p.repl[1]) << "s=" << p.s;
         }
       }
     });
