@@ -30,7 +30,7 @@ void run_family(Table& table, int f, Vertex n, size_t sigma, uint64_t seed) {
   const double bound = sv_preserver_bound(n, static_cast<double>(sigma), f);
   table.add_row(f, n, g.num_edges(), sigma, pres.count(), bound,
                 static_cast<double>(pres.count()) / bound,
-                stats.spt_computations, secs);
+                stats.spt_computations, stats.fault_deltas, secs);
 }
 
 }  // namespace
@@ -42,7 +42,7 @@ int main() {
       << "E3: f-FT S x V preserver sizes vs Theorem 26 bound\n"
       << "(the same subgraph is the (f+1)-FT S x S preserver of Thm 31)\n\n";
   Table table({"f", "n", "m", "sigma", "edges", "bound", "edges/bound",
-               "spt_calls", "sec"});
+               "spt_calls", "deltas", "sec"});
   // f = 0: union of sigma trees, bound n * sigma.
   for (Vertex n : {200u, 400u, 800u})
     for (size_t sigma : {2u, 4u, 8u}) run_family(table, 0, n, sigma, n + sigma);

@@ -75,6 +75,44 @@ std::vector<SptHandle> IRpts::spt_batch(std::span<const SsspRequest> requests,
   return cached_spt_batch(version(), *cache, requests, compute);
 }
 
+std::vector<FaultDelta> IRpts::fault_deltas(
+    const Spt& base, std::span<const SsspRequest> requests) const {
+  const Graph& g = graph();
+  if (base.num_vertices() != g.num_vertices() ||
+      base.root >= g.num_vertices())
+    throw std::invalid_argument(
+        "IRpts::fault_deltas: base tree (root " + std::to_string(base.root) +
+        ", " + std::to_string(base.num_vertices()) +
+        " vertices) does not fit a graph of " +
+        std::to_string(g.num_vertices()) + " vertices");
+  for (const SsspRequest& req : requests) {
+    if (req.root != base.root || req.dir != base.dir)
+      throw std::invalid_argument(
+          "IRpts::fault_deltas: request root " + std::to_string(req.root) +
+          " or direction differs from the base tree's (root " +
+          std::to_string(base.root) + ")");
+    if (req.eps_q)
+      throw std::invalid_argument(
+          "IRpts::fault_deltas: approximate-tier request (eps_q " +
+          std::to_string(req.eps_q) + ")");
+    check_fault_ids(g, req.faults, "IRpts::fault_deltas");
+  }
+  return compute_fault_deltas(base, requests);
+}
+
+std::vector<FaultDelta> IRpts::compute_fault_deltas(
+    const Spt& base, std::span<const SsspRequest> requests) const {
+  std::vector<FaultDelta> out(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Spt tree = spt(base.root, requests[i].faults, base.dir);
+    for (Vertex v = 0; v < base.num_vertices(); ++v)
+      if (tree.hops(v) != base.hops(v) ||
+          tree.parent_edge(v) != base.parent_edge(v))
+        out[i].push_back({v, tree.hops(v), tree.parent_edge(v)});
+  }
+  return out;
+}
+
 bool IRpts::tree_survives(const GraphDelta& delta, const Spt& tree,
                           const FaultSet& faults, uint32_t eps_q) const {
   // A delta on a faulted-out edge never matters: e is excluded from G \ F

@@ -29,6 +29,7 @@
 #include "core/perturbation.h"
 #include "core/spt.h"
 #include "engine/batch_sssp.h"
+#include "engine/fault_delta.h"
 #include "graph/graph.h"
 
 namespace restorable {
@@ -220,6 +221,22 @@ class IRpts {
       const BatchSsspEngine* engine = nullptr,
       SptCache* cache = nullptr) const;
 
+  // The fault trees of `requests` as deltas of `base` -- this scheme's
+  // fault-free tree spt(base.root, {}, base.dir) on graph() -- in request
+  // order: applying out[i] to `base` gives spt(root, requests[i].faults,
+  // dir) bit-identically, and a vertex not listed keeps its base label. On
+  // a stable scheme a fault set costs the region it detaches, not a sweep:
+  // Rpts<Policy> lists exactly the vertices whose base path uses an edge of
+  // F (engine/fault_delta.h). The base implementation computes each fault
+  // tree with spt() and lists the vertices whose label differs, since a
+  // scheme that is not stable (ArbitraryRpts) may move any vertex. Throws
+  // std::invalid_argument when a request's root or direction differs from
+  // the base tree's, when the base tree's vertex count differs from the
+  // graph's, or for an approximate-tier request (eps_q > 0), and
+  // std::out_of_range for a fault id >= m.
+  std::vector<FaultDelta> fault_deltas(
+      const Spt& base, std::span<const SsspRequest> requests) const;
+
   // The SAME scheme (same scheme_id, same policy, same tiebreak arithmetic)
   // rebound to a frozen copy of its graph -- the read side of the RCU
   // serving path (serve/generation.h): a pinned generation computes trees
@@ -250,6 +267,10 @@ class IRpts {
   // view really is the same scheme over the same topology -- copying an id
   // across different policies would alias wrong trees.
   void adopt_identity(const IRpts& of) { scheme_id_ = of.scheme_id_; }
+
+  // fault_deltas after its argument checks: spt() and a diff per request.
+  virtual std::vector<FaultDelta> compute_fault_deltas(
+      const Spt& base, std::span<const SsspRequest> requests) const;
 
   // The one insert-survival test and the one repair skeleton, run with the
   // adoption rule above over `policy` (defined below the class).
@@ -696,6 +717,16 @@ class Rpts final : public IRpts {
     auto view = std::make_unique<Rpts<Policy>>(frozen, policy_);
     view->adopt_identity(*this);
     return view;
+  }
+
+ protected:
+  // The scheme is stable: re-relax only the detached region.
+  std::vector<FaultDelta> compute_fault_deltas(
+      const Spt& base, std::span<const SsspRequest> requests) const override {
+    std::vector<FaultDelta> out;
+    fault_deltas_into(*g_, policy_, base, requests,
+                      thread_fault_delta_workspace<Policy>(), out);
+    return out;
   }
 
  private:

@@ -221,4 +221,19 @@ class Spt {
 // (e.g. computed before and after an eviction).
 using SptHandle = std::shared_ptr<const Spt>;
 
+// One vertex of a fault tree written against its base tree: its label in
+// T(root, F) (kUnreachable / kNoEdge once F cuts it off).
+struct Relabel {
+  Vertex v = kNoVertex;
+  int32_t hops = kUnreachable;
+  EdgeId parent_edge = kNoEdge;
+
+  friend bool operator==(const Relabel&, const Relabel&) = default;
+};
+
+// A fault tree T(root, F) as a delta of the base tree T(root, {}) it was
+// computed from (IRpts::fault_deltas): every vertex not listed keeps its
+// base label.
+using FaultDelta = std::vector<Relabel>;
+
 }  // namespace restorable

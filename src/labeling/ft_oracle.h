@@ -22,9 +22,10 @@ namespace restorable {
 class FtDistanceOracle {
  public:
   // Builds the f-FT S x V preserver under the given restorable scheme; the
-  // preserver's SSSP fan-out runs on `engine` (nullptr = shared engine).
-  // A non-null `cache` routes the exploration's trees through the shared
-  // SPT store, deduplicating them against every other consumer.
+  // preserver's base trees are swept on `engine` (nullptr = shared engine)
+  // and its fault trees are deltas of them. A non-null `cache` routes the
+  // base trees through the shared SPT store, deduplicating them against
+  // every other consumer.
   FtDistanceOracle(const IRpts& pi, std::span<const Vertex> sources, int f,
                    const BatchSsspEngine* engine = nullptr,
                    SptCache* cache = nullptr);

@@ -32,8 +32,9 @@ FtDistanceLabeling::FtDistanceLabeling(const IRpts& pi, int f,
   const Graph& g = pi.graph();
   labels_.resize(g.num_vertices());
   // One {v} x V preserver per vertex; the builds are independent, so the
-  // outer loop is the unit of parallelism (the nested per-level batches
-  // inside build_sv_preserver then run inline on the owning thread).
+  // outer loop is the unit of parallelism (the nested base-tree batch inside
+  // build_sv_preserver then runs inline on the owning thread, and its fault
+  // deltas on that thread's workspace).
   const BatchSsspEngine& eng = BatchSsspEngine::or_shared(engine);
   eng.parallel_for(g.num_vertices(), [&](size_t vi) {
     const Vertex v = static_cast<Vertex>(vi);

@@ -35,7 +35,7 @@ class FtDistanceLabeling {
   // Builds (f+1)-FT labels for every vertex: each label is an f-FT
   // {v} x V preserver under the given restorable scheme. The n per-vertex
   // preserver builds are independent and fan out over `engine` (nullptr =
-  // shared engine). A non-null `cache` routes every preserver's trees
+  // shared engine). A non-null `cache` routes every preserver's base tree
   // through the shared SPT store (the cache is thread-safe, so the
   // concurrent per-vertex builds share it directly).
   FtDistanceLabeling(const IRpts& pi, int f,

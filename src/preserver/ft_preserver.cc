@@ -14,38 +14,62 @@ namespace {
 // covers every replacement path.
 //
 // The exploration expands one depth (= fault-set size) at a time: all fault
-// sets of size k are deduplicated and submitted as ONE engine batch, their
-// trees seed the size-(k+1) frontier. This visits exactly the fault sets
-// the natural recursion visits (a frontier set of size k is F' u {e} with e
-// on tree(F')), but turns the Dijkstra fan-out -- the entire cost -- into
-// batch-parallel work.
+// sets of size k are deduplicated and their trees seed the size-(k+1)
+// frontier, so it visits exactly the fault sets the natural recursion
+// visits (a frontier set of size k is F' u {e} with e on tree(F')). Only
+// the base tree T(s, {}) is a full sweep. Every other level is one
+// fault_deltas batch against it: by stability a fault set costs the region
+// it detaches, the union takes only the delta's new parent edges (the base
+// edges are in already), and tree(F') is the base edges of the vertices the
+// delta does not list plus the delta's parent edges.
 void explore(const IRpts& pi, Vertex s, int f, EdgeSubset& out,
              PreserverStats* stats, const BatchSsspEngine* engine,
              SptCache* cache) {
-  std::set<std::vector<EdgeId>> seen;
-  std::vector<FaultSet> level{FaultSet{}};
-  seen.insert({});
-  for (int depth = 0; depth <= f && !level.empty(); ++depth) {
+  if (f < 0) return;
+  const SsspRequest base_req[1] = {{s, {}, Direction::kOut}};
+  const SptHandle base = pi.spt_batch(base_req, engine, cache)[0];
+  const std::vector<EdgeId> base_edges = base->tree_edges();
+  out.insert_all(base_edges);
+  if (stats) {
+    ++stats->spt_computations;
+    ++stats->fault_sets_explored;
+  }
+  if (f == 0) return;
+
+  // The size-1 sets are the base edges, distinct already.
+  std::vector<SsspRequest> level;
+  level.reserve(base_edges.size());
+  for (EdgeId e : base_edges) level.push_back({s, FaultSet{e}, Direction::kOut});
+  // Dedup at push time: a size-(k+1) set is derivable from up to k+1
+  // parents, and the frontier must hold each unique set once.
+  std::set<FaultSet> seen;
+  auto grow = [&](std::vector<SsspRequest>& next, const FaultSet& from,
+                  EdgeId e) {
+    FaultSet grown = from.with(e);
+    if (seen.insert(grown).second)
+      next.push_back({s, std::move(grown), Direction::kOut});
+  };
+
+  std::vector<char> listed(f > 1 ? base->num_vertices() : 0, 0);
+  for (int depth = 1; depth <= f && !level.empty(); ++depth) {
     if (stats) {
-      stats->spt_computations += level.size();
+      stats->fault_deltas += level.size();
       stats->fault_sets_explored += level.size();
     }
-    std::vector<SsspRequest> reqs;
-    reqs.reserve(level.size());
-    for (const FaultSet& fs : level) reqs.push_back({s, fs, Direction::kOut});
-    const std::vector<SptHandle> trees = pi.spt_batch(reqs, engine, cache);
-
-    std::vector<FaultSet> next;
-    for (size_t i = 0; i < trees.size(); ++i) {
-      const auto edges = trees[i]->tree_edges();
-      out.insert_all(edges);
+    const std::vector<FaultDelta> deltas = pi.fault_deltas(*base, level);
+    std::vector<SsspRequest> next;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      for (const Relabel& r : deltas[i])
+        if (r.parent_edge != kNoEdge) out.insert(r.parent_edge);
       if (depth == f) continue;
-      for (EdgeId e : edges) {
-        // Dedup at push time: a size-(k+1) set is derivable from up to k+1
-        // parents, and the frontier must hold each unique set once.
-        FaultSet grown = level[i].with(e);
-        std::vector<EdgeId> key(grown.begin(), grown.end());
-        if (seen.insert(std::move(key)).second) next.push_back(std::move(grown));
+      for (const Relabel& r : deltas[i]) listed[r.v] = 1;
+      for (Vertex v = 0; v < base->num_vertices(); ++v) {
+        const EdgeId pe = base->parent_edge(v);
+        if (pe != kNoEdge && !listed[v]) grow(next, level[i].faults, pe);
+      }
+      for (const Relabel& r : deltas[i]) {
+        listed[r.v] = 0;
+        if (r.parent_edge != kNoEdge) grow(next, level[i].faults, r.parent_edge);
       }
     }
     level.swap(next);

@@ -56,18 +56,20 @@ class EdgeSubset {
   size_t count_;
 };
 
+// fault_sets_explored == spt_computations + fault_deltas: each source's
+// base tree is one full sweep, every non-empty fault set one delta of it.
 struct PreserverStats {
-  size_t spt_computations = 0;  // Dijkstra calls spent building the overlay
+  size_t spt_computations = 0;  // full sweeps (base trees) requested
+  size_t fault_deltas = 0;      // fault trees built as deltas of a base tree
   size_t fault_sets_explored = 0;
 };
 
 // f-FT S x V preserver by replacement-path overlay (Theorem 26). The scheme
-// must be consistent and stable (any Rpts<Policy> is; Theorem 19). The
-// fault-set exploration proceeds level by level (all fault sets of size k
-// at once), each level one batch over `engine` (nullptr = shared engine).
-// A non-null `cache` resolves every level's trees through the shared SPT
-// store -- overlapping fault sets across sources/consumers then compute
-// once; results are bit-identical either way.
+// must be consistent and stable (any Rpts<Policy> is; Theorem 19). Each
+// source's base tree is fetched over `engine` (nullptr = shared engine),
+// through `cache` when one is given; every fault set's tree is a delta of
+// that base tree (IRpts::fault_deltas), explored level by level (all fault
+// sets of size k at once). Results are bit-identical either way.
 EdgeSubset build_sv_preserver(const IRpts& pi, std::span<const Vertex> sources,
                               int f, PreserverStats* stats = nullptr,
                               const BatchSsspEngine* engine = nullptr,

@@ -1,7 +1,5 @@
 #include "rp/sourcewise_rp.h"
 
-#include <algorithm>
-
 namespace restorable {
 
 SourcewiseReplacementPaths::SourcewiseReplacementPaths(
@@ -17,35 +15,19 @@ SourcewiseReplacementPaths::SourcewiseReplacementPaths(
   const std::vector<EdgeId> tree_edges = base_->tree_edges();
   for (EdgeId e : tree_edges) in_preserver[e] = 1;
 
-  // One SSSP per faulted tree edge -- the n-1 run fan-out this structure is
-  // built from -- submitted as a single batch.
+  // One fault tree per tree edge, each a delta of the base tree: by
+  // stability the delta lists exactly the vertices whose selected path used
+  // e, which is the row, and its parent edges complete the replacement
+  // paths (the rest of each path is base tree, overlaid already).
   std::vector<SsspRequest> reqs;
   reqs.reserve(tree_edges.size());
   for (EdgeId e : tree_edges) reqs.push_back({s, FaultSet{e}, Direction::kOut});
-  const std::vector<SptHandle> repls = pi.spt_batch(reqs, engine, cache);
-
-  std::vector<EdgeId> visited(g.num_vertices(), kNoEdge);  // per-fault marker
+  const std::vector<FaultDelta> deltas = pi.fault_deltas(*base_, reqs);
   for (size_t idx = 0; idx < tree_edges.size(); ++idx) {
-    const EdgeId e = tree_edges[idx];
-    const auto cut = base_->paths_using_edge(e);
-    const Spt& repl = *repls[idx];
-    auto& row = table_[e];
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if (!cut[v]) continue;
-      row.emplace(v, repl.hops(v));
-    }
-    // Overlay the replacement paths of the affected vertices (stability:
-    // unaffected vertices keep their base paths, already overlaid). A vertex
-    // visited earlier under the SAME fault already contributed its whole
-    // parent chain.
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if (!cut[v] || !repl.reachable(v)) continue;
-      for (Vertex x = v; x != s && repl.parent_edge(x) != kNoEdge &&
-                         visited[x] != e;
-           x = repl.parent(x)) {
-        visited[x] = e;
-        in_preserver[repl.parent_edge(x)] = 1;
-      }
+    auto& row = table_[tree_edges[idx]];
+    for (const Relabel& r : deltas[idx]) {
+      row.emplace(r.v, r.hops);
+      if (r.parent_edge != kNoEdge) in_preserver[r.parent_edge] = 1;
     }
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e)

@@ -4,10 +4,11 @@
 // For a single source s, the output is dist_{G\{e}}(s, v) for every vertex
 // v and every edge e on the selected path pi(s, v). By stability, faults off
 // the selected path change nothing, so the output is exactly one entry per
-// (tree edge e, vertex v behind e): recompute the scheme's SPT once per tree
-// edge -- n-1 Dijkstra runs -- and read off the distances of the subtree the
-// fault cut. This is the building block the FT-BFS literature (Theorems
-// 24-26) reasons about, packaged as a queryable structure.
+// (tree edge e, vertex v behind e): the fault tree of each tree edge, built
+// as a delta of the base tree (IRpts::fault_deltas) that re-relaxes only the
+// subtree the fault cut, and whose labels are the row. This is the building
+// block the FT-BFS literature (Theorems 24-26) reasons about, packaged as a
+// queryable structure.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +22,11 @@ namespace restorable {
 
 class SourcewiseReplacementPaths {
  public:
-  // Preprocesses all single-fault distances from s: O(n) tiebroken SSSP
-  // runs (only tree-edge faults matter), submitted as one batch over
-  // `engine` (nullptr = shared engine). A non-null `cache` resolves the
-  // base tree and every fault tree through the shared SPT store -- the same
-  // (s, {}) / (s, {e}) keys the serving path and the two-fault oracle use.
+  // Preprocesses all single-fault distances from s: one tiebroken SSSP
+  // for the base tree over `engine` (nullptr = shared engine), through the
+  // shared SPT store when `cache` is non-null (the (s, {}) key the serving
+  // path and the two-fault oracle use), then one fault delta per tree edge
+  // (only tree-edge faults matter).
   SourcewiseReplacementPaths(const IRpts& pi, Vertex s,
                              const BatchSsspEngine* engine = nullptr,
                              SptCache* cache = nullptr);

@@ -152,9 +152,12 @@ TEST(SvPreserver, StatsAreReported) {
   const Vertex sources[] = {0};
   PreserverStats stats;
   build_sv_preserver(pi, sources, 1, &stats);
-  // Root tree + one tree per tree edge, deduped.
-  EXPECT_GE(stats.spt_computations, g.num_vertices() - 1u);
-  EXPECT_EQ(stats.fault_sets_explored, stats.spt_computations);
+  // One full sweep for the root tree, then one delta per tree edge (the
+  // graph is connected, so n - 1 of them).
+  EXPECT_EQ(stats.spt_computations, 1u);
+  EXPECT_EQ(stats.fault_deltas, g.num_vertices() - 1u);
+  EXPECT_EQ(stats.fault_sets_explored,
+            stats.spt_computations + stats.fault_deltas);
 }
 
 TEST(Verifier, CatchesLossySubgraph) {

@@ -320,6 +320,7 @@ TEST(SharedCache, ConsumersAreCacheInvariant) {
         build_sv_preserver(pi, sources, 2, &ps1, &engine, &cache);
     EXPECT_EQ(pre0.edge_ids(), pre1.edge_ids());
     EXPECT_EQ(ps0.spt_computations, ps1.spt_computations);
+    EXPECT_EQ(ps0.fault_deltas, ps1.fault_deltas);
 
     const TwoFaultSubsetOracle or0(pi, sources, &engine);
     const TwoFaultSubsetOracle or1(pi, sources, &engine, &cache);
