@@ -16,10 +16,12 @@
 //   --summary-only      skip the google-benchmark section
 //
 // Remaining argv is handed to google-benchmark (timings with statistical
-// repetition); the summary table prints one-shot wall times plus the work
-// terms, and is what feeds BENCH_SUBSET_RP.json.
+// repetition); the summary table prints median wall times plus the work
+// terms and whether both algorithms agree, and is what feeds
+// BENCH_SUBSET_RP.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -86,23 +88,54 @@ BENCHMARK(BM_NaiveBaseline)
     ->ArgsProduct({{10, 20, 40}, {4, 8}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
+// Median wall time of kTimedRuns calls after one untimed warm-up call (pool
+// threads, thread-local workspaces and the allocator settle in the
+// warm-up). `out` keeps the last call's result.
+constexpr int kTimedRuns = 5;
+
+template <typename F>
+double median_ms(SubsetRpResult& out, F&& run) {
+  out = run();
+  std::vector<double> ms;
+  for (int i = 0; i < kTimedRuns; ++i) {
+    Stopwatch w;
+    out = run();
+    ms.push_back(w.millis());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[kTimedRuns / 2];
+}
+
+// Algorithm 1 and the naive baseline select the same canonical paths, so
+// their outputs must agree pair for pair.
+bool same_output(const SubsetRpResult& a, const SubsetRpResult& b) {
+  if (a.pairs.size() != b.pairs.size()) return false;
+  for (size_t i = 0; i < a.pairs.size(); ++i)
+    if (a.pairs[i].base_path != b.pairs[i].base_path ||
+        a.pairs[i].replacement != b.pairs[i].replacement)
+      return false;
+  return true;
+}
+
 void summary(Table& table, JsonRows& json, const std::string& family,
              const Graph& g, int sigma, int threads) {
   IsolationRpts pi(g, IsolationAtw(7));
   const auto sources = spread_sources(g, sigma);
   const BatchSsspEngine engine(threads);
   threads = engine.threads();  // report the actual width (0 = hardware)
-  Stopwatch w1;
-  const auto fast = subset_replacement_paths(pi, sources, &engine);
-  const double t1 = w1.millis();
-  Stopwatch w2;
-  const auto naive = naive_subset_replacement_paths(pi, sources, &engine);
-  const double t2 = w2.millis();
+  SubsetRpResult fast, naive;
+  const double t1 = median_ms(
+      fast, [&] { return subset_replacement_paths(pi, sources, &engine); });
+  const double t2 = median_ms(naive, [&] {
+    return naive_subset_replacement_paths(pi, sources, &engine);
+  });
+  const bool correct = same_output(fast, naive);
   size_t d_total = 0;
   for (const auto& pr : fast.pairs) d_total += pr.base_path.length();
   const size_t pairs = fast.pairs.size();
   table.add_row(family, g.num_vertices(), g.num_edges(), sigma, threads,
-                pairs ? d_total / pairs : 0, t1, t2, t2 / t1);
+                pairs ? d_total / pairs : 0, t1, t2, t2 / t1,
+                correct ? "yes" : "NO");
   json.row()
       .field("bench", "subset_rp")
       .field("family", family)
@@ -114,6 +147,7 @@ void summary(Table& table, JsonRows& json, const std::string& family,
       .field("alg1_ms", t1)
       .field("naive_ms", t2)
       .field("speedup_vs_naive", t2 / t1)
+      .field("correct", correct)
       .field("hw_threads",
              static_cast<uint64_t>(std::thread::hardware_concurrency()));
 }
@@ -156,10 +190,13 @@ Options parse_options(int& argc, char** argv) {
 
 int print_summary_table(const Options& opt) {
   std::cout << "\nE2 summary (Theorem 3): Algorithm 1 vs naive per-fault "
-               "BFS\navg_d = mean base-path length; speedup = "
-               "naive/alg1; threads = engine width.\n\n";
+               "BFS\navg_d = mean base-path length; times are medians of "
+            << kTimedRuns
+            << " runs after a warm-up; speedup = naive/alg1; threads = "
+               "engine width;\ncorrect = both outputs agree pair for "
+               "pair.\n\n";
   Table table({"family", "n", "m", "sigma", "threads", "avg_d", "alg1_ms",
-               "naive_ms", "speedup"});
+               "naive_ms", "speedup", "correct"});
   JsonRows json;
   const std::vector<int> chain_ks =
       opt.small ? std::vector<int>{10, 20} : std::vector<int>{10, 20, 40, 80};

@@ -6,23 +6,28 @@
 // and a pair (s, t). Output: for each edge e_i on the selected path
 // P = pi(s, t), the replacement distance dist_{H \ e_i}(s, t).
 //
-// Method. Let P = p_0 .. p_d with edges e_1 .. e_d. Compute the out-tree
-// from s (dist*(s, .)) and the in-tree to t (dist*(., t)). By uniqueness +
-// consistency:
+// Method. Let P = p_0 .. p_d with edges e_1 .. e_d. Take the out-tree from s
+// and the in-tree to t. By uniqueness + consistency:
 //   * the selected s ~> u path uses exactly the prefix e_1 .. e_{l(u)} of P,
-//   * the selected v ~> t path uses exactly the suffix e_{r(v)+1} .. e_d.
-// Every arc (u, v) not lying on P defines the candidate walk
-// pi(s, u) o (u, v) o pi(v, t) of exact perturbed length
-// dist*(s, u) + w*(u, v) + dist*(v, t), which avoids exactly the failures
-// e_i with l(u) < i <= r(v). The weighted restoration lemma (Theorem 11, true
-// for unique shortest paths) guarantees the optimal replacement path for each
+//     where p_{l(u)} is the last vertex of P on it;
+//   * the selected v ~> t path uses exactly the suffix e_{r(v)+1} .. e_d,
+//     where p_{r(v)} is the first vertex of P on it.
+// Every arc (u, v) other than a P-edge defines the candidate walk
+// pi(s, u) o (u, v) o pi(v, t), which avoids exactly the failures e_i with
+// l(u) < i <= r(v). The weighted restoration lemma (Theorem 11, true for
+// unique shortest paths) guarantees the optimal replacement path for each
 // e_i is realized by some candidate, so
 //   rp(e_i) = min over candidates covering i.
-// A left-to-right sweep with a lazy-deletion min-heap answers all d stabbing
-// queries in O((m + d) log m).
+//
+// Only hops are kept: the output is the hop part of that minimum, which no
+// tie can change, so a candidate is (hops, lo, hi) and no tie is summed or
+// compared. Hops lie in [d, 2n): a counting sort orders the c candidates,
+// and an ascending pass paints the unpainted failures of each [lo, hi],
+// skipping painted runs by union-find. O(c + n + d alpha(d)), no heap; a
+// candidate covering all of 1..d drops every one with as many hops or more.
 #pragma once
 
-#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/dijkstra.h"
@@ -39,24 +44,21 @@ struct ReplacementPathsResult {
   std::vector<int32_t> replacement;
 };
 
-// Pooled per-thread state for single_pair_replacement_paths: the two SSSP
-// results, the path-indexing arrays (pos / l / r / on_p), the candidate
-// activation buckets, and the sweep heap. Under the subset-rp fan-out this
-// function runs once per source pair on long-lived pool workers; pooling
-// these arrays (like DijkstraWorkspace pools the SSSP state) makes the
-// whole per-pair solve allocation-free after warmup.
+// Pooled per-thread state for single_pair_replacement_paths. Under the
+// subset-rp fan-out the solve runs once per source pair on long-lived pool
+// workers; pooling its arrays (like DijkstraWorkspace pools the SSSP state)
+// makes the per-pair solve allocation-free after warmup.
 template <typename Policy>
 struct PairRpWorkspace {
   struct Candidate {
     int32_t hops;
-    typename Policy::Tie tie;
-    int32_t deadline;  // covers failures up to r(v)
+    int32_t lo, hi;  // covers the failures e_lo .. e_hi
   };
   DijkstraResult<Policy> from_s, to_t;
   std::vector<int32_t> pos, l, r;
-  std::vector<char> on_p;
-  std::vector<std::vector<Candidate>> activate;
-  std::vector<Candidate> heap;
+  std::vector<Candidate> candidates, sorted;
+  std::vector<int32_t> bucket;  // counting sort by hops - d
+  std::vector<int32_t> next;    // next[i]: an unpainted failure >= i, or d+1
 };
 
 template <typename Policy>
@@ -65,122 +67,105 @@ PairRpWorkspace<Policy>& pair_rp_workspace() {
   return ws;
 }
 
+// The core: `from_s` is the out-tree of s over h under `policy`, possibly
+// in the edge ids of a supergraph whose selected paths from s all lie in h
+// (subset-rp passes T(s1) of G). Only the in-tree to t is swept; base_path
+// comes back in from_s's edge ids. P's edges are excluded by their id in h,
+// read off the in-tree, so a parallel copy of e_i stays a candidate.
+template <typename Policy>
+ReplacementPathsResult single_pair_replacement_paths(const Graph& h,
+                                                     const Policy& policy,
+                                                     const Spt& from_s,
+                                                     Vertex t) {
+  ReplacementPathsResult res;
+  if (!from_s.reachable(t)) return res;
+  res.base_path = from_s.path_to(t);
+  const int32_t d = static_cast<int32_t>(res.base_path.length());
+  if (d == 0) return res;
+  res.replacement.assign(d, kUnreachable);
+
+  PairRpWorkspace<Policy>& ws = pair_rp_workspace<Policy>();
+  tiebroken_sssp_into(h, policy, t, {}, Direction::kIn,
+                      thread_workspace<Policy>(), ws.to_t);
+  const Spt& to_t = ws.to_t.spt;
+
+  // pos[p_j] = j, -1 off P. l and r start out as pos and are filled in on
+  // first use: climb the tree to the first labeled vertex, then write its
+  // label down the climbed path, so each vertex is labeled at most once.
+  const Vertex n = h.num_vertices();
+  std::vector<int32_t>& pos = ws.pos;
+  pos.assign(n, -1);
+  for (int32_t j = 0; j <= d; ++j) pos[res.base_path.vertices[j]] = j;
+  ws.l = pos;
+  ws.r = pos;
+  const auto label = [](std::vector<int32_t>& lab, const Spt& tree, Vertex v) {
+    Vertex w = v;
+    while (lab[w] < 0) w = tree.parent(w);
+    for (Vertex x = v; x != w; x = tree.parent(x)) lab[x] = lab[w];
+    return lab[w];
+  };
+
+  // Candidates: every arc u -> v with u reached from s, v reaching t and a
+  // non-empty failure interval, except e_i run forward from p_{i-1} (the
+  // in-tree's parent edge of p_{i-1}).
+  using Candidate = typename PairRpWorkspace<Policy>::Candidate;
+  std::vector<Candidate>& candidates = ws.candidates;
+  std::vector<int32_t>& bucket = ws.bucket;
+  candidates.clear();
+  bucket.assign(2 * static_cast<size_t>(n) + 1 - d, 0);
+  // Least hops of a candidate covering all of 1..d: no candidate with as
+  // many hops can lower any failure's minimum.
+  int32_t full = std::numeric_limits<int32_t>::max();
+  for (Vertex u = 0; u < n; ++u) {
+    // Every arc out of u makes a walk of at least hops(s, u) + hops(u, t).
+    const int32_t hops_su = from_s.hops(u);
+    if (hops_su == kUnreachable || hops_su + to_t.hops(u) >= full) continue;
+    const int32_t lo = label(ws.l, from_s, u) + 1;
+    const EdgeId p_edge = pos[u] >= 0 ? to_t.parent_edge(u) : kNoEdge;
+    for (const Arc& a : h.arcs(u)) {
+      const int32_t hops_vt = to_t.hops(a.to);
+      if (hops_vt == kUnreachable || a.edge == p_edge) continue;
+      const int32_t hops = hops_su + 1 + hops_vt;
+      if (hops >= full) continue;
+      const int32_t hi = label(ws.r, to_t, a.to);
+      if (lo > hi) continue;
+      if (lo == 1 && hi == d) full = hops;
+      candidates.push_back(Candidate{hops, lo, hi});
+      ++bucket[hops - d + 1];
+    }
+  }
+  std::vector<Candidate>& sorted = ws.sorted;
+  sorted.resize(candidates.size());
+  for (size_t k = 1; k < bucket.size(); ++k) bucket[k] += bucket[k - 1];
+  for (const Candidate& c : candidates) sorted[bucket[c.hops - d]++] = c;
+
+  // Cover: ascending hops, each candidate paints the unpainted failures of
+  // [lo, hi]; next[] skips painted runs (path halving).
+  std::vector<int32_t>& next = ws.next;
+  next.resize(d + 2);
+  for (int32_t i = 0; i <= d + 1; ++i) next[i] = i;
+  const auto find = [&next](int32_t i) {
+    while (next[i] != i) i = next[i] = next[next[i]];
+    return i;
+  };
+  for (const Candidate& c : sorted) {
+    for (int32_t i = find(c.lo); i <= c.hi; i = find(i)) {
+      res.replacement[i - 1] = c.hops;
+      next[i] = i + 1;
+    }
+  }
+  return res;
+}
+
+// The (g, policy, s, t) entry: sweeps the out-tree of s, then runs the core.
 template <typename Policy>
 ReplacementPathsResult single_pair_replacement_paths(const Graph& g,
                                                      const Policy& policy,
                                                      Vertex s, Vertex t) {
-  ReplacementPathsResult res;
-  // Workspace-based SSSP (engine/dijkstra_workspace.h): same results as
-  // tiebroken_sssp, but the label arrays are reused across calls on this
-  // thread -- this is the innermost loop of the batched subset-rp fan-out.
-  // The per-pair arrays live in the pooled workspace for the same reason;
-  // assign() below reuses their capacity run over run.
-  PairRpWorkspace<Policy>& ws = pair_rp_workspace<Policy>();
-  DijkstraResult<Policy>& from_s = ws.from_s;
-  DijkstraResult<Policy>& to_t = ws.to_t;
+  DijkstraResult<Policy>& from_s = pair_rp_workspace<Policy>().from_s;
   tiebroken_sssp_into(g, policy, s, {}, Direction::kOut,
                       thread_workspace<Policy>(), from_s);
-  if (!from_s.spt.reachable(t)) return res;
-  tiebroken_sssp_into(g, policy, t, {}, Direction::kIn,
-                      thread_workspace<Policy>(), to_t);
-
-  res.base_path = from_s.spt.path_to(t);
-  const size_t d = res.base_path.length();
-  res.replacement.assign(d, kUnreachable);
-  if (d == 0) return res;
-
-  // Index P's vertices and edges.
-  const Vertex n = g.num_vertices();
-  std::vector<int32_t>& pos = ws.pos;  // pos[p_j] = j
-  pos.assign(n, -1);
-  for (size_t j = 0; j < res.base_path.vertices.size(); ++j)
-    pos[res.base_path.vertices[j]] = static_cast<int32_t>(j);
-  std::vector<char>& on_p = ws.on_p;
-  on_p.assign(g.num_edges(), 0);
-  for (EdgeId e : res.base_path.edges) on_p[e] = 1;
-
-  // l(u): number of P-edges on the selected s ~> u path (a prefix, by
-  // consistency). Computed by propagating down the out-tree.
-  std::vector<int32_t>& l = ws.l;
-  l.assign(n, 0);
-  for (Vertex v : from_s.spt.top_order()) {
-    if (v == s) continue;
-    const Vertex par = from_s.spt.parent(v);
-    const EdgeId pe = from_s.spt.parent_edge(v);
-    l[v] = l[par] + (on_p[pe] ? 1 : 0);
-  }
-  // r(v): d minus the number of P-edges on the selected v ~> t path (a
-  // suffix), i.e. the selected v ~> t path uses e_{r(v)+1} .. e_d.
-  std::vector<int32_t>& r = ws.r;
-  r.assign(n, 0);
-  for (Vertex v : to_t.spt.top_order()) {
-    if (v == t) {
-      r[v] = static_cast<int32_t>(d);
-      continue;
-    }
-    const Vertex par = to_t.spt.parent(v);  // next vertex toward t
-    const EdgeId pe = to_t.spt.parent_edge(v);
-    r[v] = r[par] - (on_p[pe] ? 1 : 0);
-  }
-
-  // Candidates: every arc (u, v) with both trees reaching u resp. v and
-  // (u, v) not a P-edge. Candidate value is exact perturbed length; bucketed
-  // by activation index l(u) + 1. Buckets are cleared, not reallocated.
-  using Candidate = typename PairRpWorkspace<Policy>::Candidate;
-  std::vector<std::vector<Candidate>>& activate = ws.activate;
-  if (activate.size() < d + 2) activate.resize(d + 2);
-  for (size_t i = 0; i <= d + 1; ++i) activate[i].clear();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (on_p[e]) continue;
-    const Edge& ed = g.endpoints(e);
-    // Both orientations: u -> v and v -> u.
-    for (int orient = 0; orient < 2; ++orient) {
-      const Vertex u = orient == 0 ? ed.u : ed.v;
-      const Vertex v = orient == 0 ? ed.v : ed.u;
-      const bool forward = orient == 0;  // travel direction vs stored order
-      if (!from_s.spt.reachable(u) || !to_t.spt.reachable(v)) continue;
-      const int32_t lo = l[u] + 1, hi = r[v];
-      if (lo > hi) continue;
-      typename Policy::Tie tie = from_s.tie[u];
-      policy.accumulate(tie, g.label(e), forward);
-      // to_t.tie[v] accumulated along v ~> t in travel orientation already.
-      if constexpr (std::is_arithmetic_v<typename Policy::Tie>) {
-        tie += to_t.tie[v];
-      } else {
-        for (const auto& term : to_t.tie[v]) tie.push_back(term);
-        std::sort(tie.begin(), tie.end(), [](int32_t a, int32_t b) {
-          const int32_t aa = a < 0 ? -a : a, ab = b < 0 ? -b : b;
-          return aa != ab ? aa < ab : a < b;
-        });
-      }
-      activate[lo].push_back(Candidate{
-          from_s.spt.hops(u) + 1 + to_t.spt.hops(v), std::move(tie), hi});
-    }
-  }
-
-  // Sweep failures i = 1..d with a lazy-deletion min-heap ordered by exact
-  // perturbed length. The heap storage is pooled; std::push_heap/pop_heap
-  // on it are exactly priority_queue's operations without the allocation.
-  auto cmp = [&policy](const Candidate& a, const Candidate& b) {
-    if (a.hops != b.hops) return a.hops > b.hops;
-    return policy.compare(a.tie, b.tie) > 0;
-  };
-  std::vector<Candidate>& heap = ws.heap;
-  heap.clear();
-  for (size_t i = 1; i <= d; ++i) {
-    for (auto& c : activate[i]) {
-      heap.push_back(std::move(c));
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
-    while (!heap.empty() &&
-           heap.front().deadline < static_cast<int32_t>(i)) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.pop_back();
-    }
-    if (!heap.empty())
-      res.replacement[i - 1] = heap.front().hops;
-  }
-  return res;
+  return single_pair_replacement_paths(g, policy, from_s.spt, t);
 }
 
 }  // namespace restorable

@@ -1,6 +1,8 @@
 #include "rp/subset_rp.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "engine/batch_sssp.h"
 
@@ -11,6 +13,10 @@ SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
                                         const BatchSsspEngine* engine,
                                         SptCache* cache) {
   const Graph& g = pi.graph();
+  for (const Vertex s : sources)
+    if (s >= g.num_vertices())
+      throw std::out_of_range("subset_replacement_paths: source " +
+                              std::to_string(s) + " out of range");
   const BatchSsspEngine& eng = BatchSsspEngine::or_shared(engine);
   SubsetRpResult res;
 
@@ -58,23 +64,21 @@ SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
                    tree_edges[j].begin(), tree_edges[j].end(),
                    std::back_inserter(ws.union_ids));
     ws.h.assign_edge_subgraph(g, ws.union_ids);
-    const std::vector<EdgeId>& union_ids = ws.union_ids;
-    const Graph& h = ws.h;
-    union_edges_per_pair[p] = h.num_edges();
+    union_edges_per_pair[p] = ws.h.num_edges();
 
     // Same policy over the union graph: labels carry G's edge ids, so the
-    // perturbation of every surviving edge is unchanged and the selected
-    // path pi(s1, s2) of G is also the selected path of h.
-    const auto rp = single_pair_replacement_paths(h, pi.policy(), sources[i],
-                                                  sources[j]);
+    // perturbation of every surviving edge is unchanged. T(s1) lies in h
+    // and h in G, so T(s1) is also h's out-tree of s1: the core takes it
+    // as is, sweeps only the in-tree to s2, and returns pi(s1, s2) in G's
+    // edge ids.
+    auto rp = single_pair_replacement_paths(ws.h, pi.policy(), *trees[i],
+                                            sources[j]);
 
     PairReplacementPaths& out = res.pairs[p];
     out.s1 = sources[i];
     out.s2 = sources[j];
-    out.base_path = rp.base_path;
-    // Translate the base path's edge ids from h-local to g-local.
-    for (EdgeId& e : out.base_path.edges) e = union_ids[e];
-    out.replacement = rp.replacement;
+    out.base_path = std::move(rp.base_path);
+    out.replacement = std::move(rp.replacement);
   });
   for (size_t ue : union_edges_per_pair) res.union_graph_edges_total += ue;
   return res;

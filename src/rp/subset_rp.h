@@ -8,9 +8,12 @@
 //
 // Algorithm 1: build the out-tree T_s under a 1-restorable scheme for each
 // s in S (O(sigma m) Dijkstra work); then for each pair run the single-pair
-// algorithm on T_{s1} u T_{s2}, a graph with <= 2(n-1) edges
+// algorithm on H = T_{s1} u T_{s2}, a graph with <= 2(n-1) edges
 // (O~(sigma^2 n) work). 1-restorability is what makes the union graph
-// preserve every single-fault replacement distance.
+// preserve every single-fault replacement distance. Since T_{s1} lies in H
+// and H in G, T_{s1} is also H's out-tree of s1: step 2 hands the batch's
+// tree to the single-pair core as is, so one sweep (the in-tree to s2)
+// runs per pair, and the base path comes back in G's edge ids.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +28,8 @@ namespace restorable {
 struct PairReplacementPaths {
   Vertex s1 = kNoVertex;
   Vertex s2 = kNoVertex;
-  Path base_path;  // pi(s1, s2) in G; empty if disconnected
-  // replacement[i] = dist_{G \ base_path.edges[i]}(s1, s2). Edge ids are
-  // *G-local* (the union graph carries G's labels through).
+  Path base_path;  // pi(s1, s2) in G's edge ids; empty if disconnected
+  // replacement[i] = dist_{G \ base_path.edges[i]}(s1, s2).
   std::vector<int32_t> replacement;
 };
 
@@ -45,6 +47,7 @@ struct SubsetRpResult {
 // the thread count. A non-null `cache` resolves the out-trees through the
 // shared SPT store (serve/spt_cache.h), deduplicating them against other
 // consumers of the same scheme; results are bit-identical either way.
+// Throws std::out_of_range, before any work, for a source >= n.
 SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
                                         std::span<const Vertex> sources,
                                         const BatchSsspEngine* engine = nullptr,

@@ -103,6 +103,71 @@ TEST(SinglePairRp, WorksWithDeterministicPolicy) {
     EXPECT_EQ(fast.replacement[i], naive[i]);
 }
 
+// The core fed a precomputed out-tree -- what subset-rp does with the batch's
+// T(s1) -- against the sweep-fed entry and per-fault BFS. The out-tree comes
+// from the heap reference (core/dijkstra.h), not the engine sweep the entry
+// runs.
+template <typename Policy>
+void expect_core_matches(const Graph& g, const Policy& policy, Vertex s,
+                         Vertex t) {
+  const auto from_s = tiebroken_sssp(g, policy, s, {}, Direction::kOut);
+  const auto core = single_pair_replacement_paths(g, policy, from_s.spt, t);
+  const auto swept = single_pair_replacement_paths(g, policy, s, t);
+  EXPECT_EQ(core.base_path, swept.base_path) << s << " -> " << t;
+  EXPECT_EQ(core.replacement, swept.replacement) << s << " -> " << t;
+  if (core.base_path.empty()) {
+    EXPECT_EQ(bfs_distance(g, s, t), kUnreachable);
+    return;
+  }
+  EXPECT_EQ(core.replacement,
+            naive_replacement_distances(g, s, t, core.base_path))
+      << s << " -> " << t << " on " << core.base_path.to_string();
+}
+
+template <typename Policy>
+void expect_core_matches_on_pairs(const Graph& g, const Policy& policy) {
+  const Vertex n = g.num_vertices();
+  expect_core_matches(g, policy, 0, n - 1);
+  expect_core_matches(g, policy, n / 2, 1);
+  expect_core_matches(g, policy, n / 3, 2 * n / 3);
+}
+
+TEST(SinglePairRp, CoreOnGivenOutTreeMatchesEntryAndNaive) {
+  const Graph graphs[] = {gnp_connected(30, 0.15, 41), grid(5, 6),
+                          theta_graph(4, 5), dumbbell(5, 4),
+                          clique_chain(6, 5)};
+  for (const Graph& g : graphs) {
+    expect_core_matches_on_pairs(g, IsolationAtw(42));
+    expect_core_matches_on_pairs(g, RandomRealAtw(43, g.num_vertices()));
+    expect_core_matches_on_pairs(g, DeterministicAtw(g));
+  }
+}
+
+// Edges 1 and 2 both join vertices 1 and 2. Whichever the policy puts on P,
+// failing it leaves the other: P-edges are excluded by id, not endpoints.
+TEST(SinglePairRp, ParallelCopyOfPathEdgeIsADetour) {
+  const Graph g(4, {{0, 1}, {1, 2}, {1, 2}, {2, 3}});
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto res = single_pair_replacement_paths(g, IsolationAtw(seed), 0, 3);
+    ASSERT_EQ(res.base_path.length(), 3u);
+    EXPECT_EQ(res.replacement,
+              (std::vector<int32_t>{kUnreachable, 3, kUnreachable}));
+  }
+}
+
+// A removed edge keeps its slot and endpoints but has no arcs: it is no
+// detour.
+TEST(SinglePairRp, RemovedEdgeIsNoDetour) {
+  Graph g = cycle(8);
+  EdgeId e67 = kNoEdge;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (g.endpoints(e) == Edge{6, 7} || g.endpoints(e) == Edge{7, 6}) e67 = e;
+  ASSERT_TRUE(g.remove_edge(e67));
+  const auto res = single_pair_replacement_paths(g, IsolationAtw(1), 0, 4);
+  ASSERT_EQ(res.base_path.length(), 4u);
+  for (int32_t r : res.replacement) EXPECT_EQ(r, kUnreachable);
+}
+
 // Structural facts behind the algorithm: the selected s~u path uses a
 // *prefix* of P's edges and the selected v~t path uses a *suffix* (by
 // consistency + uniqueness).

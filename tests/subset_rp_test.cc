@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "engine/batch_sssp.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "rp/naive_rp.h"
+#include "serve/spt_cache.h"
 
 namespace restorable {
 namespace {
@@ -109,6 +114,81 @@ TEST(SubsetRp, BasePathEdgesAreGlobalIds) {
   const auto res = subset_replacement_paths(pi, sources);
   for (const auto& pr : res.pairs)
     EXPECT_TRUE(g.is_valid_path(pr.base_path));
+}
+
+void expect_same_result(const SubsetRpResult& a, const SubsetRpResult& b) {
+  ASSERT_EQ(a.pairs.size(), b.pairs.size());
+  for (size_t i = 0; i < a.pairs.size(); ++i) {
+    EXPECT_EQ(a.pairs[i].s1, b.pairs[i].s1);
+    EXPECT_EQ(a.pairs[i].s2, b.pairs[i].s2);
+    EXPECT_EQ(a.pairs[i].base_path, b.pairs[i].base_path);
+    EXPECT_EQ(a.pairs[i].replacement, b.pairs[i].replacement);
+  }
+  EXPECT_EQ(a.tree_edges_total, b.tree_edges_total);
+  EXPECT_EQ(a.union_graph_edges_total, b.union_graph_edges_total);
+}
+
+// Base paths of about 2k hops through dense cliques: the cover paints many
+// failures per pair, with candidates of many distinct intervals.
+TEST(SubsetRp, LongPathsOnCliqueChains) {
+  for (const Vertex k : {4u, 8u}) {
+    const Graph g = clique_chain(k, 20);
+    const Vertex n = g.num_vertices();
+    const Vertex sources[] = {0, n / 3, 2 * n / 3, n - 1};
+    expect_matches_naive(g, 30 + k, sources);
+    IsolationRpts pi(g, IsolationAtw(30 + k));
+    const auto res = subset_replacement_paths(pi, sources);
+    ASSERT_EQ(res.pairs[2].s2, n - 1);  // pair (0, n - 1) crosses the chain
+    EXPECT_GE(res.pairs[2].base_path.length(), static_cast<size_t>(k));
+  }
+}
+
+// Trees resolved through the shared store, first as misses and then as
+// hits, give the uncached result bit for bit.
+TEST(SubsetRp, CachedRunEqualsUncached) {
+  const Graph g = gnp_connected(40, 0.12, 8);
+  IsolationRpts pi(g, IsolationAtw(22));
+  const Vertex sources[] = {0, 9, 21, 39};
+  const auto plain = subset_replacement_paths(pi, sources);
+  SptCache cache;
+  expect_same_result(subset_replacement_paths(pi, sources, nullptr, &cache),
+                     plain);
+  const uint64_t hits = cache.stats().hits;
+  expect_same_result(subset_replacement_paths(pi, sources, nullptr, &cache),
+                     plain);
+  EXPECT_GT(cache.stats().hits, hits);
+}
+
+// A repeated source pairs with itself: base path of length 0, no failures.
+TEST(SubsetRp, DuplicateSourcesMatchNaive) {
+  const Graph g = gnp_connected(16, 0.25, 9);
+  const Vertex sources[] = {3, 3, 7};
+  expect_matches_naive(g, 23, sources);
+  IsolationRpts pi(g, IsolationAtw(23));
+  const auto res = subset_replacement_paths(pi, sources);
+  ASSERT_EQ(res.pairs.size(), 3u);
+  EXPECT_EQ(res.pairs[0].base_path.length(), 0u);
+  EXPECT_TRUE(res.pairs[0].replacement.empty());
+}
+
+// Sources are checked against n before any tree is built, and the error
+// names this function.
+TEST(SubsetRp, RejectsOutOfRangeSources) {
+  const Graph g = gnp_connected(12, 0.3, 10);
+  IsolationRpts pi(g, IsolationAtw(24));
+  const BatchSsspEngine engine(1);
+  for (const Vertex bad : {kNoVertex, g.num_vertices()}) {
+    const Vertex sources[] = {0, 5, bad};
+    try {
+      subset_replacement_paths(pi, sources, &engine);
+      ADD_FAILURE() << "source " << bad << " accepted";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("subset_replacement_paths"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(engine.stats().batches, 0u);
 }
 
 // Stress sweep across seeds: the correctness theorem leans on
