@@ -64,9 +64,9 @@ Graph clique_chain(Vertex k, Vertex c);
 // Connected sparse graph at production scale: a random spanning tree plus
 // (avg_degree/2 - 1) * n random extra edges, built in O(n + m) with a
 // hash-set dedup -- no O(n^2) pair scan, so n = 10^5..10^7 generates in
-// seconds. Road-network-like when avg_degree is small (2.5-4). This is the
-// family serve_bench's serve_large scenario and the CI bench-smoke use for
-// their n >= 10^5 points.
+// seconds. Road-network-like when avg_degree is small (2.5-4). perfbench's
+// cold_miss graph and graph_pack's `--gen sparse` (the CI 10^6-node
+// freeze/thaw round trip) use it.
 Graph sparse_connected(Vertex n, double avg_degree, uint64_t seed);
 
 }  // namespace restorable

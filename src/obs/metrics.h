@@ -52,8 +52,8 @@
 // no-op the optimizer deletes; the registry and providers still function
 // (component Stats read their own non-obs atomics and ShardedCounts), so
 // snapshots stay well-formed with the obs-backed values reading zero.
-// bench/serve_bench.cc records both builds in BENCH_SERVE.json to bound the
-// enabled-path overhead.
+// A build with it set is the baseline that bounds the enabled path's
+// overhead (perfbench's hot_read on both builds).
 #pragma once
 
 #include <atomic>

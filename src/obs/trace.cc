@@ -22,9 +22,6 @@ void escape_into(std::string& out, const std::string& s) {
 }
 }  // namespace
 
-Tracer::Tracer(std::ostream* out, Config cfg)
-    : every_(cfg.sample_every ? cfg.sample_every : 1), out_(out) {}
-
 Tracer::Tracer(Sink sink, Config cfg)
     : every_(cfg.sample_every ? cfg.sample_every : 1), sink_(std::move(sink)) {}
 
@@ -62,16 +59,9 @@ std::string Tracer::to_jsonl(const QueryTrace& trace) {
 void Tracer::finish(std::unique_ptr<QueryTrace> trace) {
   if (!trace) return;
   emitted_.fetch_add(1, std::memory_order_relaxed);
-  if (sink_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sink_(*trace);
-    return;
-  }
-  if (out_) {
-    const std::string line = to_jsonl(*trace);
-    std::lock_guard<std::mutex> lock(mu_);
-    *out_ << line << '\n';
-  }
+  if (!sink_) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  sink_(*trace);
 }
 
 }  // namespace restorable::obs

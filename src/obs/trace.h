@@ -6,11 +6,12 @@
 // SAMPLED (1-in-N, default 256): the only cost an unsampled query pays is
 // one relaxed fetch_add on the sequence counter, so the query hot path
 // stays wait-free; sampled queries additionally build a heap-allocated
-// span tree and serialize one JSONL line under the emitter mutex at the
-// very end (off the pin/probe/hit path -- the trace is finished after the
+// span tree and hand it to the sink under the emitter mutex at the very
+// end (off the pin/probe/hit path -- the trace is finished after the
 // answer is computed).
 //
-// Span schema (one JSON object per trace, one line per emit -- JSONL):
+// Span schema of Tracer::to_jsonl (one JSON object per trace, one line per
+// trace -- JSONL):
 //   {"trace": <id>, "spans": [
 //      {"id":0, "parent":-1, "name":"query", "start_ns":..., "dur_ns":...,
 //       "attrs": {"kind":"distance", "outcome":"miss_leader", ...}},
@@ -29,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,11 +98,8 @@ class Tracer {
   };
   using Sink = std::function<void(const QueryTrace&)>;
 
-  // JSONL emission to a stream the caller keeps alive (serve_bench's
-  // --trace-out file).
-  Tracer(std::ostream* out, Config cfg);
-  explicit Tracer(std::ostream* out) : Tracer(out, Config{}) {}
-  // Callback sink for tests (receives the finished trace object).
+  // The sink receives each finished trace; to_jsonl() renders one as a
+  // JSONL line.
   Tracer(Sink sink, Config cfg);
   explicit Tracer(Sink sink) : Tracer(std::move(sink), Config{}) {}
 
@@ -115,9 +112,8 @@ class Tracer {
     return std::make_unique<QueryTrace>(n);
   }
 
-  // Emits the trace (one JSONL line or one sink callback). Takes the
-  // emitter mutex -- called only for sampled traces, after the query's
-  // answer is already computed.
+  // Hands the trace to the sink. Takes the emitter mutex -- called only
+  // for sampled traces, after the query's answer is already computed.
   void finish(std::unique_ptr<QueryTrace> trace);
 
   uint64_t started() const { return seq_.load(std::memory_order_relaxed); }
@@ -130,7 +126,6 @@ class Tracer {
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> emitted_{0};
   std::mutex mu_;
-  std::ostream* out_ = nullptr;
   Sink sink_;
 };
 

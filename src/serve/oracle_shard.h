@@ -291,9 +291,6 @@ class OracleShard {
                                      std::vector<FetchObs>* obs = nullptr);
 
   uint64_t queries_served() const { return queries_.value(); }
-  uint64_t updates_applied() const {
-    return updates_.load(std::memory_order_relaxed);
-  }
   // Exact fault distances answered from the base tree alone.
   uint64_t stability_fast_paths() const { return stability_hits_.value(); }
   // Total Spt bytes this server materialized (fresh Dijkstra results of

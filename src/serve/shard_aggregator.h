@@ -25,7 +25,7 @@
 // their straggler publishes out of the store.
 //
 // Everything is in-process: shards are objects, not processes, so CI runs
-// the full three-layer stack (shard_test, bench serve_sharded) and answers
+// the full three-layer stack (shard_test, perfbench cold_miss) and answers
 // are bit-identical at any shard count -- sharding repartitions work, never
 // changes the scheme.
 #pragma once

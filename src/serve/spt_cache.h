@@ -167,12 +167,6 @@ class SptCache {
       return total ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;
     }
-    double base_hit_rate() const {
-      const uint64_t total = base_hits + base_misses;
-      return total ? static_cast<double>(base_hits) /
-                         static_cast<double>(total)
-                   : 0.0;
-    }
   };
 
   SptCache() : SptCache(Config()) {}

@@ -453,6 +453,7 @@ TEST(ApproxServer, PathAndReplacementAlwaysEscalate) {
 
 TEST(ApproxServer, ApproxTierSurvivesChurnAtLeastAsWellAsExact) {
   Graph g = gnp_connected(36, 0.1, 41);
+  const Graph g0 = g;
   const IsolationAtw atw(14);
   const IsolationRpts pi(g, atw);
   ServerConfig cfg;
@@ -485,6 +486,33 @@ TEST(ApproxServer, ApproxTierSurvivesChurnAtLeastAsWellAsExact) {
   }
   EXPECT_GT(carried_total, 0u);
   (void)invalidated_total;
+
+  // The same schedule on servers that each read one tier only: the ε
+  // tier's slack survival test carries at least the exact tier's share of
+  // the trees the inserts adjudicate.
+  const auto carried_fraction = [&](double epsilon) {
+    Graph h = g0;
+    const IsolationRpts ph(h, atw);
+    ServerConfig one_tier = cfg;
+    one_tier.default_epsilon = epsilon;
+    OracleServer tier(ph, one_tier);
+    for (Vertex s = 0; s < h.num_vertices(); s += 3)
+      tier.distance(s, (s + 5) % h.num_vertices());
+    size_t carried = 0, adjudicated = 0;
+    for (int round = 0; round < 4; ++round) {
+      const Vertex a = (round * 13 + 3) % h.num_vertices();
+      const Vertex b = (round * 29 + 17) % h.num_vertices();
+      if (a == b || h.find_edge(a, b) != kNoEdge) continue;
+      const UpdateResult res = tier.apply_update(h, GraphDelta::insert(a, b));
+      carried += res.carried;
+      adjudicated += res.carried + res.invalidated;
+    }
+    EXPECT_GT(adjudicated, 0u) << "epsilon=" << epsilon;
+    return adjudicated ? static_cast<double>(carried) /
+                             static_cast<double>(adjudicated)
+                       : 0.0;
+  };
+  EXPECT_GE(carried_fraction(1.0), carried_fraction(0.0));
 }
 
 }  // namespace

@@ -392,7 +392,9 @@ TEST(OracleServerDynamic, ApplyUpdateMatchesFromScratchRebuild) {
     EXPECT_GT(res.prewarmed, 0u);    // and the affected base roots re-warmed
 
     // Every post-update answer equals a from-scratch rebuild on the
-    // mutated graph (same policy seed => same weights => same scheme).
+    // mutated graph (same policy seed => same weights => same scheme), and
+    // the hot set keeps being served from the cache: no full flush.
+    const uint64_t hits_before = server.cache()->stats().hits;
     const IsolationRpts rebuilt(g, IsolationAtw(31));
     for (Vertex s : hot) {
       expect_same_tree(*server.tree({s, {}, Direction::kOut}),
@@ -403,6 +405,7 @@ TEST(OracleServerDynamic, ApplyUpdateMatchesFromScratchRebuild) {
                   rebuilt.distance(s, t, FaultSet{victim}));
       }
     }
+    EXPECT_GT(server.cache()->stats().hits, hits_before);
 
     // Flap back: the tombstone resurrects, and answers return to the
     // original scheme's bit pattern.

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "core/dijkstra.h"
+#include "core/rpts.h"
 #include "graph/bfs.h"
 #include "graph/frozen_csr.h"
 #include "graph/generators.h"
+#include "serve/oracle_server.h"
 
 namespace restorable {
 namespace {
@@ -123,6 +125,10 @@ TEST(FrozenCsr, ThawedGraphServesIdenticalTrees) {
   ASSERT_TRUE(back.has_value());
   const Graph t = back->thaw();
   const IsolationAtw policy(9);
+  // The cached server on the thawed graph answers as the uncached trees of
+  // the original do.
+  const IsolationRpts thawed_scheme(t, policy);
+  OracleServer server(thawed_scheme);
   for (Vertex root : {Vertex{0}, Vertex{77}, Vertex{149}}) {
     const auto want = tiebroken_sssp(g, policy, root, {}, Direction::kOut);
     const auto got = tiebroken_sssp(t, policy, root, {}, Direction::kOut);
@@ -130,8 +136,10 @@ TEST(FrozenCsr, ThawedGraphServesIdenticalTrees) {
       ASSERT_EQ(got.spt.hops(v), want.spt.hops(v));
       ASSERT_EQ(got.spt.parent(v), want.spt.parent(v));
       ASSERT_EQ(got.spt.parent_edge(v), want.spt.parent_edge(v));
+      ASSERT_EQ(server.distance(root, v), want.spt.hops(v));
     }
   }
+  EXPECT_GT(server.cache()->stats().hits, 0u);
 }
 
 TEST(FrozenCsr, RejectsCorruptionAndTruncation) {

@@ -371,6 +371,7 @@ TEST(OracleServerEpochPinned, HammerPinsAcrossPublishes) {
     const auto gs = server.generations()->stats();
     EXPECT_EQ(gs.published, 17u);
     EXPECT_GE(gs.retired, gs.published - 2);
+    EXPECT_LE(gs.live, 2u);
 
     // Post-churn answers match a from-scratch rebuild.
     const IsolationRpts rebuilt(g, IsolationAtw(17));

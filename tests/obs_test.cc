@@ -166,10 +166,64 @@ TEST(Registry, RegistrationIsRaii) {
   EXPECT_TRUE(reg.snapshot().components.empty());
 }
 
+// One exported histogram row: its "value" (the count) and its "buckets".
+struct HistogramRow {
+  int64_t count = 0;
+  std::vector<uint64_t> buckets;
+};
+
+// Every histogram row of a snapshot's JSON document (one row per line). Each
+// row's kind must be one of the three, and a histogram's bucket sum must
+// equal its count.
+std::vector<HistogramRow> exported_histograms(
+    const obs::MetricsSnapshot& snap) {
+  JsonRows rows;
+  snap.to_json(rows);
+  std::ostringstream os;
+  rows.write(os);
+  std::istringstream lines(os.str());
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::string tag = "\"" + key + "\": ";
+    const size_t at = line.find(tag);
+    if (at == std::string::npos) return std::string();
+    const size_t from = at + tag.size();
+    // A string value runs to its closing quote; a number to ',' or '}'.
+    const size_t end = line[from] == '"' ? line.find('"', from + 1) + 1
+                                         : line.find_first_of(",}", from);
+    return line.substr(from, end - from);
+  };
+  std::vector<HistogramRow> out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find('{') == std::string::npos) continue;
+    const std::string kind = field(line, "kind");
+    EXPECT_TRUE(kind == "\"counter\"" || kind == "\"gauge\"" ||
+                kind == "\"histogram\"")
+        << line;
+    if (kind != "\"histogram\"") continue;
+    HistogramRow h;
+    h.count = std::stoll(field(line, "value"));
+    // "buckets": "b0,b1,..." -- the comma-separated list sits in quotes.
+    const std::string list_field = field(line, "buckets");
+    std::istringstream list(list_field.substr(1, list_field.size() - 2));
+    uint64_t sum = 0;
+    for (std::string b; std::getline(list, b, ',');) {
+      h.buckets.push_back(std::stoull(b));
+      sum += h.buckets.back();
+    }
+    EXPECT_EQ(sum, static_cast<uint64_t>(h.count)) << line;
+    out.push_back(std::move(h));
+  }
+  return out;
+}
+
 TEST(Registry, JsonAndTableExportEmitEveryMetric) {
   obs::MetricsRegistry reg;
   obs::Histogram h(4);
   h.record(3);
+  // One sample in every bucket, and one past the last (clamped into it).
+  for (const uint64_t v : {uint64_t{0}, uint64_t{5}, uint64_t{9},
+                           uint64_t{1} << 20})
+    h.record(v);
   auto r = reg.add("comp", [&](obs::ComponentBuilder& b) {
     b.counter("c", 7);
     b.gauge("g", -1);
@@ -189,6 +243,15 @@ TEST(Registry, JsonAndTableExportEmitEveryMetric) {
   std::ostringstream table_os;
   snap.to_table().print(table_os);
   EXPECT_NE(table_os.str().find("comp"), std::string::npos);
+
+  // The exported row keeps every bucket and every sample.
+  const std::vector<HistogramRow> hists = exported_histograms(snap);
+  ASSERT_EQ(hists.size(), 1u);
+  ASSERT_EQ(hists[0].buckets.size(), h.num_buckets());
+  if (obs::kEnabled) {
+    EXPECT_EQ(hists[0].count, 5);
+    EXPECT_EQ(hists[0].buckets, (std::vector<uint64_t>{1, 1, 1, 2}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,6 +307,8 @@ TEST(ServerObs, OneSnapshotCoversEveryComponent) {
   EXPECT_EQ(snap.value_or("cache", "hits") + snap.value_or("cache", "misses"),
             snap.value_or("batcher", "requests"));
   EXPECT_GE(snap.value_or("engine", "batches"), 1);
+  // The whole stack's document exports consistent histogram rows.
+  EXPECT_FALSE(exported_histograms(snap).empty());
 }
 
 TEST(ServerObs, StatsComposesFromOneSnapshot) {

@@ -534,22 +534,32 @@ TEST(OracleServer, ReplacementDistanceUsesStabilityFastPath) {
 }
 
 // A zero byte budget retains nothing: every fetch recomputes, and the
-// answers stay exact.
+// answers stay exact. The same stream on a budgeted cache is served from
+// resident trees, so it materializes fewer bytes.
 TEST(OracleServer, ZeroBudgetCacheStaysCorrect) {
   const Graph g = gnp_connected(30, 0.12, 71);
   const IsolationRpts pi(g, IsolationAtw(72));
+  const auto serve_stream = [&](OracleServer& server) {
+    for (Vertex s = 0; s < 6; ++s)
+      for (Vertex t = 20; t < 26; ++t) {
+        EXPECT_EQ(server.distance(s, t), pi.distance(s, t));
+        EXPECT_EQ(server.path(s, t, FaultSet{s}), pi.path(s, t, FaultSet{s}));
+      }
+  };
   ServerConfig off;
   off.cache.byte_budget = 0;
   OracleServer server(pi, off);
-  for (Vertex s = 0; s < 6; ++s)
-    for (Vertex t = 20; t < 26; ++t) {
-      EXPECT_EQ(server.distance(s, t), pi.distance(s, t));
-      EXPECT_EQ(server.path(s, t, FaultSet{s}), pi.path(s, t, FaultSet{s}));
-    }
+  serve_stream(server);
   const SptCache::Stats cs = server.cache()->stats();
   EXPECT_EQ(cs.entries, 0u);
   EXPECT_EQ(cs.bytes, 0u);
   EXPECT_EQ(cs.hits, 0u);
+
+  OracleServer cached(pi);
+  serve_stream(cached);
+  EXPECT_EQ(cached.queries_served(), server.queries_served());
+  EXPECT_GT(cached.cache()->stats().hits, 0u);
+  EXPECT_LT(cached.bytes_materialized(), server.bytes_materialized());
 }
 
 TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {

@@ -134,7 +134,8 @@ FrontEndConfig small_config(size_t shards, const BatchSsspEngine* engine) {
 
 // The same query stream answered at 1, 2, and 4 shards must be
 // bit-identical to the single-scheme reference -- sharding repartitions
-// work, never changes the scheme.
+// work, never changes the scheme -- before and after each phase of an
+// edge flap through the fleet.
 TEST(ShardAggregator, BitIdenticalAcrossShardCounts) {
   Graph g = gnp_connected(60, 0.08, 7);
   const IsolationRpts pi(g, IsolationAtw(8));
@@ -162,6 +163,22 @@ TEST(ShardAggregator, BitIdenticalAcrossShardCounts) {
     while (base.parent_edge(x) == kNoEdge) ++x;
     EXPECT_EQ(fe.replacement_distance(2, x, base.parent_edge(x)),
               pi.spt(2, FaultSet{base.parent_edge(x)}).hops(x));
+
+    // Churn: remove a tree edge of root 0, then put it back (the tombstone
+    // resurrects, so the next shard count starts from the same graph).
+    // Every phase answers as a from-scratch scheme on that phase's graph.
+    const EdgeId victim = pi.spt(0).parent_edge(5);
+    const Edge ends = g.endpoints(victim);
+    for (const GraphDelta& d :
+         {GraphDelta::remove(victim), GraphDelta::insert(ends.u, ends.v)}) {
+      ASSERT_TRUE(fe.apply_update(g, d).changed);
+      const auto phase = fe.tree_batch(all);
+      for (Vertex r = 0; r < g.num_vertices(); ++r)
+        expect_same_tree(*phase[r], pi.spt(r));
+      EXPECT_EQ(fe.distance(0, 5), pi.spt(0).hops(5));
+      EXPECT_EQ(fe.distance(3, 9, FaultSet{1}),
+                pi.spt(3, FaultSet{1}).hops(9));
+    }
     const auto s = fe.stats();
     EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
   }
