@@ -49,9 +49,9 @@ struct PerturbedDist {
 // ---------------------------------------------------------------------------
 // The trivial policy: no perturbation at all. Ties are empty and always
 // compare equal, so lengths are bare hop counts. It is not an ATW (shortest
-// paths are not unique under it); the (1+eps) tier runs the repair and
-// survival skeletons of core/rpts.h with it, which makes that tier hops-only
-// and policy-free.
+// paths are not unique under it); the (1+eps) tier runs the repair and the
+// survival test of core/rpts.h with it, which makes that tier hops-only and
+// policy-free.
 struct HopsOnly {
   struct Tie {};
   Tie zero() const { return {}; }

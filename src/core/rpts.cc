@@ -49,6 +49,22 @@ std::vector<SptHandle> cached_spt_batch(
   return out;
 }
 
+namespace {
+
+// Throws std::invalid_argument unless `tree` fits g: g's vertex count and a
+// root inside it. Every kernel array is indexed by the tree's vertices.
+void check_tree_fits(const Graph& g, const Spt& tree, const char* who) {
+  if (tree.num_vertices() != g.num_vertices() ||
+      tree.root >= g.num_vertices())
+    throw std::invalid_argument(
+        std::string(who) + ": tree (root " + std::to_string(tree.root) +
+        ", " + std::to_string(tree.num_vertices()) +
+        " vertices) does not fit a graph of " +
+        std::to_string(g.num_vertices()) + " vertices");
+}
+
+}  // namespace
+
 uint64_t IRpts::next_scheme_id() {
   // Process-unique instance ids; never reused, so a stale cache entry can
   // only miss, never alias a different scheme's trees.
@@ -78,13 +94,7 @@ std::vector<SptHandle> IRpts::spt_batch(std::span<const SsspRequest> requests,
 std::vector<FaultDelta> IRpts::fault_deltas(
     const Spt& base, std::span<const SsspRequest> requests) const {
   const Graph& g = graph();
-  if (base.num_vertices() != g.num_vertices() ||
-      base.root >= g.num_vertices())
-    throw std::invalid_argument(
-        "IRpts::fault_deltas: base tree (root " + std::to_string(base.root) +
-        ", " + std::to_string(base.num_vertices()) +
-        " vertices) does not fit a graph of " +
-        std::to_string(g.num_vertices()) + " vertices");
+  check_tree_fits(g, base, "IRpts::fault_deltas");
   for (const SsspRequest& req : requests) {
     if (req.root != base.root || req.dir != base.dir)
       throw std::invalid_argument(
@@ -163,11 +173,22 @@ RepairOutcome IRpts::repair_tree(const Spt& old_tree, const DeltaBatch& batch,
                                  const FaultSet& faults,
                                  double max_affected_fraction,
                                  uint32_t eps_q) const {
+  const Graph& g = graph();
+  check_tree_fits(g, old_tree, "IRpts::repair_tree");
+  check_fault_ids(g, faults, "IRpts::repair_tree");
+  for (const GraphDelta& d : batch.net)
+    if (d.edge >= g.num_edges())
+      throw std::out_of_range("IRpts::repair_tree: delta edge id " +
+                              std::to_string(d.edge) + " out of range");
   if (eps_q)
     return repair_with(HopsOnly{}, old_tree, batch, faults,
                        max_affected_fraction, eps_q);
-  // No exact tie arithmetic at this level: a from-scratch recompute is the
-  // only way to reproduce the scheme's tree bit-identically.
+  return repair_exact(old_tree, batch, faults, max_affected_fraction);
+}
+
+RepairOutcome IRpts::repair_exact(const Spt& old_tree, const DeltaBatch& batch,
+                                  const FaultSet& faults,
+                                  double /*max_affected_fraction*/) const {
   if (batch_survives(batch, old_tree, faults))
     return {old_tree, /*repaired=*/true, /*touched=*/0};
   RepairOutcome out;

@@ -20,9 +20,8 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <queue>
+#include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "core/dijkstra.h"
@@ -80,9 +79,10 @@ struct RepairOutcome {
 
 // Default ceiling on the affected region an incremental repair may grow to,
 // as a fraction of the vertex count, before falling back to a from-scratch
-// recompute (whose cost the repair would otherwise approach from above:
-// the incremental machinery re-derives labels one heap operation at a time
-// while a full Dijkstra streams the whole graph).
+// recompute. The repair scans a relabeled vertex's arcs about three times
+// (detach, hop seeding, labeling) where the sweep scans them once, and
+// copies the old labels once, so past about a quarter of the graph the
+// sweep is the cheaper way.
 inline constexpr double kDefaultRepairFraction = 0.25;
 
 // Type-erased scheme interface. Everything downstream (replacement paths,
@@ -153,17 +153,17 @@ class IRpts {
   // `faults` -- to batch.new_epoch. On the exact tier the result is
   // bit-identical to a from-scratch recompute on the mutated graph; on the
   // approximate tier it satisfies invariant F below (NOT bit-identical to a
-  // fresh relaxed compute, see SptKey::eps_q). The base implementation
-  // recomputes exact-tier trees (repaired = false) and repairs
-  // approximate-tier trees with the hops-only skeleton; Rpts<Policy>
-  // overrides the exact tier with the same skeleton over its policy. Past
-  // `max_affected_fraction` of the vertex count the repair falls back to a
-  // full exact recompute (a fraction >= 1 never falls back).
-  virtual RepairOutcome repair_tree(const Spt& old_tree,
-                                    const DeltaBatch& batch,
-                                    const FaultSet& faults,
-                                    double max_affected_fraction,
-                                    uint32_t eps_q = 0) const;
+  // fresh relaxed compute, see SptKey::eps_q). Every scheme repairs
+  // approximate-tier trees with the hops-only repair; the exact tier is
+  // repair_exact. Past `max_affected_fraction` of the vertex count the
+  // repair falls back to a full exact recompute (a fraction >= 1 never
+  // falls back). Throws std::invalid_argument when `old_tree`'s vertex
+  // count differs from the graph's or its root is out of range, and
+  // std::out_of_range for a fault or delta edge id >= m.
+  RepairOutcome repair_tree(const Spt& old_tree, const DeltaBatch& batch,
+                            const FaultSet& faults,
+                            double max_affected_fraction,
+                            uint32_t eps_q = 0) const;
   RepairOutcome repair_tree(const Spt& old_tree,
                             const DeltaBatch& batch) const {
     return repair_tree(old_tree, batch, FaultSet{}, kDefaultRepairFraction);
@@ -272,7 +272,16 @@ class IRpts {
   virtual std::vector<FaultDelta> compute_fault_deltas(
       const Spt& base, std::span<const SsspRequest> requests) const;
 
-  // The one insert-survival test and the one repair skeleton, run with the
+  // repair_tree's exact tier after its argument checks. Without exact tie
+  // arithmetic only a recompute reproduces the tree (repaired = false
+  // unless the tree survives the batch); Rpts<Policy> repairs with its
+  // policy.
+  virtual RepairOutcome repair_exact(const Spt& old_tree,
+                                     const DeltaBatch& batch,
+                                     const FaultSet& faults,
+                                     double max_affected_fraction) const;
+
+  // The one insert-survival test and the one repair, run with the
   // adoption rule above over `policy` (defined below the class).
   template <typename Policy>
   bool insert_survives(const Policy& policy, const GraphDelta& delta,
@@ -348,52 +357,31 @@ bool IRpts::insert_survives(const Policy& policy, const GraphDelta& delta,
          !adopted(delta.u, delta.v, /*travel v->u*/ false);
 }
 
-// Ramalingam-Reps-style incremental repair under the adoption rule.
-//
-// Phase R (removals): vertices whose old tree path uses a removed edge are
-// detached as one subtree forest; the surviving vertices keep their labels
-// (stability: their selected paths persist and removals cannot create
-// shorter ones), so a bounded Dijkstra re-relaxes only the detached region's
-// frontier against the surviving forest, always with the eps_q == 0 rule.
-// A detached vertex whose label comes back LOWER than before tightens F2 on
-// every arc leaving it and seeds the cascade; only approximate old labels
-// can do that (exact old labels are exact, and removals only lengthen
-// paths). Cascade (inserts): each net-inserted edge offers two directed
-// relaxations against the phase-R labels, and every adopted label
-// propagates over ALL present arcs with the key's eps_q. On the exact tier
-// both phases run in Dijkstra order (every perturbed arc weight is
-// 1 + r > 1/2 > 0, so a popped minimum is settled) with the arithmetic the
-// from-scratch Dijkstra uses, and the scheme's trees are unique, so the
-// repaired tree is bit-identical to a recompute -- asserted by the repair
-// fuzz tests across all three ATW policies. On the approximate tier exactly
-// the updates that violate F fire, a much smaller region than the exact
-// one.
+// Incremental repair under the adoption rule on the re-relax kernel
+// (ReRelax::repair, engine/fault_delta.h): bit-identical to a recompute on
+// the exact tier (the repair fuzz tests, all three ATW policies); on the
+// approximate tier exactly the labels that violate F change.
 template <typename Policy>
 RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
                                  const DeltaBatch& batch,
                                  const FaultSet& faults,
                                  double max_affected_fraction,
                                  uint32_t eps_q) const {
-  using Tie = typename Policy::Tie;
-  // HopsOnly has no ties: skip the bookkeeping that only rebuilds them.
-  constexpr bool kTies = !std::is_empty_v<Tie>;
   const Graph& g = graph();
   const Vertex n = g.num_vertices();
-  const Direction dir = old_tree.dir;
 
   auto full = [&] {
     // A from-scratch exact recompute: the tree itself on the exact tier, and
     // a valid approximate tree too (exact labels satisfy F at any eps).
     RepairOutcome out;
-    out.tree = spt(old_tree.root, faults, dir);
+    out.tree = spt(old_tree.root, faults, old_tree.dir);
     out.touched = n;
     return out;
   };
 
   // The batch restricted to deltas this tree can feel: a delta on a faulted
   // edge never matters (the edge is excluded from G \ F either way), and a
-  // flap healed inside the batch has no net entry at all. FaultSets (sorted
-  // id vectors) give the O(log k) membership the per-arc loops below probe.
+  // flap healed inside the batch has no net entry at all.
   FaultSet removed, inserted;
   for (const GraphDelta& d : batch.net) {
     if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
@@ -422,209 +410,21 @@ RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
                                           static_cast<double>(n))
                                     : 0);
 
-  // Detach: a vertex is affected by the removals iff its old tree path uses
-  // a removed edge, i.e. it lies in the old subtree under a removed tree
-  // edge. Each subtree is collected from its top (the endpoint whose parent
-  // edge was removed) through the graph's arcs -- w is a tree child of x iff
-  // w's parent edge is the arc's edge -- in O(detached x degree).
-  std::vector<char> detached(n, 0);
-  std::vector<Vertex> forest;
-  for (const EdgeId e : removed) {
-    const Edge& ed = g.endpoints(e);
-    const Vertex top = old_tree.parent_edge(ed.u) == e   ? ed.u
-                       : old_tree.parent_edge(ed.v) == e ? ed.v
-                                                         : kNoVertex;
-    if (top == kNoVertex || detached[top]) continue;
-    detached[top] = 1;
-    forest.push_back(top);
-    for (size_t i = forest.size() - 1; i < forest.size(); ++i)
-      for (const Arc& a : g.arcs(forest[i]))
-        if (!detached[a.to] && old_tree.parent_edge(a.to) == a.edge) {
-          detached[a.to] = 1;
-          forest.push_back(a.to);
-        }
-    if (forest.size() > limit) return full();
-  }
-
-  // Tie values. A surviving vertex keeps its old label, whose tie is
-  // rebuilt on first read by accumulating down its old tree path (every
-  // ancestor survives too) with the arithmetic of the Dijkstra that settled
-  // it: tie[v] = tie[parent] + r(parent edge), read in travel order. So only
-  // the ties the repair reads are computed. A relabeled vertex's tie is the
-  // one offer() wrote; old ties stay memoized apart, since a survivor's old
-  // tie derives from its ancestors' OLD ties even after they are relabeled.
-  std::vector<Tie> tie(n, policy.zero());
-  std::vector<char> relabeled;
-  std::vector<Tie> old_tie;
-  std::vector<char> old_known;
-  std::vector<Vertex> climb;
-  if constexpr (kTies) {
-    relabeled.assign(n, 0);
-    old_tie.assign(n, policy.zero());
-    old_known.assign(n, 0);
-    old_known[old_tree.root] = 1;  // the zero tie
-  }
-  // Only ever called on a reachable label: a relabeled vertex or an old
-  // survivor, whose old parent chain ends at the root.
-  auto tie_of = [&](Vertex v) -> const Tie& {
-    if constexpr (kTies) {
-      if (relabeled[v]) return tie[v];
-      climb.clear();
-      for (Vertex x = v; !old_known[x]; x = old_tree.parent(x))
-        climb.push_back(x);
-      for (size_t i = climb.size(); i-- > 0;) {
-        const Vertex x = climb[i];
-        const Vertex p = old_tree.parent(x);
-        const EdgeId pe = old_tree.parent_edge(x);
-        const bool stored_from_parent = g.endpoints(pe).u == p;
-        Tie t = old_tie[p];
-        policy.accumulate(t, g.label(pe),
-                          dir == Direction::kOut ? stored_from_parent
-                                                 : !stored_from_parent);
-        old_tie[x] = std::move(t);
-        old_known[x] = 1;
-      }
-      return old_tie[v];
-    }
-    return tie[v];
-  };
-
-  // The repair rewrites labels, so it works on a decoded copy of the old
-  // tree's hops / parent_edge and encodes the result against THIS graph's
-  // endpoint table: the cached tree may hold the table from before a
-  // fresh-slot append (Graph::edges_mut clones when shared), and the cascade
-  // below writes the new slot ids into parent_edge. Slots are append-only
-  // with preserved endpoint order, so the current table is valid for every
-  // old id too.
+  auto& ws = thread_fault_delta_workspace<Policy>();
+  ReRelax<Policy> kernel(g, policy, old_tree, ws);
+  const std::optional<size_t> touched =
+      kernel.repair(faults, removed, inserted, eps_q, limit);
+  if (!touched) return full();
+  // Encoded against THIS graph's endpoint table: the cached tree may hold
+  // the table from before a fresh-slot append (Graph::edges_mut clones when
+  // shared), and the cascade writes the new slot ids into parent_edge.
+  // Slots are append-only with preserved endpoint order, so the current
+  // table is valid for every old id too.
   RepairOutcome out;
   out.repaired = true;
-  std::vector<int32_t> nt_hops(n);
-  std::vector<EdgeId> nt_parent_edge(n);
-  for (Vertex v = 0; v < n; ++v) {
-    nt_hops[v] = old_tree.hops(v);
-    nt_parent_edge[v] = old_tree.parent_edge(v);
-  }
-
-  // Tentative-label heap shared by both phases, smallest (hops, tie, v)
-  // first -- (hops, v) under HopsOnly. The v key cannot change exact-tier
-  // results: their labels are unique. Lazy deletion: stale entries are
-  // skipped by comparing against the current label.
-  struct QItem {
-    int32_t hops;
-    [[no_unique_address]] Tie tie;
-    Vertex v;
-  };
-  auto worse = [&policy](const QItem& a, const QItem& b) {
-    if (a.hops != b.hops) return a.hops > b.hops;
-    if (const int c = policy.compare(a.tie, b.tie)) return c > 0;
-    return a.v > b.v;
-  };
-  std::priority_queue<QItem, std::vector<QItem>, decltype(worse)> pq(worse);
-  auto stale = [&](const QItem& item) {
-    return item.hops != nt_hops[item.v] ||
-           policy.compare(item.tie, tie[item.v]) != 0;
-  };
-  // The adoption rule: w adopts s's label extended across e iff
-  // epsilon_improves under `q`, or, at q == 0, the hops tie and the tie
-  // compares lower. Hops decide first, so most rejected candidates skip the
-  // tie arithmetic. Returns whether w adopted (and was queued).
-  auto offer = [&](Vertex s, Vertex w, EdgeId e, bool travel_forward,
-                   uint32_t q) {
-    const int32_t h = nt_hops[s] + 1;
-    if (!epsilon_improves(nt_hops[w], h, q) && (q != 0 || nt_hops[w] != h))
-      return false;
-    Tie t = tie_of(s);
-    policy.accumulate(t, g.label(e), travel_forward);
-    if (nt_hops[w] == h && policy.compare(tie_of(w), t) <= 0) return false;
-    nt_hops[w] = h;
-    tie[w] = t;
-    if constexpr (kTies) relabeled[w] = 1;
-    nt_parent_edge[w] = e;
-    pq.push({h, std::move(t), w});
-    return true;
-  };
-
-  // ---- Phase R: re-relax the detached region against the survivors.
-  std::vector<Vertex> seeds;
-  if (!forest.empty()) {
-    // The detached vertices in id order, with their old hops.
-    std::vector<std::pair<Vertex, int32_t>> old_hops;
-    old_hops.reserve(forest.size());
-    for (Vertex v = 0; v < n; ++v) {
-      if (!detached[v]) continue;
-      old_hops.emplace_back(v, nt_hops[v]);
-      nt_hops[v] = kUnreachable;
-      nt_parent_edge[v] = kNoEdge;
-    }
-    // Frontier: every surviving in-neighbor of a detached vertex offers a
-    // candidate across the boundary arc (travel u -> v; iterating arcs of v,
-    // the stored flag flips exactly as in establish_sssp_parents). Net
-    // inserts wait for the cascade.
-    for (const auto& detached_v : old_hops) {
-      const Vertex v = detached_v.first;
-      for (const Arc& a : g.arcs(v)) {
-        const Vertex u = a.to;
-        if (detached[u] || nt_hops[u] == kUnreachable) continue;
-        if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
-        offer(u, v, a.edge, dir == Direction::kOut ? !a.forward : a.forward,
-              0);
-      }
-    }
-    std::vector<char> settled(n, 0);
-    while (!pq.empty()) {
-      const QItem top = pq.top();
-      pq.pop();
-      const Vertex v = top.v;
-      if (settled[v] || stale(top)) continue;
-      settled[v] = 1;
-      ++out.touched;
-      for (const Arc& a : g.arcs(v)) {
-        const Vertex w = a.to;
-        if (!detached[w] || settled[w]) continue;
-        if (faults.contains(a.edge) || inserted.contains(a.edge)) continue;
-        offer(v, w, a.edge, dir == Direction::kOut ? a.forward : !a.forward,
-              0);
-      }
-    }
-    for (const auto& [v, h] : old_hops)
-      if (nt_hops[v] != kUnreachable && nt_hops[v] < h) seeds.push_back(v);
-  }
-
-  // ---- Cascade: the net inserts and the decrease seeds, under eps_q.
-  if (!inserted.empty() || !seeds.empty()) {
-    std::vector<char> improved(n, 0);
-    size_t improved_count = 0;
-    bool bail = false;
-    auto relax = [&](Vertex s, Vertex w, EdgeId e) {
-      if (nt_hops[s] == kUnreachable) return;
-      const bool stored_fwd = g.endpoints(e).u == s;  // travel s -> w
-      if (!offer(s, w, e, dir == Direction::kOut ? stored_fwd : !stored_fwd,
-                 eps_q) ||
-          improved[w])
-        return;
-      improved[w] = 1;
-      if (++improved_count > limit) bail = true;
-    };
-    for (Vertex v : seeds) pq.push({nt_hops[v], tie[v], v});
-    for (EdgeId e : inserted) {
-      const Edge& ed = g.endpoints(e);
-      relax(ed.u, ed.v, e);
-      relax(ed.v, ed.u, e);
-    }
-    while (!pq.empty() && !bail) {
-      const QItem top = pq.top();
-      pq.pop();
-      if (stale(top)) continue;  // improved again after this push
-      ++out.touched;
-      for (const Arc& a : g.arcs(top.v)) {
-        if (faults.contains(a.edge)) continue;
-        relax(top.v, a.to, a.edge);
-      }
-    }
-    if (bail) return full();
-  }
-  Spt::encode(old_tree.root, dir, nt_hops, nt_parent_edge, g.shared_endpoints(),
-              out.tree);
+  out.touched = *touched;
+  Spt::encode(old_tree.root, old_tree.dir, ws.tree_hops_, ws.tree_edge_,
+              g.shared_endpoints(), out.tree);
   return out;
 }
 
@@ -671,20 +471,6 @@ class Rpts final : public IRpts {
     return insert_survives(policy_, delta, tree, 0);
   }
 
-  // The exact tier's incremental repair: the repair skeleton over the
-  // policy's exact arithmetic, bit-identical to a recompute. The
-  // approximate tier stays with the base (HopsOnly).
-  using IRpts::repair_tree;
-  RepairOutcome repair_tree(const Spt& old_tree, const DeltaBatch& batch,
-                            const FaultSet& faults,
-                            double max_affected_fraction,
-                            uint32_t eps_q = 0) const override {
-    if (eps_q)
-      return IRpts::repair_tree(old_tree, batch, faults,
-                                max_affected_fraction, eps_q);
-    return repair_with(policy_, old_tree, batch, faults,
-                       max_affected_fraction, 0);
-  }
 
   // Full result including exact tie values (used by the RP algorithms).
   DijkstraResult<Policy> sssp(Vertex root, const FaultSet& faults = {},
@@ -720,12 +506,23 @@ class Rpts final : public IRpts {
   }
 
  protected:
+  // The exact tier's incremental repair: the repair over the policy's
+  // exact arithmetic, bit-identical to a recompute.
+  RepairOutcome repair_exact(const Spt& old_tree, const DeltaBatch& batch,
+                             const FaultSet& faults,
+                             double max_affected_fraction) const override {
+    return repair_with(policy_, old_tree, batch, faults,
+                       max_affected_fraction, 0);
+  }
+
   // The scheme is stable: re-relax only the detached region.
   std::vector<FaultDelta> compute_fault_deltas(
       const Spt& base, std::span<const SsspRequest> requests) const override {
-    std::vector<FaultDelta> out;
-    fault_deltas_into(*g_, policy_, base, requests,
-                      thread_fault_delta_workspace<Policy>(), out);
+    std::vector<FaultDelta> out(requests.size());
+    ReRelax<Policy> kernel(*g_, policy_, base,
+                           thread_fault_delta_workspace<Policy>());
+    for (size_t i = 0; i < requests.size(); ++i)
+      kernel.fault_delta(requests[i].faults, out[i]);
     return out;
   }
 

@@ -116,8 +116,8 @@ struct ServerConfig {
   // one flight.
   SptCache::Config cache;
   // After an update the server repairs the invalidated trees eagerly as
-  // one engine batch (incremental Ramalingam-Reps repair where the affected
-  // region is small, from-scratch recompute otherwise), so the first
+  // one engine batch (incremental repair where the affected region is
+  // small, from-scratch recompute otherwise), so the first
   // post-update queries on the hot keys hit instead of paying the rebuild
   // inline. This is the ceiling on the affected region an incremental
   // repair may grow to, as a fraction of the vertex count, before the

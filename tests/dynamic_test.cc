@@ -261,8 +261,9 @@ TEST(SptCacheDynamic, AdvanceEpochRekeysSurvivorsZeroCopy) {
     EXPECT_EQ(inv.key.epoch, g.epoch());
     EXPECT_EQ(cache.peek(inv.key), nullptr);
     ASSERT_NE(inv.old_tree, nullptr);
-    if (inv.key.is_base())
+    if (inv.key.is_base()) {
       EXPECT_EQ(inv.old_tree.get(), base[inv.key.root].get());
+    }
   }
   // Stats roll up the dynamic accounting.
   const auto stats = cache.stats();

@@ -74,7 +74,9 @@ void expect_batch_matches_reference(const Graph& g, const Policy& policy,
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
         EXPECT_EQ(policy.compare(got[i].tie[v], want[i].tie[v]), 0)
             << "tie mismatch at vertex " << v;
-        if (exact_tie) EXPECT_EQ(got[i].tie[v], want[i].tie[v]);
+        if (exact_tie) {
+          EXPECT_EQ(got[i].tie[v], want[i].tie[v]);
+        }
       }
     }
   }

@@ -6,6 +6,7 @@
 // must equal what one full sweep per fault set builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -162,6 +163,121 @@ TEST(FaultDelta, UnstableSchemeFallsBackToSweepAndDiff) {
       const std::vector<FaultDelta> d = pi.fault_deltas(base, reqs);
       for (size_t i = 0; i < reqs.size(); ++i)
         expect_overlay_equals_spt(pi, base, reqs[i], d[i]);
+    }
+  }
+}
+
+// IsolationAtw whose accumulate throws when *trip counts down to zero: an
+// exception from inside the kernel, after it has opened and labeled
+// vertices.
+class TrippingAtw : public IsolationAtw {
+ public:
+  TrippingAtw(uint64_t seed, int* trip) : IsolationAtw(seed), trip_(trip) {}
+  void accumulate(Tie& t, EdgeId label, bool forward) const {
+    if (*trip_ > 0 && --*trip_ == 0) throw std::runtime_error("tripped");
+    IsolationAtw::accumulate(t, label, forward);
+  }
+
+ private:
+  int* trip_;
+};
+
+// Invariant F of an approximate tree (core/rpts.h): F1, a parent chain of
+// present edges with strictly descending hops under every finite label; F2,
+// no present edge whose relaxation epsilon_improves its far end.
+void expect_contract_f(const Graph& g, const Spt& t, uint32_t eps_q) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (v == t.root || !t.reachable(v)) continue;
+    ASSERT_NE(t.parent_edge(v), kNoEdge) << "v=" << v;
+    EXPECT_TRUE(g.edge_present(t.parent_edge(v))) << "v=" << v;
+    EXPECT_LT(t.hops(t.parent(v)), t.hops(v)) << "v=" << v;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!g.edge_present(e)) continue;
+    const Edge& ed = g.endpoints(e);
+    for (const auto& [x, y] : {std::pair{ed.u, ed.v}, std::pair{ed.v, ed.u}})
+      if (t.reachable(x)) {
+        EXPECT_TRUE(t.reachable(y)) << "edge " << e;
+        EXPECT_FALSE(epsilon_improves(t.hops(y), t.hops(x) + 1, eps_q))
+            << "edge " << e;
+      }
+  }
+}
+
+// Fault deltas and both repair tiers run on one thread's kernel workspace.
+// Interleaved over two graph sizes, and after calls that throw -- before the
+// kernel (a tree that does not fit) and inside it (TrippingAtw) -- every
+// delta and exact repair stays bit-identical to spt() and every approximate
+// repair keeps F.
+TEST(FaultDelta, RepairSharesTheWorkspace) {
+  int trip = 0;
+  std::vector<Graph> graphs{gnp_connected(16, 0.25, 7),
+                            gnp_connected(60, 0.08, 8)};
+  const uint32_t eps_q = quantize_epsilon(0.5);
+  for (int round = 0; round < 6; ++round) {
+    for (size_t k = 0; k < graphs.size(); ++k) {
+      Graph& g = graphs[k];
+      const Rpts<TrippingAtw> pi(g, TrippingAtw(3, &trip));
+      const Vertex s = static_cast<Vertex>(round * 5) % g.num_vertices();
+      SCOPED_TRACE("round " + std::to_string(round) + " n=" +
+                   std::to_string(g.num_vertices()));
+      const Spt base = pi.spt(s);
+      const Spt approx = *pi.spt_batch(
+          std::vector<SsspRequest>{{s, {}, Direction::kOut, eps_q}})[0];
+      std::vector<SsspRequest> singles;
+      for (EdgeId e : base.tree_edges())
+        singles.push_back({s, FaultSet{e}, Direction::kOut});
+      const std::vector<FaultDelta> d = pi.fault_deltas(base, singles);
+      for (size_t i = 0; i < singles.size(); ++i)
+        expect_overlay_equals_spt(pi, base, singles[i], d[i]);
+
+      // Cut the tree edge above the root's largest subtree, and add a chord.
+      std::vector<size_t> below(g.num_vertices(), 0);
+      for (Vertex x = 0; x < g.num_vertices(); ++x) {
+        if (x == s || !base.reachable(x)) continue;
+        Vertex y = x;
+        while (base.parent(y) != s) y = base.parent(y);
+        ++below[y];
+      }
+      const Vertex top = static_cast<Vertex>(
+          std::max_element(below.begin(), below.end()) - below.begin());
+      std::vector<GraphDelta> deltas{GraphDelta::remove(base.parent_edge(top))};
+      for (Vertex a = 0, b = g.num_vertices() - 1; a < b; ++a, --b)
+        if (g.find_edge(a, b) == kNoEdge) {
+          deltas.push_back(GraphDelta::insert(a, b));
+          break;
+        }
+      const DeltaBatch batch = g.apply(std::span<const GraphDelta>(deltas));
+
+      const Spt want = pi.spt(s);
+
+      // The kernel throws after it has opened vertices; it leaves the
+      // workspace clean.
+      trip = 2 + round;
+      EXPECT_THROW(pi.repair_tree(base, batch, {}, 1.0), std::runtime_error);
+      EXPECT_EQ(trip, 0);
+      const auto& ws = thread_fault_delta_workspace<TrippingAtw>();
+      EXPECT_TRUE(ws.region_.empty());
+      EXPECT_TRUE(ws.known_list_.empty());
+      EXPECT_EQ(std::count(ws.state_.begin(), ws.state_.end(), 0),
+                static_cast<ptrdiff_t>(ws.state_.size()));
+      const Spt foreign =
+          Rpts<TrippingAtw>(graphs[1 - k], TrippingAtw(3, &trip)).spt(0);
+      EXPECT_THROW(
+          pi.repair_tree(foreign, batch, {}, 1.0, round % 2 ? eps_q : 0),
+          std::invalid_argument);
+
+      const std::vector<FaultDelta> after = pi.fault_deltas(want, singles);
+      for (size_t i = 0; i < singles.size(); ++i)
+        expect_overlay_equals_spt(pi, want, singles[i], after[i]);
+      const RepairOutcome exact = pi.repair_tree(base, batch, {}, 1.0);
+      EXPECT_TRUE(exact.repaired);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_EQ(exact.tree.hops(v), want.hops(v)) << "v=" << v;
+        EXPECT_EQ(exact.tree.parent_edge(v), want.parent_edge(v)) << "v=" << v;
+      }
+      expect_contract_f(
+          g, pi.repair_tree(approx, batch, {}, 1.0, eps_q).tree, eps_q);
     }
   }
 }

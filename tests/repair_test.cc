@@ -336,6 +336,44 @@ TEST(RepairTree, ThresholdFallsBackToRecompute) {
   }
 }
 
+// repair_tree validates its input as fault_deltas does, on both tiers and
+// for every scheme: a tree over another vertex count (which once wrote past
+// the repair's per-vertex arrays), a root out of range, and a fault or
+// delta edge id >= m.
+TEST(RepairTree, TypedErrors) {
+  const Graph bigger = path_graph(10);
+  const Spt foreign = IsolationRpts(bigger, IsolationAtw(1)).spt(9);
+  Graph g = path_graph(5);
+  const IsolationRpts pi(g, IsolationAtw(1));
+  const ArbitraryRpts arbitrary(g);
+  const Spt t0 = pi.spt(0);
+  std::vector<GraphDelta> cut{GraphDelta::remove(0)};
+  const DeltaBatch batch = g.apply(std::span<const GraphDelta>(cut));
+  Spt rootless = t0;
+  rootless.root = g.num_vertices();
+  DeltaBatch stray = batch;
+  stray.net[0].edge = g.num_edges();
+  for (const IRpts* scheme : {static_cast<const IRpts*>(&pi),
+                              static_cast<const IRpts*>(&arbitrary)}) {
+    for (const uint32_t eps_q : {0u, quantize_epsilon(0.25)}) {
+      SCOPED_TRACE(scheme->name() + " eps_q=" + std::to_string(eps_q));
+      EXPECT_THROW(scheme->repair_tree(foreign, batch, {}, 1.0, eps_q),
+                   std::invalid_argument);
+      EXPECT_THROW(scheme->repair_tree(rootless, batch, {}, 1.0, eps_q),
+                   std::invalid_argument);
+      EXPECT_THROW(scheme->repair_tree(t0, batch, FaultSet{g.num_edges()},
+                                       1.0, eps_q),
+                   std::out_of_range);
+      EXPECT_THROW(scheme->repair_tree(t0, stray, {}, 1.0, eps_q),
+                   std::out_of_range);
+      // The well-formed call still runs: vertices 1..4 are cut off.
+      const RepairOutcome r = scheme->repair_tree(t0, batch, {}, 1.0, eps_q);
+      for (Vertex v = 1; v < g.num_vertices(); ++v)
+        EXPECT_FALSE(r.tree.reachable(v)) << "v=" << v;
+    }
+  }
+}
+
 // The serving config rejects a repair ceiling the skeleton cannot honour,
 // on the single-shard server and, through its shards, on the fleet.
 TEST(OracleServerBatch, RejectsNonFiniteOrNegativeRepairFraction) {
