@@ -2,10 +2,14 @@
 // a data structure) -- preprocessing cost, space, and query latency against
 // recompute-from-scratch BFS. Preprocessing is the Theta(sigma n) SSSP
 // fan-out, so it rides the batch engine: --threads N sets the engine width
-// and --json PATH emits one row per family for trajectory tracking.
+// and --json PATH emits one row per family for trajectory tracking. Query
+// latency is the median of several timed passes over one query set, so a
+// single preempted pass does not move the row.
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/rpts.h"
 #include "engine/batch_sssp.h"
@@ -33,29 +37,51 @@ void run_row(Table& table, JsonRows& json, const std::string& family,
   const TwoFaultSubsetOracle oracle(pi, sources, &engine);
   const double prep_s = prep.seconds();
 
-  // Random two-fault queries, verified and timed both ways.
+  // Random two-fault queries, each checked against BFS once; then the
+  // oracle and BFS answer the whole set in alternating passes, kPasses
+  // each, and the median pass is each side's latency. Alternating keeps the
+  // two sides on the same host state: on a shared 4-core host the passes
+  // of one process agree within a few percent, while whole processes differ
+  // by up to 1.6x, both sides together.
+  struct Query {
+    Vertex s1, s2;
+    FaultSet f;
+  };
+  constexpr size_t kQueries = 300;
+  constexpr int kPasses = 7;
   Rng rng(seed + 1);
-  size_t kQueries = 0;
-  size_t correct = 0;
-  double oracle_s = 0, bfs_s = 0;
-  while (kQueries < 300) {
+  std::vector<Query> queries;
+  while (queries.size() < kQueries) {
     const Vertex s1 = sources[rng.next_below(sources.size())];
     const Vertex s2 = sources[rng.next_below(sources.size())];
     if (s1 == s2) continue;
-    ++kQueries;
-    const FaultSet f{static_cast<EdgeId>(rng.next_below(g.num_edges())),
-                     static_cast<EdgeId>(rng.next_below(g.num_edges()))};
-    Stopwatch w1;
-    const int32_t got = oracle.query(s1, s2, f);
-    oracle_s += w1.seconds();
-    Stopwatch w2;
-    const int32_t truth = bfs_distance(g, s1, s2, f);
-    bfs_s += w2.seconds();
-    if (got == truth) ++correct;
+    queries.push_back(
+        {s1, s2,
+         FaultSet{static_cast<EdgeId>(rng.next_below(g.num_edges())),
+                  static_cast<EdgeId>(rng.next_below(g.num_edges()))}});
   }
+  size_t correct = 0;
+  for (const Query& q : queries)
+    if (oracle.query(q.s1, q.s2, q.f) == bfs_distance(g, q.s1, q.s2, q.f))
+      ++correct;
+  std::vector<double> oracle_s, bfs_s;
+  for (int p = 0; p < kPasses; ++p) {
+    Stopwatch w1;
+    for (const Query& q : queries) oracle.query(q.s1, q.s2, q.f);
+    oracle_s.push_back(w1.seconds());
+    Stopwatch w2;
+    for (const Query& q : queries) bfs_distance(g, q.s1, q.s2, q.f);
+    bfs_s.push_back(w2.seconds());
+  }
+  const auto median_us = [&](std::vector<double>& pass_s) {
+    std::sort(pass_s.begin(), pass_s.end());
+    return 1e6 * pass_s[kPasses / 2] / kQueries;
+  };
+  const double oracle_us = median_us(oracle_s);
+  const double bfs_us = median_us(bfs_s);
   table.add_row(family, g.num_vertices(), g.num_edges(), sigma,
-                engine.threads(), oracle.trees_stored(), prep_s,
-                1e6 * oracle_s / kQueries, 1e6 * bfs_s / kQueries,
+                engine.threads(), oracle.trees_stored(), prep_s, oracle_us,
+                bfs_us,
                 std::to_string(correct) + "/" + std::to_string(kQueries));
   json.row()
       .field("bench", "two_fault_oracle")
@@ -66,8 +92,8 @@ void run_row(Table& table, JsonRows& json, const std::string& family,
       .field("threads", engine.threads())
       .field("trees", oracle.trees_stored())
       .field("prep_s", prep_s)
-      .field("oracle_us_per_query", 1e6 * oracle_s / kQueries)
-      .field("bfs_us_per_query", 1e6 * bfs_s / kQueries)
+      .field("oracle_us_per_query", oracle_us)
+      .field("bfs_us_per_query", bfs_us)
       .field("correct", correct)
       .field("queries", kQueries)
       .field("hw_threads",

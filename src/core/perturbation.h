@@ -184,8 +184,8 @@ class DeterministicAtw {
 
   // Unlike the hash-derived policies, this one tabulates sign(u - v) per
   // label at construction, so it cannot evaluate a label appended to the
-  // graph afterwards. The dynamic-update survival test and repair
-  // (IRpts::insert_survives, IRpts::repair_with) probe this and fall back to
+  // graph afterwards. The re-relax kernel's repair (ReRelax::repair, which
+  // also decides IRpts::batch_survives) probes this and falls back to
   // conservative invalidation or recompute for unknown labels; re-inserted
   // (resurrected) edges keep their old label and stay evaluable.
   bool can_accumulate(EdgeId label) const { return label < sign_.size(); }

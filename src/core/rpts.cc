@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "core/dijkstra.h"
 #include "engine/batch_sssp.h"
 #include "serve/spt_cache.h"
 
@@ -61,6 +63,33 @@ void check_tree_fits(const Graph& g, const Spt& tree, const char* who) {
         ", " + std::to_string(tree.num_vertices()) +
         " vertices) does not fit a graph of " +
         std::to_string(g.num_vertices()) + " vertices");
+}
+
+// The batch's net deltas as the tree for `faults` feels them: removed edge
+// ids and insert records. A delta on a faulted edge never matters (the edge
+// is excluded from G \ F either way), and a flap healed inside the batch
+// has no net entry at all. First the checks the kernel relies on: the tree
+// fits g, fault and removed ids are < m, inserted endpoints are < n.
+std::pair<FaultSet, std::vector<GraphDelta>> net_deltas(
+    const Graph& g, const Spt& tree, const DeltaBatch& batch,
+    const FaultSet& faults, const char* who) {
+  check_tree_fits(g, tree, who);
+  check_fault_ids(g, faults, who);
+  FaultSet removed;
+  std::vector<GraphDelta> inserted;
+  for (const GraphDelta& d : batch.net) {
+    const bool remove = d.kind == GraphDelta::Kind::kRemove;
+    if (remove ? d.edge >= g.num_edges()
+               : d.u >= g.num_vertices() || d.v >= g.num_vertices())
+      throw std::out_of_range(std::string(who) + ": delta on edge " +
+                              std::to_string(d.edge) + " out of range");
+    if (faults.contains(d.edge)) continue;
+    if (remove)
+      removed.insert(d.edge);
+    else
+      inserted.push_back(d);
+  }
+  return {std::move(removed), std::move(inserted)};
 }
 
 }  // namespace
@@ -123,50 +152,13 @@ std::vector<FaultDelta> IRpts::compute_fault_deltas(
   return out;
 }
 
-bool IRpts::tree_survives(const GraphDelta& delta, const Spt& tree,
-                          const FaultSet& faults, uint32_t eps_q) const {
-  // A delta on a faulted-out edge never matters: e is excluded from G \ F
-  // whether or not it is currently in G, so the tree's graph is unchanged.
-  if (delta.edge != kNoEdge && faults.contains(delta.edge)) return true;
-  if (delta.kind == GraphDelta::Kind::kInsert) {
-    // Deciding exact insert-tightness needs the policy's arithmetic; schemes
-    // without one (e.g. ArbitraryRpts) invalidate exact trees
-    // conservatively. Approximate trees are hops-only on every scheme.
-    return eps_q && insert_survives(HopsOnly{}, delta, tree, eps_q);
-  }
-  // Removal stability: dropping an edge only removes competing paths, so a
-  // tree that avoids it selects exactly the same paths afterwards (and the
-  // reachable set cannot shrink -- the tree itself certifies every old
-  // distance). This holds for any scheme that selects among surviving
-  // paths, which every scheme in this library does; an approximate tree
-  // keeps every parent chain (F1) and only loses constraints (F2).
-  return !tree.uses_edge(delta.edge);
-}
-
 bool IRpts::batch_survives(const DeltaBatch& batch, const Spt& tree,
                            const FaultSet& faults, uint32_t eps_q) const {
-  // Conjunction over the batch's net deltas; exact, see the header. Order
-  // does not matter: each per-delta test reads only the old tree and
-  // per-label data, both invariant under the other deltas. Removals share
-  // ONE parent-edge scan instead of one tree walk per delta -- for every
-  // scheme, removal survival is the generic stability rule (the tree avoids
-  // the removed edge; see tree_survives), so testing k removals is one
-  // membership sweep. Inserts go through the per-delta test.
-  FaultSet removed;
-  for (const GraphDelta& d : batch.net) {
-    if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
-    if (d.kind == GraphDelta::Kind::kRemove)
-      removed.insert(d.edge);
-    else if (!tree_survives(d, tree, faults, eps_q))
-      return false;
-  }
-  if (removed.empty()) return true;
-  const Vertex n = tree.num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    const EdgeId pe = tree.parent_edge(v);
-    if (pe != kNoEdge && removed.contains(pe)) return false;
-  }
-  return true;
+  const auto [removed, inserted] =
+      net_deltas(graph(), tree, batch, faults, "IRpts::batch_survives");
+  FaultDelta none;
+  return rerelax(tree, faults, removed, inserted, eps_q, /*limit=*/0,
+                 none) == size_t{0};
 }
 
 RepairOutcome IRpts::repair_tree(const Spt& old_tree, const DeltaBatch& batch,
@@ -174,27 +166,72 @@ RepairOutcome IRpts::repair_tree(const Spt& old_tree, const DeltaBatch& batch,
                                  double max_affected_fraction,
                                  uint32_t eps_q) const {
   const Graph& g = graph();
-  check_tree_fits(g, old_tree, "IRpts::repair_tree");
-  check_fault_ids(g, faults, "IRpts::repair_tree");
-  for (const GraphDelta& d : batch.net)
-    if (d.edge >= g.num_edges())
-      throw std::out_of_range("IRpts::repair_tree: delta edge id " +
-                              std::to_string(d.edge) + " out of range");
-  if (eps_q)
-    return repair_with(HopsOnly{}, old_tree, batch, faults,
-                       max_affected_fraction, eps_q);
-  return repair_exact(old_tree, batch, faults, max_affected_fraction);
+  const auto [removed, inserted] =
+      net_deltas(g, old_tree, batch, faults, "IRpts::repair_tree");
+  const Vertex n = g.num_vertices();
+  // Affected-region ceiling: a fraction >= 1 never falls back; a NaN or
+  // negative one gets the minimum allowance (and no UB float cast).
+  const size_t limit =
+      max_affected_fraction >= 1.0
+          ? std::numeric_limits<size_t>::max()
+          : std::max<size_t>(8, max_affected_fraction > 0.0
+                                    ? static_cast<size_t>(
+                                          max_affected_fraction *
+                                          static_cast<double>(n))
+                                    : 0);
+  FaultDelta labels;
+  const std::optional<size_t> touched =
+      rerelax(old_tree, faults, removed, inserted, eps_q, limit, labels);
+  RepairOutcome out;
+  if (!touched) {
+    // A from-scratch exact recompute: the tree itself on the exact tier, and
+    // a valid approximate tree too (exact labels satisfy F at any eps).
+    out.tree = spt(old_tree.root, faults, old_tree.dir);
+    out.touched = n;
+    return out;
+  }
+  out.repaired = true;
+  out.touched = *touched;
+  if (labels.empty()) {
+    out.tree = old_tree;
+    return out;
+  }
+  // The old labels overwritten by the new ones, encoded against THIS
+  // graph's endpoint table: the cached tree may hold the table from before
+  // a fresh-slot append (Graph::edges_mut clones when shared), and the
+  // cascade writes the new slot ids into parent_edge. Slots are append-only
+  // with preserved endpoint order, so the current table is valid for every
+  // old id too.
+  thread_local std::vector<int32_t> hops;
+  thread_local std::vector<EdgeId> parent_edge;
+  hops.resize(n);
+  parent_edge.resize(n);
+  for (Vertex v = 0; v < n; ++v) {
+    hops[v] = old_tree.hops(v);
+    parent_edge[v] = old_tree.parent_edge(v);
+  }
+  for (const Relabel& r : labels) {
+    hops[r.v] = r.hops;
+    parent_edge[r.v] = r.parent_edge;
+  }
+  Spt::encode(old_tree.root, old_tree.dir, hops, parent_edge,
+              g.shared_endpoints(), out.tree);
+  return out;
 }
 
-RepairOutcome IRpts::repair_exact(const Spt& old_tree, const DeltaBatch& batch,
-                                  const FaultSet& faults,
-                                  double /*max_affected_fraction*/) const {
-  if (batch_survives(batch, old_tree, faults))
-    return {old_tree, /*repaired=*/true, /*touched=*/0};
-  RepairOutcome out;
-  out.tree = spt(old_tree.root, faults, old_tree.dir);
-  out.touched = graph().num_vertices();
-  return out;
+std::optional<size_t> IRpts::rerelax(const Spt& tree, const FaultSet& faults,
+                                     const FaultSet& removed,
+                                     std::span<const GraphDelta> inserted,
+                                     uint32_t eps_q, size_t limit,
+                                     FaultDelta& labels) const {
+  if (!eps_q) {
+    if (!inserted.empty()) return std::nullopt;
+    limit = 0;
+  }
+  static constexpr HopsOnly kHopsOnly{};
+  ReRelax<HopsOnly> kernel(graph(), kHopsOnly, tree,
+                           thread_fault_delta_workspace<HopsOnly>());
+  return kernel.repair(faults, removed, inserted, eps_q, limit, labels);
 }
 
 Spt ArbitraryRpts::spt(Vertex root, const FaultSet& faults,

@@ -18,13 +18,11 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "core/dijkstra.h"
 #include "core/perturbation.h"
 #include "core/spt.h"
 #include "engine/batch_sssp.h"
@@ -115,37 +113,25 @@ class IRpts {
 
   // The composite (scheme_id, graph epoch) version current trees are keyed
   // by. A mutation bumps the epoch instead of abandoning the scheme; trees
-  // provably unaffected by the delta (tree_survives) are carried forward to
+  // provably unaffected by the delta (batch_survives) are carried forward to
   // the new version by the serving cache.
   SchemeVersion version() const { return {scheme_id_, graph().epoch()}; }
 
   // Carry-forward predicate of the dynamic-update pipeline: true iff `tree`
-  // -- computed by this scheme for `faults` at the epoch immediately before
-  // `delta` was applied -- is still what a recompute at the post-delta epoch
-  // may serve: bit-identical on the exact tier (eps_q == 0), invariant F
-  // below on the approximate tier (eps_q > 0). `delta` must be fully filled
-  // in (i.e. the value Graph::apply returned). Soundness contract: `false`
-  // is always allowed (worst case a spurious recompute); `true` must hold.
-  //
-  // A delta whose edge is in `faults` never changes the tree (the edge is
-  // excluded from G \ F whether or not it is in G), and a removal leaves any
-  // tree that avoids the removed edge intact (stability: selections among
-  // surviving paths are unchanged when only competing paths vanish). An
-  // insert survives iff neither directed relaxation across the new edge
-  // would be adopted (see the adoption rule below). The base implementation
-  // decides exact-tier inserts conservatively (false); Rpts<Policy>
-  // overrides the eps_q == 0 case with its exact tie arithmetic.
-  virtual bool tree_survives(const GraphDelta& delta, const Spt& tree,
-                             const FaultSet& faults, uint32_t eps_q = 0) const;
-
-  // Batch carry-forward predicate: true iff `tree` survives EVERY net delta
-  // of the batch. Exact, not merely sound: survival of each removal means
-  // the tree avoids it (its selections persist unchanged), and under
-  // unchanged labels each insert's test is per-edge-independent (the old
-  // labels are a feasible potential for the grown graph iff they are for
-  // every new edge separately), so the conjunction over net deltas decides
-  // the whole batch. A flap healed within the batch has no net delta and
-  // vacuously survives. One predicate for every cache key: pass its eps_q.
+  // -- computed by this scheme for `faults` at batch.old_epoch -- is still
+  // what a recompute at batch.new_epoch may serve: bit-identical on the
+  // exact tier (eps_q == 0), invariant F below on the approximate tier
+  // (eps_q > 0). It asks one question: would repair_tree touch any label?
+  // That is the re-relax kernel (engine/fault_delta.h) run with nothing
+  // allowed to change: a removal survives iff its edge is the parent edge
+  // of neither endpoint, O(1) (stability: only competing paths vanish); an
+  // insert iff neither direction of it would be adopted, which climbs the
+  // tree for path ties only on a hop tie. A delta on an edge of `faults` never
+  // matters (the edge is excluded from G \ F either way), and a flap healed
+  // within the batch has no net delta. On an exact policy the answer is
+  // exact: `true` iff the recompute equals `tree`. A scheme without exact
+  // arithmetic (ArbitraryRpts) keeps an exact-tier tree only through
+  // removals it avoids. Throws as repair_tree does.
   bool batch_survives(const DeltaBatch& batch, const Spt& tree,
                       const FaultSet& faults, uint32_t eps_q = 0) const;
 
@@ -153,13 +139,13 @@ class IRpts {
   // `faults` -- to batch.new_epoch. On the exact tier the result is
   // bit-identical to a from-scratch recompute on the mutated graph; on the
   // approximate tier it satisfies invariant F below (NOT bit-identical to a
-  // fresh relaxed compute, see SptKey::eps_q). Every scheme repairs
-  // approximate-tier trees with the hops-only repair; the exact tier is
-  // repair_exact. Past `max_affected_fraction` of the vertex count the
-  // repair falls back to a full exact recompute (a fraction >= 1 never
-  // falls back). Throws std::invalid_argument when `old_tree`'s vertex
-  // count differs from the graph's or its root is out of range, and
-  // std::out_of_range for a fault or delta edge id >= m.
+  // fresh relaxed compute, see SptKey::eps_q). The repair is the re-relax
+  // kernel over `rerelax`'s policy. Past `max_affected_fraction` of the
+  // vertex count the repair falls back to a full exact recompute (a
+  // fraction >= 1 never falls back). Throws std::invalid_argument when
+  // `old_tree`'s vertex count differs from the graph's or its root is out
+  // of range, and std::out_of_range for a fault or removed edge id >= m or
+  // an inserted endpoint >= n.
   RepairOutcome repair_tree(const Spt& old_tree, const DeltaBatch& batch,
                             const FaultSet& faults,
                             double max_affected_fraction,
@@ -185,22 +171,20 @@ class IRpts {
 
   // ---- The adoption rule and invariant F ----------------------------------
   //
-  // Survival and repair relax with one adoption rule: a candidate label
-  // (h, tie) replaces (cur, cur_tie) iff epsilon_improves(cur, h, eps_q),
-  // or, at eps_q == 0 only, h == cur and the candidate's tie compares
-  // lower. The exact tier
-  // runs it with the scheme's policy at eps_q == 0; the approximate tier
-  // runs it with HopsOnly (core/perturbation.h) at the key's eps_q. An
-  // approximate tree thereby keeps a per-edge contract F rather than
-  // bit-identity: F1 (realizability), every finite hops[v] is witnessed by
-  // a parent chain in G \ F with strictly descending hops, so
-  // hops[v] >= d_true(v); F2 (relaxed feasibility), for every present
-  // non-fault edge (x, y), in both directions, a finite hops[x] implies a
-  // finite hops[y] <= (1+eps) * (hops[x] + 1). By induction along a true
-  // shortest path, F gives d_true(v) <= hops[v] <= (1+eps)^d_true(v) *
-  // d_true(v). F, not that endpoint bound, is what survival and repair
-  // preserve: a new edge can shorten d_true out from under a valid label,
-  // but a new edge that cannot be adopted keeps F2.
+  // Survival and repair run one adoption rule, the re-relax kernel's
+  // (engine/fault_delta.h). The exact tier runs it with the scheme's policy
+  // at eps_q == 0; the approximate tier runs it with HopsOnly
+  // (core/perturbation.h) at the key's eps_q. An approximate tree thereby
+  // keeps a per-edge contract F rather than bit-identity: F1
+  // (realizability), every finite hops[v] is witnessed by a parent chain
+  // in G \ F with strictly descending hops, so hops[v] >= d_true(v); F2
+  // (relaxed feasibility), for every present non-fault edge (x, y), in
+  // both directions, a finite hops[x] implies a finite hops[y] <= (1+eps) *
+  // (hops[x] + 1). By induction along a true shortest path, F gives
+  // d_true(v) <= hops[v] <= (1+eps)^d_true(v) * d_true(v). F, not that
+  // endpoint bound, is what survival and repair preserve: a new edge can
+  // shorten d_true out from under a valid label, but a new edge that cannot
+  // be adopted keeps F2.
 
   // The scheme restricted to `root` under fault set F. dir == kOut encodes
   // pi(root, v | F) for all v; dir == kIn encodes pi(v, root | F).
@@ -272,161 +256,24 @@ class IRpts {
   virtual std::vector<FaultDelta> compute_fault_deltas(
       const Spt& base, std::span<const SsspRequest> requests) const;
 
-  // repair_tree's exact tier after its argument checks. Without exact tie
-  // arithmetic only a recompute reproduces the tree (repaired = false
-  // unless the tree survives the batch); Rpts<Policy> repairs with its
-  // policy.
-  virtual RepairOutcome repair_exact(const Spt& old_tree,
-                                     const DeltaBatch& batch,
-                                     const FaultSet& faults,
-                                     double max_affected_fraction) const;
-
-  // The one insert-survival test and the one repair, run with the
-  // adoption rule above over `policy` (defined below the class).
-  template <typename Policy>
-  bool insert_survives(const Policy& policy, const GraphDelta& delta,
-                       const Spt& tree, uint32_t eps_q) const;
-  template <typename Policy>
-  RepairOutcome repair_with(const Policy& policy, const Spt& old_tree,
-                            const DeltaBatch& batch, const FaultSet& faults,
-                            double max_affected_fraction,
-                            uint32_t eps_q) const;
+  // The re-relax kernel's repair (ReRelax::repair) of `tree`, the tree for
+  // `faults`, over the net deltas it feels, after the argument checks of
+  // repair_tree and batch_survives: the approximate tier over HopsOnly for
+  // every scheme. Without exact arithmetic the exact tier repairs nothing:
+  // any insert, or a removal the tree uses, returns nullopt (a recompute).
+  // Rpts<Policy> runs its exact tier over the policy.
+  virtual std::optional<size_t> rerelax(const Spt& tree,
+                                        const FaultSet& faults,
+                                        const FaultSet& removed,
+                                        std::span<const GraphDelta> inserted,
+                                        uint32_t eps_q, size_t limit,
+                                        FaultDelta& labels) const;
 
  private:
-  // The accumulated perturbation along the tree path root ~ x, read in
-  // travel order (root -> x for kOut trees, x -> root for kIn trees).
-  // Accumulation order is immaterial: every policy's Tie is a commutative
-  // sum. x must be reachable in `tree`.
-  template <typename Policy>
-  typename Policy::Tie path_tie(const Policy& policy, const Spt& tree,
-                                Vertex x) const;
-
   static uint64_t next_scheme_id();
 
   uint64_t scheme_id_;
 };
-
-template <typename Policy>
-typename Policy::Tie IRpts::path_tie(const Policy& policy, const Spt& tree,
-                                     Vertex x) const {
-  const Graph& g = graph();
-  auto tie = policy.zero();
-  for (Vertex v = x; tree.parent(v) != kNoVertex; v = tree.parent(v)) {
-    const EdgeId pe = tree.parent_edge(v);
-    // kOut hops travel parent -> v, kIn hops travel v -> parent; the stored
-    // orientation of pe decides the forward flag.
-    const bool stored_from_parent = g.endpoints(pe).u == tree.parent(v);
-    policy.accumulate(tie, g.label(pe),
-                      tree.dir == Direction::kOut ? stored_from_parent
-                                                  : !stored_from_parent);
-  }
-  return tie;
-}
-
-template <typename Policy>
-bool IRpts::insert_survives(const Policy& policy, const GraphDelta& delta,
-                            const Spt& tree, uint32_t eps_q) const {
-  const bool u_reach = tree.reachable(delta.u);
-  const bool v_reach = tree.reachable(delta.v);
-  // Both endpoints outside the root's component: e cannot extend it.
-  if (!u_reach && !v_reach) return true;
-  // Exactly one reachable: e attaches new vertices to the tree.
-  if (u_reach != v_reach) return false;
-  if constexpr (requires { policy.can_accumulate(delta.label); }) {
-    if (!policy.can_accumulate(delta.label)) return false;
-  }
-  // Would the relaxation src -> dst across e be adopted? For kOut trees
-  // (distances from the root) travel u -> v offers v a label; for kIn trees
-  // (distances towards the root) the same traversal offers u a route via v.
-  // Ties are recovered from the Spt by accumulating the policy along parent
-  // chains (O(depth) per endpoint), only when the hop counts tie at
-  // eps_q == 0. An equal (hops, tie) conservatively counts as adopted --
-  // uniqueness makes it impossible for exact policies.
-  auto adopted = [&](Vertex src, Vertex dst, bool travel_forward) {
-    const int32_t h = tree.hops(src) + 1, cur = tree.hops(dst);
-    if (epsilon_improves(cur, h, eps_q)) return true;
-    if (eps_q != 0 || h != cur) return false;
-    auto cand = path_tie(policy, tree, src);
-    policy.accumulate(cand, delta.label, travel_forward);
-    return policy.compare(cand, path_tie(policy, tree, dst)) <= 0;
-  };
-  if (tree.dir == Direction::kOut)
-    return !adopted(delta.u, delta.v, /*travel u->v*/ true) &&
-           !adopted(delta.v, delta.u, /*travel v->u*/ false);
-  return !adopted(delta.v, delta.u, /*travel u->v*/ true) &&
-         !adopted(delta.u, delta.v, /*travel v->u*/ false);
-}
-
-// Incremental repair under the adoption rule on the re-relax kernel
-// (ReRelax::repair, engine/fault_delta.h): bit-identical to a recompute on
-// the exact tier (the repair fuzz tests, all three ATW policies); on the
-// approximate tier exactly the labels that violate F change.
-template <typename Policy>
-RepairOutcome IRpts::repair_with(const Policy& policy, const Spt& old_tree,
-                                 const DeltaBatch& batch,
-                                 const FaultSet& faults,
-                                 double max_affected_fraction,
-                                 uint32_t eps_q) const {
-  const Graph& g = graph();
-  const Vertex n = g.num_vertices();
-
-  auto full = [&] {
-    // A from-scratch exact recompute: the tree itself on the exact tier, and
-    // a valid approximate tree too (exact labels satisfy F at any eps).
-    RepairOutcome out;
-    out.tree = spt(old_tree.root, faults, old_tree.dir);
-    out.touched = n;
-    return out;
-  };
-
-  // The batch restricted to deltas this tree can feel: a delta on a faulted
-  // edge never matters (the edge is excluded from G \ F either way), and a
-  // flap healed inside the batch has no net entry at all.
-  FaultSet removed, inserted;
-  for (const GraphDelta& d : batch.net) {
-    if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
-    (d.kind == GraphDelta::Kind::kRemove ? removed : inserted).insert(d.edge);
-  }
-  if (removed.empty() && inserted.empty()) {
-    // Net no-op for this tree: the old tree IS the new tree.
-    return {old_tree, /*repaired=*/true, /*touched=*/0};
-  }
-  if constexpr (requires { policy.can_accumulate(EdgeId{}); }) {
-    // A label the policy cannot evaluate (fresh slot appended after the
-    // policy tabulated its weights) defeats the exact arithmetic;
-    // recompute conservatively.
-    for (EdgeId e : inserted)
-      if (!policy.can_accumulate(g.label(e))) return full();
-  }
-
-  // Affected-region ceiling: a fraction >= 1 never falls back; a NaN or
-  // negative one gets the minimum allowance (and no UB float cast).
-  const size_t limit =
-      max_affected_fraction >= 1.0
-          ? std::numeric_limits<size_t>::max()
-          : std::max<size_t>(8, max_affected_fraction > 0.0
-                                    ? static_cast<size_t>(
-                                          max_affected_fraction *
-                                          static_cast<double>(n))
-                                    : 0);
-
-  auto& ws = thread_fault_delta_workspace<Policy>();
-  ReRelax<Policy> kernel(g, policy, old_tree, ws);
-  const std::optional<size_t> touched =
-      kernel.repair(faults, removed, inserted, eps_q, limit);
-  if (!touched) return full();
-  // Encoded against THIS graph's endpoint table: the cached tree may hold
-  // the table from before a fresh-slot append (Graph::edges_mut clones when
-  // shared), and the cascade writes the new slot ids into parent_edge.
-  // Slots are append-only with preserved endpoint order, so the current
-  // table is valid for every old id too.
-  RepairOutcome out;
-  out.repaired = true;
-  out.touched = *touched;
-  Spt::encode(old_tree.root, old_tree.dir, ws.tree_hops_, ws.tree_edge_,
-              g.shared_endpoints(), out.tree);
-  return out;
-}
 
 // Theorem 19 scheme: unique shortest paths of the reweighted graph G* \ F.
 template <typename Policy>
@@ -441,52 +288,21 @@ class Rpts final : public IRpts {
 
   Spt spt(Vertex root, const FaultSet& faults = {},
           Direction dir = Direction::kOut) const override {
-    return sssp(root, faults, dir).spt;
+    Spt out;
+    tiebroken_sssp_into(*g_, policy_, root, faults, dir,
+                        thread_workspace<Policy>(), out);
+    return out;
   }
 
   std::vector<SptHandle> spt_batch(std::span<const SsspRequest> requests,
                                    const BatchSsspEngine* engine = nullptr,
                                    SptCache* cache = nullptr) const override {
     const BatchSsspEngine& eng = BatchSsspEngine::or_shared(engine);
-    if (!cache) return share_spts(eng.run_batch_spt(*g_, policy_, requests));
+    if (!cache) return share_spts(eng.run_batch(*g_, policy_, requests));
     return cached_spt_batch(version(), *cache, requests,
                             [&](std::span<const SsspRequest> missed) {
-                              return eng.run_batch_spt(*g_, policy_, missed);
+                              return eng.run_batch(*g_, policy_, missed);
                             });
-  }
-
-  // The exact tier's insert test: the old tree survives an insert of
-  // e = (u, v) iff neither orientation of e would be adopted under the
-  // policy's exact arithmetic, i.e. the old perturbed distances are a
-  // feasible potential for the grown graph. Then every path through e is
-  // strictly longer than the old (unique) selections, so the tree is still
-  // THE tree -- the reweighted-graph version of the classic "a non-tight
-  // edge changes nothing" argument. Everything else is the base predicate.
-  bool tree_survives(const GraphDelta& delta, const Spt& tree,
-                     const FaultSet& faults,
-                     uint32_t eps_q = 0) const override {
-    if (eps_q || delta.kind == GraphDelta::Kind::kRemove ||
-        (delta.edge != kNoEdge && faults.contains(delta.edge)))
-      return IRpts::tree_survives(delta, tree, faults, eps_q);
-    return insert_survives(policy_, delta, tree, 0);
-  }
-
-
-  // Full result including exact tie values (used by the RP algorithms).
-  DijkstraResult<Policy> sssp(Vertex root, const FaultSet& faults = {},
-                              Direction dir = Direction::kOut) const {
-    DijkstraResult<Policy> res;
-    tiebroken_sssp_into(*g_, policy_, root, faults, dir,
-                        thread_workspace<Policy>(), res);
-    return res;
-  }
-
-  // Batched full results, in request order.
-  std::vector<DijkstraResult<Policy>> sssp_batch(
-      std::span<const SsspRequest> requests,
-      const BatchSsspEngine* engine = nullptr) const {
-    return BatchSsspEngine::or_shared(engine).run_batch(*g_, policy_,
-                                                        requests);
   }
 
   // The same scheme viewed over a subgraph of g (edge labels must refer to
@@ -506,13 +322,21 @@ class Rpts final : public IRpts {
   }
 
  protected:
-  // The exact tier's incremental repair: the repair over the policy's
-  // exact arithmetic, bit-identical to a recompute.
-  RepairOutcome repair_exact(const Spt& old_tree, const DeltaBatch& batch,
-                             const FaultSet& faults,
-                             double max_affected_fraction) const override {
-    return repair_with(policy_, old_tree, batch, faults,
-                       max_affected_fraction, 0);
+  // The exact tier over the policy's exact arithmetic: the repair is
+  // bit-identical to a recompute, and an insert that is not adopted is a
+  // non-tight edge -- every path through it is strictly longer than the old
+  // (unique) selections, so the tree is still THE tree.
+  std::optional<size_t> rerelax(const Spt& tree, const FaultSet& faults,
+                                const FaultSet& removed,
+                                std::span<const GraphDelta> inserted,
+                                uint32_t eps_q, size_t limit,
+                                FaultDelta& labels) const override {
+    if (eps_q)
+      return IRpts::rerelax(tree, faults, removed, inserted, eps_q, limit,
+                            labels);
+    ReRelax<Policy> kernel(*g_, policy_, tree,
+                           thread_fault_delta_workspace<Policy>());
+    return kernel.repair(faults, removed, inserted, 0, limit, labels);
   }
 
   // The scheme is stable: re-relax only the detached region.

@@ -166,8 +166,9 @@ class Spt {
   bool path_avoids(Vertex t, const FaultSet& faults) const;
 
   // Whether any tree path uses edge e (in either orientation): one O(n)
-  // scan of the parent edges. This is the stability test driving removal
-  // carry-forward (IRpts::tree_survives).
+  // scan of the parent edges. Carry-forward (IRpts::batch_survives) asks
+  // the same in O(1): e is a tree edge iff it is the parent edge of one of
+  // its endpoints.
   bool uses_edge(EdgeId e) const;
 
   // For every vertex v: whether the tree path root~v uses edge e (in either

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "core/dijkstra.h"
 #include "core/spt.h"
 #include "engine/dijkstra_workspace.h"
 #include "engine/thread_pool.h"
@@ -59,28 +58,16 @@ class BatchSsspEngine {
   // Runs every request on g under `policy`; result i corresponds to
   // requests[i] whatever the thread count or schedule.
   template <typename Policy>
-  std::vector<DijkstraResult<Policy>> run_batch(
-      const Graph& g, const Policy& policy,
-      std::span<const SsspRequest> requests) const {
+  std::vector<Spt> run_batch(const Graph& g, const Policy& policy,
+                             std::span<const SsspRequest> requests) const {
     batches_.fetch_add(1, std::memory_order_relaxed);
     requests_.fetch_add(requests.size(), std::memory_order_relaxed);
-    std::vector<DijkstraResult<Policy>> out(requests.size());
+    std::vector<Spt> out(requests.size());
     pool_.parallel_for(requests.size(), [&](size_t i) {
       tiebroken_sssp_into(g, policy, requests[i].root, requests[i].faults,
                           requests[i].dir, thread_workspace<Policy>(), out[i],
                           requests[i].eps_q);
     });
-    return out;
-  }
-
-  // Convenience: run_batch keeping only the trees.
-  template <typename Policy>
-  std::vector<Spt> run_batch_spt(const Graph& g, const Policy& policy,
-                                 std::span<const SsspRequest> requests) const {
-    auto full = run_batch(g, policy, requests);
-    std::vector<Spt> out;
-    out.reserve(full.size());
-    for (auto& r : full) out.push_back(std::move(r.spt));
     return out;
   }
 

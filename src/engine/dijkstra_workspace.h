@@ -34,7 +34,8 @@
 // in-neighbours' ties are distinct.
 //
 // Both modes cost O(n + m) policy operations per tree; the workspace's
-// arrays are reset in O(touched) between runs.
+// arrays are reset in O(touched) between runs. The output is the tree
+// alone: the ties stay in the workspace.
 #pragma once
 
 #include <cstdint>
@@ -48,29 +49,23 @@
 
 namespace restorable {
 
+// Flat per-vertex scratch of the sweep, clean (every vertex unlabeled)
+// between runs.
 template <typename Policy>
-class DijkstraWorkspace {
- public:
-  // Grows (never shrinks) the flat arrays to cover n vertices and restores
-  // the clean-state invariant (every vertex unlabeled) if a previous run
-  // died mid-way.
+struct DijkstraWorkspace {
+  // Grows (never shrinks) the arrays to cover n vertices.
   void ensure(Vertex n) {
-    if (dirty_) {
-      hops_.assign(hops_.size(), kUnreachable);
-      parent_edge_.assign(parent_edge_.size(), kNoEdge);
-      touched_.clear();
-      dirty_ = false;
-    }
-    if (hops_.size() < n) {
-      hops_.resize(n, kUnreachable);
-      parent_edge_.resize(n, kNoEdge);
-    }
+    if (hops_.size() >= n) return;
+    hops_.resize(n, kUnreachable);
+    parent_edge_.resize(n, kNoEdge);
+    tie_.resize(n);
   }
 
   std::vector<int32_t> hops_;
   std::vector<EdgeId> parent_edge_;
+  // Read only for vertices labeled in the same run, so never reset.
+  std::vector<typename Policy::Tie> tie_;
   std::vector<Vertex> touched_;  // the BFS queue, in hop order
-  bool dirty_ = false;
 };
 
 // Per-(thread, policy) workspace. Pool workers are long-lived, so this is
@@ -81,15 +76,15 @@ DijkstraWorkspace<Policy>& thread_workspace() {
   return ws;
 }
 
-// Workspace-based tiebroken SSSP (the sweep above); drop-in equivalent of
-// tiebroken_sssp (same graph/policy/root/faults/dir contract, same result
-// layout). Throws std::out_of_range for root >= n or a fault id >= m. One
-// Spt::encode emits the tree into res.spt, reusing its capacity.
+// Workspace-based tiebroken SSSP (the sweep above); the tree of
+// tiebroken_sssp (same graph/policy/root/faults/dir contract). Throws
+// std::out_of_range for root >= n or a fault id >= m. One Spt::encode emits
+// the tree into `out`, reusing its capacity.
 template <typename Policy>
 void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
                          const FaultSet& faults, Direction dir,
-                         DijkstraWorkspace<Policy>& ws,
-                         DijkstraResult<Policy>& res, uint32_t eps_q = 0) {
+                         DijkstraWorkspace<Policy>& ws, Spt& out,
+                         uint32_t eps_q = 0) {
   using Tie = typename Policy::Tie;
   const Vertex n = g.num_vertices();
   if (root >= n)
@@ -97,9 +92,6 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
                             std::to_string(root) + " out of range");
   check_fault_ids(g, faults, "tiebroken_sssp_into");
   ws.ensure(n);
-  ws.dirty_ = true;
-
-  res.tie.assign(n, policy.zero());
 
   // Plain label arrays: every id the sweep touches is 32-bit, so
   // million-node graphs run the same loop with half the index traffic of
@@ -107,7 +99,19 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   auto& hops = ws.hops_;
   auto& parent_edge = ws.parent_edge_;
   auto& queue = ws.touched_;
-  auto& tie = res.tie;
+  auto& tie = ws.tie_;
+  // Restores the clean state in O(touched) when the run ends, also when it
+  // throws.
+  struct Reset {
+    DijkstraWorkspace<Policy>& ws;
+    ~Reset() {
+      for (const Vertex v : ws.touched_) {
+        ws.hops_[v] = kUnreachable;
+        ws.parent_edge_[v] = kNoEdge;
+      }
+      ws.touched_.clear();
+    }
+  } reset{ws};
   // Extends t across arc a of v, travelling a.to -> v: against the arc for
   // kOut trees, along it for kIn trees (reversed search).
   const auto extend = [&](Tie& t, const Arc& a) {
@@ -116,6 +120,7 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   };
 
   hops[root] = 0;
+  tie[root] = policy.zero();
   queue.push_back(root);
   for (size_t head = 0; head < queue.size(); ++head) {
     const Vertex v = queue[head];
@@ -154,15 +159,7 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
 
   Spt::encode(root, dir, std::span<const int32_t>(hops.data(), n),
               std::span<const EdgeId>(parent_edge.data(), n),
-              g.shared_endpoints(), res.spt);
-
-  // O(touched) reset, restoring the clean-state invariant for the next run.
-  for (const Vertex v : queue) {
-    hops[v] = kUnreachable;
-    parent_edge[v] = kNoEdge;
-  }
-  queue.clear();
-  ws.dirty_ = false;
+              g.shared_endpoints(), out);
 }
 
 }  // namespace restorable

@@ -1,7 +1,9 @@
 // The re-relax kernel: a tree that loses edges or gains some, rebuilt from
 // its old labels by relabeling only what changed. It computes fault trees
-// as deltas of their base tree (IRpts::fault_deltas, exact tier) and runs
-// the incremental repair of both tiers (IRpts::repair_with).
+// as deltas of their base tree (IRpts::fault_deltas, exact tier), runs the
+// incremental repair of both tiers (IRpts::repair_tree), and decides cache
+// carry-forward as a repair allowed to change nothing
+// (IRpts::batch_survives).
 //
 // Stability (paper Section 2): removing F keeps every selected path that
 // avoids F selected, so T(s, F) agrees with T(s, {}) -- in hops, parent
@@ -26,16 +28,20 @@
 // Repair runs the same loop twice. Phase R is a fault set: the batch's net
 // removals detach, and its net inserts are skipped. The cascade then opens
 // each label that an insert, or a region label that came back lower,
-// improves under the adoption rule (core/rpts.h): the push that improves a
-// vertex opens it, and it is relabeled by the sweep's rule when it leaves
-// the queue in hop order, then offers its new label over all its arcs. On
-// the exact tier every changed label is opened at its final hop, so the
-// result is the sweep's tree on the new graph, bit for bit.
+// improves under the adoption rule (`offer` below): a candidate (h, tie)
+// replaces a label (cur, cur_tie) iff epsilon_improves(cur, h, eps_q), or,
+// at eps_q == 0 only, h == cur and the candidate's tie compares strictly
+// lower. The push that improves a vertex opens it, and it is relabeled by
+// the sweep's rule when it leaves the queue in hop order, then offers its
+// new label over all its arcs. On the exact tier every changed label is
+// opened at its final hop, so the result is the sweep's tree on the new
+// graph, bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -74,11 +80,6 @@ struct FaultDeltaWorkspace {
   std::vector<Vertex> region_;  // every vertex whose state left 0
   std::vector<std::pair<int32_t, Vertex>> seeds_;
   std::vector<Vertex> queue_;
-  // A repair's labels in the order derived, and its output: the base
-  // tree's labels overwritten by them.
-  FaultDelta labels_;
-  std::vector<int32_t> tree_hops_;
-  std::vector<EdgeId> tree_edge_;
 };
 
 // Per-(thread, policy) workspace, as thread_workspace<Policy>() is for the
@@ -90,8 +91,9 @@ FaultDeltaWorkspace<Policy>& thread_fault_delta_workspace() {
 }
 
 // The kernel over one base tree on g. The callers (IRpts::fault_deltas,
-// IRpts::repair_tree) validate the arguments: `base` has g's vertex count,
-// and every edge id is < m.
+// IRpts::repair_tree, IRpts::batch_survives) validate the arguments: `base`
+// has g's vertex count, every fault or removed edge id is < m, and every
+// inserted endpoint is < n.
 template <typename Policy>
 class ReRelax {
  public:
@@ -118,20 +120,27 @@ class ReRelax {
 
   // Advances `base` -- the tree for `faults` before a batch -- past the
   // batch's net removals `removed` and net inserts `inserted` (none in
-  // `faults`) under the adoption rule at eps_q. Leaves the new labels in
-  // the workspace's tree_hops_/tree_edge_ and returns the number of labels
-  // derived, or nullopt once the region or the cascade exceeds `limit`
-  // vertices.
+  // `faults`) under the adoption rule at eps_q. An insert is read from its
+  // record (endpoints, label), not from g, until the cascade scans arcs.
+  // Writes the changed labels to `labels` (those derived, in hop order,
+  // then those cut off) and returns the number derived, or nullopt once
+  // the region or the cascade exceeds `limit` vertices or an inserted label
+  // is one the policy cannot evaluate. At limit 0 it is the carry-forward
+  // test, 0 iff no label changes: a removal stops at the first vertex it
+  // detaches, and an insert at the first label it opens.
   std::optional<size_t> repair(const FaultSet& faults,
                                const FaultSet& removed,
-                               const FaultSet& inserted, uint32_t eps_q,
-                               size_t limit);
+                               std::span<const GraphDelta> inserted,
+                               uint32_t eps_q, size_t limit,
+                               FaultDelta& labels);
 
  private:
   // Opens the base subtrees below `cut`'s tree edges: each cut edge on the
   // base tree detaches the subtree below its lower endpoint; w is a tree
-  // child of x iff w's parent edge is the arc's edge.
-  void detach(const FaultSet& cut) {
+  // child of x iff w's parent edge is the arc's edge. Returns false, as
+  // soon as it knows, when the region exceeds `limit` vertices.
+  bool detach(const FaultSet& cut,
+              size_t limit = std::numeric_limits<size_t>::max()) {
     auto& state = ws_.state_;
     auto& region = ws_.region_;
     for (const EdgeId e : cut) {
@@ -142,13 +151,16 @@ class ReRelax {
       if (top == kNoVertex || state[top]) continue;
       state[top] = 1;
       region.push_back(top);
-      for (size_t i = region.size() - 1; i < region.size(); ++i)
+      for (size_t i = region.size() - 1; i < region.size(); ++i) {
+        if (region.size() > limit) return false;
         for (const Arc& a : g_.arcs(region[i]))
           if (!state[a.to] && base_.parent_edge(a.to) == a.edge) {
             state[a.to] = 1;
             region.push_back(a.to);
           }
+      }
     }
+    return region.size() <= limit;
   }
 
   // Seeds each region vertex one hop past its nearest kept in-neighbour
@@ -202,7 +214,8 @@ class ReRelax {
       if (!offer_eps) continue;
       for (const Arc& a : g_.arcs(v))
         if (ws_.state_[a.to] != 1 && !skip.contains(a.edge))
-          offer(v, a.to, a.edge, *offer_eps, /*as_seed=*/false);
+          offer(v, a.to, g_.label(a.edge), a.forward, *offer_eps,
+                /*as_seed=*/false);
     }
     seeds.clear();
     queue.clear();
@@ -242,12 +255,14 @@ class ReRelax {
     return {v, h, best->edge};
   }
 
-  // The adoption rule for the label s offers w across edge e: an open w
-  // takes a lower pending hop; a labeled or kept w opens iff the candidate
+  // The adoption rule for the label s offers w across an edge labeled
+  // `label`, stored from s to w iff `from_s`: an open w takes a lower
+  // pending hop; a labeled or kept w opens iff the candidate
   // epsilon_improves its label under eps_q, or, at eps_q == 0, the hops tie
   // and the candidate's tie compares lower. Hops decide first, so most
   // rejected candidates skip the tie arithmetic.
-  void offer(Vertex s, Vertex w, EdgeId e, uint32_t eps_q, bool as_seed) {
+  void offer(Vertex s, Vertex w, EdgeId label, bool from_s, uint32_t eps_q,
+             bool as_seed) {
     auto& state = ws_.state_;
     const int32_t h = hops_of(s) + 1;
     if (state[w] == 1) {
@@ -257,8 +272,7 @@ class ReRelax {
       if (!epsilon_improves(cur, h, eps_q)) {
         if (eps_q != 0 || cur != h) return;
         Tie t = tie(s);  // travels s -> w
-        policy_.accumulate(t, g_.label(e),
-                           out_dir_ == (g_.endpoints(e).u == s));
+        policy_.accumulate(t, label, out_dir_ == from_s);
         if (policy_.compare(t, tie(w)) >= 0) return;
       }
       if (state[w] == 0) ws_.region_.push_back(w);
@@ -340,20 +354,26 @@ void ReRelax<Policy>::fault_delta(const FaultSet& faults, FaultDelta& delta) {
 }
 
 template <typename Policy>
-std::optional<size_t> ReRelax<Policy>::repair(const FaultSet& faults,
-                                              const FaultSet& removed,
-                                              const FaultSet& inserted,
-                                              uint32_t eps_q, size_t limit) {
-  detach(removed);
-  if (ws_.region_.size() > limit) return std::nullopt;
+std::optional<size_t> ReRelax<Policy>::repair(
+    const FaultSet& faults, const FaultSet& removed,
+    std::span<const GraphDelta> inserted, uint32_t eps_q, size_t limit,
+    FaultDelta& labels) {
+  if constexpr (requires { policy_.can_accumulate(EdgeId{}); }) {
+    // A label the policy cannot price (a fresh slot appended after it
+    // tabulated its weights) defeats the exact arithmetic.
+    for (const GraphDelta& d : inserted)
+      if (!policy_.can_accumulate(d.label)) return std::nullopt;
+  }
+  labels.clear();
+  if (!detach(removed, limit)) return std::nullopt;
 
   // Phase R: the removals as a fault set of the graph before the inserts.
-  FaultSet before = faults;
-  for (const EdgeId e : inserted) before.insert(e);
-  FaultDelta& labels = ws_.labels_;
-  labels.clear();
-  seed(before);
-  drain(before, labels);
+  if (!ws_.region_.empty()) {
+    FaultSet before = faults;
+    for (const GraphDelta& d : inserted) before.insert(d.edge);
+    seed(before);
+    drain(before, labels);
+  }
 
   // Cascade seeds: region labels that came back lower (only approximate
   // old labels can), then both directions of every inserted edge.
@@ -363,27 +383,13 @@ std::optional<size_t> ReRelax<Policy>::repair(const FaultSet& faults,
       state[v] = 1;
       ws_.seeds_.emplace_back(ws_.hops_[v], v);
     }
-  for (const EdgeId e : inserted) {
-    const Edge& ed = g_.endpoints(e);
-    for (const auto& [s, w] : {std::pair{ed.u, ed.v}, std::pair{ed.v, ed.u}})
+  for (const GraphDelta& d : inserted)
+    for (const auto& [s, w] : {std::pair{d.u, d.v}, std::pair{d.v, d.u}})
       if (state[s] != 1 && hops_of(s) != kUnreachable)
-        offer(s, w, e, eps_q, /*as_seed=*/true);
-  }
+        offer(s, w, d.label, s == d.u, eps_q, /*as_seed=*/true);
   if (!drain(faults, labels, eps_q, limit)) return std::nullopt;
   const size_t touched = labels.size();
   close(&labels);
-
-  const Vertex n = g_.num_vertices();
-  ws_.tree_hops_.resize(n);
-  ws_.tree_edge_.resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    ws_.tree_hops_[v] = base_.hops(v);
-    ws_.tree_edge_[v] = base_.parent_edge(v);
-  }
-  for (const Relabel& r : labels) {
-    ws_.tree_hops_[r.v] = r.hops;
-    ws_.tree_edge_[r.v] = r.parent_edge;
-  }
   return touched;
 }
 

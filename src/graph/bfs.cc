@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 namespace restorable {
 
+namespace {
+
+void check_vertex(const Graph& g, Vertex v, const char* who) {
+  if (v >= g.num_vertices())
+    throw std::out_of_range(std::string(who) + ": vertex " +
+                            std::to_string(v) + " out of range");
+}
+
+}  // namespace
+
 std::vector<int32_t> bfs_distances(const Graph& g, Vertex s,
                                    const FaultSet& faults) {
+  check_vertex(g, s, "bfs_distances");
   std::vector<int32_t> dist(g.num_vertices(), kUnreachable);
   std::vector<Vertex> frontier{s}, next;
   dist[s] = 0;
@@ -29,6 +42,8 @@ std::vector<int32_t> bfs_distances(const Graph& g, Vertex s,
 
 int32_t bfs_distance(const Graph& g, Vertex s, Vertex t,
                      const FaultSet& faults) {
+  check_vertex(g, s, "bfs_distance");
+  check_vertex(g, t, "bfs_distance");
   if (s == t) return 0;
   std::vector<int32_t> dist(g.num_vertices(), kUnreachable);
   std::vector<Vertex> frontier{s}, next;
@@ -52,6 +67,8 @@ int32_t bfs_distance(const Graph& g, Vertex s, Vertex t,
 }
 
 Path bfs_path(const Graph& g, Vertex s, Vertex t, const FaultSet& faults) {
+  check_vertex(g, s, "bfs_path");
+  check_vertex(g, t, "bfs_path");
   std::vector<Vertex> parent(g.num_vertices(), kNoVertex);
   std::vector<EdgeId> parent_edge(g.num_vertices(), kNoEdge);
   std::vector<char> seen(g.num_vertices(), 0);

@@ -1,7 +1,8 @@
 // Plain (untiebroken) breadth-first search utilities. These serve as ground
 // truth in tests and as the naive baselines the paper's algorithms are
 // compared against: a hop distance computed here under a fault set is the
-// quantity every replacement-path structure must reproduce.
+// quantity every replacement-path structure must reproduce. A source or
+// target >= n throws std::out_of_range.
 #pragma once
 
 #include <vector>

@@ -106,7 +106,7 @@ class FaultSet {
 // is *intent* when handed to Graph::apply (insert: endpoints; remove: edge
 // id) and a complete record afterwards: apply fills every field, so the
 // same value can then drive the carry-forward machinery downstream
-// (IRpts::tree_survives / batch_survives, SptCache::advance_epoch).
+// (IRpts::batch_survives, SptCache::advance_epoch).
 struct GraphDelta {
   enum class Kind : uint8_t { kInsert, kRemove };
 
@@ -138,7 +138,7 @@ struct GraphDelta {
 // included); `net` is the batch collapsed to its net effect per edge slot --
 // an edge removed and re-added (or added and re-removed) within the batch
 // cancels out and contributes nothing. Carry-forward machinery
-// (IRpts::batch_survives, SptCache::advance_epoch, Rpts::repair_tree)
+// (IRpts::batch_survives, SptCache::advance_epoch, IRpts::repair_tree)
 // consumes `net` only: a flap healed inside one batch is a provable no-op
 // for every cached tree.
 struct DeltaBatch {

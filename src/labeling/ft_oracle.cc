@@ -1,5 +1,8 @@
 #include "labeling/ft_oracle.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/bfs.h"
 
 namespace restorable {
@@ -17,9 +20,12 @@ FtDistanceOracle::FtDistanceOracle(const IRpts& pi,
 
 int32_t FtDistanceOracle::query(Vertex s, Vertex t,
                                 const FaultSet& faults) const {
+  if (!faults.empty() && faults.ids().back() >= label_to_h_.size())
+    throw std::out_of_range("FtDistanceOracle::query: fault edge id " +
+                            std::to_string(faults.ids().back()) +
+                            " out of range");
   std::vector<EdgeId> h_faults;
   for (EdgeId ge : faults) {
-    if (ge >= label_to_h_.size()) continue;
     const EdgeId he = label_to_h_[ge];
     if (he != kNoEdge) h_faults.push_back(he);
   }

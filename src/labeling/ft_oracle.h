@@ -36,7 +36,8 @@ class FtDistanceOracle {
   int subset_fault_tolerance() const { return f_ + 1; }
 
   // dist_{G\F}(s, t) for s in S; valid for |F| <= f (any t) or |F| <= f+1
-  // (s, t both in S). F uses base-graph edge ids.
+  // (s, t both in S). F uses base-graph edge ids. Throws std::out_of_range
+  // for s or t >= n or a fault id >= m.
   int32_t query(Vertex s, Vertex t, const FaultSet& faults) const;
 
   size_t preserver_edges() const { return h_.num_edges(); }

@@ -30,7 +30,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/dijkstra.h"
 #include "core/rpts.h"
 #include "engine/dijkstra_workspace.h"
 #include "graph/graph.h"
@@ -54,7 +53,7 @@ struct PairRpWorkspace {
     int32_t hops;
     int32_t lo, hi;  // covers the failures e_lo .. e_hi
   };
-  DijkstraResult<Policy> from_s, to_t;
+  Spt from_s, to_t;
   std::vector<int32_t> pos, l, r;
   std::vector<Candidate> candidates, sorted;
   std::vector<int32_t> bucket;  // counting sort by hops - d
@@ -87,7 +86,7 @@ ReplacementPathsResult single_pair_replacement_paths(const Graph& h,
   PairRpWorkspace<Policy>& ws = pair_rp_workspace<Policy>();
   tiebroken_sssp_into(h, policy, t, {}, Direction::kIn,
                       thread_workspace<Policy>(), ws.to_t);
-  const Spt& to_t = ws.to_t.spt;
+  const Spt& to_t = ws.to_t;
 
   // pos[p_j] = j, -1 off P. l and r start out as pos and are filled in on
   // first use: climb the tree to the first labeled vertex, then write its
@@ -162,10 +161,10 @@ template <typename Policy>
 ReplacementPathsResult single_pair_replacement_paths(const Graph& g,
                                                      const Policy& policy,
                                                      Vertex s, Vertex t) {
-  DijkstraResult<Policy>& from_s = pair_rp_workspace<Policy>().from_s;
+  Spt& from_s = pair_rp_workspace<Policy>().from_s;
   tiebroken_sssp_into(g, policy, s, {}, Direction::kOut,
                       thread_workspace<Policy>(), from_s);
-  return single_pair_replacement_paths(g, policy, from_s.spt, t);
+  return single_pair_replacement_paths(g, policy, from_s, t);
 }
 
 }  // namespace restorable

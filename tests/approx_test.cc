@@ -130,7 +130,7 @@ void run_exact_identity_fuzz(const Graph& g, const Policy& policy) {
     want.push_back(tiebroken_sssp(g, policy, q.root, q.faults, q.dir).spt);
   for (int threads : {1, 2, 8}) {
     BatchSsspEngine eng(threads);
-    const auto got = eng.run_batch_spt(g, policy, reqs);
+    const auto got = eng.run_batch(g, policy, reqs);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].num_vertices(), want[i].num_vertices());
@@ -171,7 +171,7 @@ TEST(ApproxEngine, RelaxedLabelsWithinStretchBound) {
         reqs.push_back({r, FaultSet{static_cast<EdgeId>((r * 3) % g.num_edges())},
                         Direction::kOut, eps_q});
       }
-      const auto approx = eng.run_batch_spt(g, atw, reqs);
+      const auto approx = eng.run_batch(g, atw, reqs);
       for (size_t i = 0; i < reqs.size(); ++i) {
         const Spt exact = tiebroken_sssp(g, atw, reqs[i].root, reqs[i].faults,
                                          reqs[i].dir)
@@ -198,7 +198,7 @@ TEST(ApproxEngine, FreshEpsTreeHasExactHops) {
       reqs.push_back({r, {}, dir, eps_q});
       reqs.push_back({r, FaultSet{tree_edge}, dir, eps_q});
     }
-  const auto approx = eng.run_batch_spt(g, atw, reqs);
+  const auto approx = eng.run_batch(g, atw, reqs);
   for (size_t i = 0; i < reqs.size(); ++i) {
     const Spt exact =
         tiebroken_sssp(g, atw, reqs[i].root, reqs[i].faults, reqs[i].dir).spt;
@@ -316,7 +316,7 @@ TEST(ApproxRpts, EpsSlackSurvivesMoreInsertsThanExact) {
   std::vector<SsspRequest> reqs;
   for (Vertex r = 0; r < g.num_vertices(); r += 2)
     reqs.push_back({r, {}, Direction::kOut, eps_q});
-  const std::vector<Spt> approx = eng.run_batch_spt(g, atw, reqs);
+  const std::vector<Spt> approx = eng.run_batch(g, atw, reqs);
   std::vector<Spt> exact;
   for (const auto& q : reqs)
     exact.push_back(tiebroken_sssp(g, atw, q.root, q.faults, q.dir).spt);

@@ -1,5 +1,5 @@
 // Tests for the dynamic-graph update pipeline: Graph epochs + the
-// tree_survives carry-forward predicate (core), fine-grained SPT-cache
+// batch_survives carry-forward predicate (core), fine-grained SPT-cache
 // invalidation / epoch advancement (serve), and OracleServer::apply_update
 // end-to-end -- post-update answers must be bit-identical to a from-scratch
 // rebuild, old handles must stay valid across updates, and unaffected trees
@@ -17,6 +17,13 @@
 
 namespace restorable {
 namespace {
+
+// The one-delta batch a single Graph::apply(GraphDelta&) stands for.
+DeltaBatch one_delta(const GraphDelta& d) {
+  DeltaBatch batch;
+  batch.deltas = batch.net = {d};
+  return batch;
+}
 
 void expect_same_tree(const Spt& got, const Spt& want) {
   EXPECT_EQ(got.root, want.root);
@@ -55,7 +62,7 @@ std::vector<SsspRequest> mixed_requests(const Graph& g) {
   return reqs;
 }
 
-// The heart of the carry-forward guarantee: whenever tree_survives says
+// The heart of the carry-forward guarantee: whenever batch_survives says
 // `true`, the post-delta recompute must be bit-identical to the old tree
 // (soundness: every changed tree is flagged). Returns {survived, changed}
 // counts for the caller's fine-grainedness assertions (strictly fewer than
@@ -65,7 +72,8 @@ std::pair<size_t, size_t> check_survivors(
     std::span<const SsspRequest> reqs, std::vector<Spt>& trees /*updated*/) {
   size_t survived = 0, changed = 0;
   for (size_t i = 0; i < reqs.size(); ++i) {
-    const bool survives = pi.tree_survives(delta, trees[i], reqs[i].faults);
+    const bool survives =
+        pi.batch_survives(one_delta(delta), trees[i], reqs[i].faults);
     Spt fresh = pi.spt(reqs[i].root, reqs[i].faults, reqs[i].dir);
     if (survives) {
       ++survived;
@@ -141,13 +149,13 @@ TEST(TreeSurvives, FaultedTreesIgnoreDeltasOnTheirFaultedEdge) {
   // though it was computed "around" the very edge being removed...
   GraphDelta d = GraphDelta::remove(e);
   ASSERT_TRUE(g.apply(d));
-  EXPECT_TRUE(pi.tree_survives(d, faulted, FaultSet{e}));
+  EXPECT_TRUE(pi.batch_survives(one_delta(d), faulted, FaultSet{e}));
   expect_same_tree(faulted, pi.spt(0, FaultSet{e}));
 
   // ...and the same on the way back in.
   GraphDelta back = GraphDelta::insert(d.u, d.v);
   ASSERT_TRUE(g.apply(back));
-  EXPECT_TRUE(pi.tree_survives(back, faulted, FaultSet{e}));
+  EXPECT_TRUE(pi.batch_survives(one_delta(back), faulted, FaultSet{e}));
   expect_same_tree(faulted, pi.spt(0, FaultSet{e}));
 }
 
@@ -173,7 +181,7 @@ TEST(TreeSurvives, DisconnectionAndReconnectionAreDetected) {
 
   GraphDelta d = GraphDelta::remove(bridge);
   ASSERT_TRUE(g.apply(d));
-  EXPECT_FALSE(pi.tree_survives(d, t0, FaultSet{}));
+  EXPECT_FALSE(pi.batch_survives(one_delta(d), t0, FaultSet{}));
   const Spt cut = pi.spt(0);
   EXPECT_FALSE(cut.reachable(far));
 
@@ -181,7 +189,7 @@ TEST(TreeSurvives, DisconnectionAndReconnectionAreDetected) {
   // the cut tree cannot survive the insert either.
   GraphDelta back = GraphDelta::insert(d.u, d.v);
   ASSERT_TRUE(g.apply(back));
-  EXPECT_FALSE(pi.tree_survives(back, cut, FaultSet{}));
+  EXPECT_FALSE(pi.batch_survives(one_delta(back), cut, FaultSet{}));
   expect_same_tree(pi.spt(0), t0);  // the flap restored the original tree
 }
 
@@ -192,11 +200,11 @@ TEST(TreeSurvives, ArbitrarySchemeIsConservativeOnInserts) {
   GraphDelta d = GraphDelta::insert(0, 4);
   ASSERT_TRUE(g.apply(d));
   // No exact arithmetic to decide tightness: inserts invalidate.
-  EXPECT_FALSE(pi.tree_survives(d, t, FaultSet{}));
+  EXPECT_FALSE(pi.batch_survives(one_delta(d), t, FaultSet{}));
   // Removal of a non-tree edge is still decided exactly.
   GraphDelta r = GraphDelta::remove(d.edge);
   ASSERT_TRUE(g.apply(r));
-  EXPECT_TRUE(pi.tree_survives(r, t, FaultSet{}));
+  EXPECT_TRUE(pi.batch_survives(one_delta(r), t, FaultSet{}));
 }
 
 TEST(SptCacheDynamic, AdvanceEpochRekeysSurvivorsZeroCopy) {
@@ -226,7 +234,7 @@ TEST(SptCacheDynamic, AdvanceEpochRekeysSurvivorsZeroCopy) {
   const auto adv = cache.advance_epoch(
       pi.scheme_id(), old_epoch, g.epoch(),
       [&](const SptKey& key, const Spt& tree) {
-        return pi.tree_survives(d, tree, key.fault_set());
+        return pi.batch_survives(one_delta(d), tree, key.fault_set());
       },
       &invalidated);
 
@@ -306,7 +314,7 @@ TEST(SptCacheDynamic, AdvanceEpochKeepsResidentNewEpochTwin) {
   const auto adv = cache.advance_epoch(
       pi.scheme_id(), old_epoch, g.epoch(),
       [&](const SptKey& key, const Spt& tree) {
-        return pi.tree_survives(d, tree, key.fault_set());
+        return pi.batch_survives(one_delta(d), tree, key.fault_set());
       });
   EXPECT_EQ(adv.carried, 0u);
   EXPECT_EQ(adv.invalidated, 0u);

@@ -43,17 +43,15 @@ std::vector<SsspRequest> mixed_requests(const Graph& g) {
   return reqs;
 }
 
-// exact_tie: whether Policy::Tie supports exact (==) comparison in tests.
 template <typename Policy>
-void expect_batch_matches_reference(const Graph& g, const Policy& policy,
-                                    bool exact_tie) {
+void expect_batch_matches_reference(const Graph& g, const Policy& policy) {
   const auto reqs = mixed_requests(g);
 
   // Reference: direct sequential calls to the lazy-heap implementation.
-  std::vector<DijkstraResult<Policy>> want;
+  std::vector<Spt> want;
   want.reserve(reqs.size());
   for (const SsspRequest& r : reqs)
-    want.push_back(tiebroken_sssp(g, policy, r.root, r.faults, r.dir));
+    want.push_back(tiebroken_sssp(g, policy, r.root, r.faults, r.dir).spt);
 
   for (int threads : {1, 2, 8}) {
     const BatchSsspEngine engine(threads);
@@ -62,21 +60,13 @@ void expect_batch_matches_reference(const Graph& g, const Policy& policy,
     for (size_t i = 0; i < reqs.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " request=" + std::to_string(i));
-      EXPECT_EQ(got[i].spt.root, want[i].spt.root);
-      EXPECT_EQ(got[i].spt.dir, want[i].spt.dir);
-      ASSERT_EQ(got[i].spt.num_vertices(), want[i].spt.num_vertices());
-      for (Vertex v = 0; v < want[i].spt.num_vertices(); ++v) {
-        EXPECT_EQ(got[i].spt.hops(v), want[i].spt.hops(v));
-        EXPECT_EQ(got[i].spt.parent(v), want[i].spt.parent(v));
-        EXPECT_EQ(got[i].spt.parent_edge(v), want[i].spt.parent_edge(v));
-      }
-      ASSERT_EQ(got[i].tie.size(), want[i].tie.size());
-      for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        EXPECT_EQ(policy.compare(got[i].tie[v], want[i].tie[v]), 0)
-            << "tie mismatch at vertex " << v;
-        if (exact_tie) {
-          EXPECT_EQ(got[i].tie[v], want[i].tie[v]);
-        }
+      EXPECT_EQ(got[i].root, want[i].root);
+      EXPECT_EQ(got[i].dir, want[i].dir);
+      ASSERT_EQ(got[i].num_vertices(), want[i].num_vertices());
+      for (Vertex v = 0; v < want[i].num_vertices(); ++v) {
+        EXPECT_EQ(got[i].hops(v), want[i].hops(v));
+        EXPECT_EQ(got[i].parent(v), want[i].parent(v));
+        EXPECT_EQ(got[i].parent_edge(v), want[i].parent_edge(v));
       }
     }
   }
@@ -85,14 +75,11 @@ void expect_batch_matches_reference(const Graph& g, const Policy& policy,
 TEST(BatchSsspEngine, MatchesReferenceIsolationPolicy) {
   for (uint64_t seed : {1u, 2u}) {
     const Graph g = gnp_connected(60, 0.08, seed);
-    expect_batch_matches_reference(g, IsolationAtw(seed + 10),
-                                   /*exact_tie=*/true);
+    expect_batch_matches_reference(g, IsolationAtw(seed + 10));
   }
-  expect_batch_matches_reference(torus(6, 6), IsolationAtw(3),
-                                 /*exact_tie=*/true);
+  expect_batch_matches_reference(torus(6, 6), IsolationAtw(3));
   // Bridges: faults that disconnect exercise the unreachable paths.
-  expect_batch_matches_reference(dumbbell(8, 3), IsolationAtw(4),
-                                 /*exact_tie=*/true);
+  expect_batch_matches_reference(dumbbell(8, 3), IsolationAtw(4));
 }
 
 // Weight range 0 makes every tie collide: the sweep's "first strict
@@ -100,27 +87,21 @@ TEST(BatchSsspEngine, MatchesReferenceIsolationPolicy) {
 // The sparse graph runs many more, and longer, hop layers.
 TEST(BatchSsspEngine, MatchesReferenceCollidingTiesAndDeepLayers) {
   expect_batch_matches_reference(gnp_connected(60, 0.08, 3),
-                                 IsolationAtw(5, /*weight_range=*/0),
-                                 /*exact_tie=*/true);
-  expect_batch_matches_reference(grid(7, 9), IsolationAtw(6, 0),
-                                 /*exact_tie=*/true);
-  expect_batch_matches_reference(sparse_connected(2000, 3, 7), IsolationAtw(8),
-                                 /*exact_tie=*/true);
+                                 IsolationAtw(5, /*weight_range=*/0));
+  expect_batch_matches_reference(grid(7, 9), IsolationAtw(6, 0));
+  expect_batch_matches_reference(sparse_connected(2000, 3, 7), IsolationAtw(8));
 }
 
 TEST(BatchSsspEngine, MatchesReferenceDeterministicPolicy) {
   const Graph g = gnp_connected(40, 0.1, 5);
-  expect_batch_matches_reference(g, DeterministicAtw(g), /*exact_tie=*/true);
+  expect_batch_matches_reference(g, DeterministicAtw(g));
   const Graph t = theta_graph(4, 4);
-  expect_batch_matches_reference(t, DeterministicAtw(t), /*exact_tie=*/true);
+  expect_batch_matches_reference(t, DeterministicAtw(t));
 }
 
 TEST(BatchSsspEngine, MatchesReferenceRandomRealPolicy) {
   const Graph g = gnp_connected(50, 0.09, 6);
-  // Long-double ties are compared through the policy (compare == 0), not
-  // bitwise; hops/parents must still be identical.
-  expect_batch_matches_reference(g, RandomRealAtw(7, g.num_vertices()),
-                                 /*exact_tie=*/false);
+  expect_batch_matches_reference(g, RandomRealAtw(7, g.num_vertices()));
 }
 
 TEST(BatchSsspEngine, WorkspaceSurvivesGraphSwitches) {
@@ -138,10 +119,47 @@ TEST(BatchSsspEngine, WorkspaceSurvivesGraphSwitches) {
       const auto want =
           tiebroken_sssp(g, pol, reqs[i].root, reqs[i].faults, reqs[i].dir);
       for (Vertex v = 0; v < want.spt.num_vertices(); ++v) {
-        EXPECT_EQ(got[i].spt.hops(v), want.spt.hops(v));
-        EXPECT_EQ(got[i].spt.parent(v), want.spt.parent(v));
+        EXPECT_EQ(got[i].hops(v), want.spt.hops(v));
+        EXPECT_EQ(got[i].parent(v), want.spt.parent(v));
       }
-      EXPECT_EQ(got[i].tie, want.tie);
+    }
+  }
+}
+
+// A policy that throws from an accumulate once its budget runs out (a
+// negative budget never does).
+struct ThrowingAtw {
+  using Tie = IsolationAtw::Tie;
+  IsolationAtw inner{3};
+  mutable int budget = -1;
+  Tie zero() const { return inner.zero(); }
+  void accumulate(Tie& t, EdgeId label, bool forward) const {
+    if (budget >= 0 && budget-- == 0) throw std::runtime_error("budget");
+    inner.accumulate(t, label, forward);
+  }
+  int compare(const Tie& a, const Tie& b) const {
+    return inner.compare(a, b);
+  }
+};
+
+// A sweep that throws half way leaves its workspace clean (the reset runs
+// on the way out), so the next sweep on it is exact.
+TEST(BatchSsspEngine, WorkspaceCleanAfterThrow) {
+  const Graph g = gnp_connected(60, 0.08, 9);
+  ThrowingAtw policy;
+  DijkstraWorkspace<ThrowingAtw> ws;
+  Spt out;
+  policy.budget = 40;
+  EXPECT_THROW(
+      tiebroken_sssp_into(g, policy, 0, {}, Direction::kOut, ws, out),
+      std::runtime_error);
+  policy.budget = -1;
+  for (const Vertex root : {Vertex{0}, Vertex{17}}) {
+    tiebroken_sssp_into(g, policy, root, {}, Direction::kOut, ws, out);
+    const Spt want = tiebroken_sssp(g, policy, root, {}, Direction::kOut).spt;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(out.hops(v), want.hops(v)) << "root=" << root << " v=" << v;
+      EXPECT_EQ(out.parent_edge(v), want.parent_edge(v));
     }
   }
 }
@@ -205,7 +223,7 @@ TEST(SptBatch, RejectsOutOfRangeRoot) {
   const std::vector<SsspRequest> bad{{0, {}, Direction::kOut},
                                      {n, {}, Direction::kIn}};
   EXPECT_THROW(pi.spt(n), std::out_of_range);
-  EXPECT_THROW(pi.sssp(n + 7), std::out_of_range);
+  EXPECT_THROW(pi.spt(n + 7), std::out_of_range);
   EXPECT_THROW(pi.spt_batch(bad, &engine), std::out_of_range);
   SptCache cache;
   EXPECT_THROW(pi.spt_batch(bad, &engine, &cache), std::out_of_range);
@@ -218,7 +236,7 @@ TEST(SptBatch, RejectsOutOfRangeRoot) {
   EXPECT_THROW(tiebroken_sssp(g, pi.policy(), 0, bad_faults, Direction::kOut),
                std::out_of_range);
   EXPECT_THROW(pi.spt(0, bad_faults), std::out_of_range);
-  EXPECT_THROW(pi.sssp(0, FaultSet{m + 9}), std::out_of_range);
+  EXPECT_THROW(pi.spt(0, FaultSet{m + 9}), std::out_of_range);
   EXPECT_THROW(pi.spt_batch(bad_fault, &engine), std::out_of_range);
   SptCache fault_cache;
   EXPECT_THROW(pi.spt_batch(bad_fault, &engine, &fault_cache),

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "labeling/labels.h"
@@ -76,6 +78,30 @@ TEST(FtOracle, FaultsOutsidePreserverStillAnsweredExactly) {
           << "e=" << e << " t=" << t;
   }
   EXPECT_GT(outside, 0u);
+}
+
+// Bad input throws instead of writing past the BFS arrays (a vertex >= n)
+// or answering the fault-free distance for a fault set that does not exist
+// (a fault id >= m); the BFS utilities the oracle runs validate the same way.
+TEST(FtOracle, RejectsOutOfRangeInputs) {
+  Graph g = gnp_connected(12, 0.3, 5);
+  IsolationRpts pi(g, IsolationAtw(5));
+  const Vertex sources[] = {0};
+  const FtDistanceOracle oracle(pi, sources, 1);
+  const Vertex n = g.num_vertices();
+  const EdgeId m = g.num_edges();
+  EXPECT_THROW(oracle.query(n, 1, {}), std::out_of_range);
+  EXPECT_THROW(oracle.query(0, n, {}), std::out_of_range);
+  EXPECT_THROW(oracle.query(0, 1, FaultSet{m}), std::out_of_range);
+  EXPECT_THROW(oracle.query(0, 1, FaultSet{0, m + 5}), std::out_of_range);
+  EXPECT_THROW(bfs_distances(g, n), std::out_of_range);
+  EXPECT_THROW(bfs_distance(g, 0, n), std::out_of_range);
+  EXPECT_THROW(bfs_distance(g, n, n), std::out_of_range);
+  EXPECT_THROW(bfs_path(g, n, 0), std::out_of_range);
+  EXPECT_THROW(bfs_path(g, 0, n), std::out_of_range);
+  // The boundary ids are valid.
+  EXPECT_EQ(oracle.query(0, n - 1, FaultSet{m - 1}),
+            bfs_distance(g, 0, n - 1, FaultSet{m - 1}));
 }
 
 TEST(LabelWire, RoundTrip) {

@@ -30,6 +30,16 @@ void expect_same_tree(const Spt& got, const Spt& want) {
   }
 }
 
+bool same_tree(const Spt& a, const Spt& b) {
+  if (a.root != b.root || a.dir != b.dir ||
+      a.num_vertices() != b.num_vertices())
+    return false;
+  for (Vertex v = 0; v < a.num_vertices(); ++v)
+    if (a.hops(v) != b.hops(v) || a.parent_edge(v) != b.parent_edge(v))
+      return false;
+  return true;
+}
+
 TEST(GraphBatchApply, OneEpochBumpAndFilledDeltas) {
   Graph g = gnp_connected(30, 0.15, 3);
   const uint64_t e0 = g.epoch();
@@ -112,10 +122,14 @@ TEST(BatchSurvives, NetNoOpCarriesEverything) {
 
 // Drives one random delta batch through a policy's repair path for a mixed
 // population of trees (base / fault / in-trees), asserting bit-identity
-// against from-scratch recomputes and that batch_survives is exact.
+// against from-scratch recomputes and that batch_survives is exact: a tree
+// survives iff its recompute is bit-identical. With `exact_ties` false
+// (long-double ties, which may collide) only "survives => identical" is
+// asserted.
 template <typename PolicyT>
 void fuzz_policy(const std::string& name, const Graph& g0, PolicyT policy,
-                 uint64_t seed, bool allow_fresh_inserts) {
+                 uint64_t seed, bool allow_fresh_inserts,
+                 bool exact_ties = true) {
   SCOPED_TRACE(name + " seed=" + std::to_string(seed));
   Graph g = g0;
   const Rpts<PolicyT> pi(g, std::move(policy));
@@ -136,7 +150,7 @@ void fuzz_policy(const std::string& name, const Graph& g0, PolicyT policy,
   trees.reserve(reqs.size());
   for (const auto& r : reqs) trees.push_back(pi.spt(r.root, r.faults, r.dir));
 
-  size_t repaired_total = 0;
+  size_t repaired_total = 0, survived = 0, changed = 0;
   std::vector<EdgeId> out;  // currently removed, candidates for re-insert
   for (int round = 0; round < 6; ++round) {
     // Random batch of 1..5 deltas: removals of present edges, re-inserts of
@@ -189,9 +203,16 @@ void fuzz_policy(const std::string& name, const Graph& g0, PolicyT policy,
       SCOPED_TRACE("round " + std::to_string(round) + " req " +
                    std::to_string(i) + " root " +
                    std::to_string(reqs[i].root));
-      // Exactness of the batch predicate: survivors are bit-identical.
-      if (pi.batch_survives(batch, trees[i], reqs[i].faults))
-        expect_same_tree(trees[i], want[i]);
+      // Exactness of the batch predicate: survivors are bit-identical, and
+      // (exact ties) every tree whose recompute is identical survives.
+      const bool survives = pi.batch_survives(batch, trees[i], reqs[i].faults);
+      const bool same = same_tree(trees[i], want[i]);
+      survived += survives;
+      changed += !same;
+      if (survives) expect_same_tree(trees[i], want[i]);
+      if (exact_ties) {
+        EXPECT_EQ(survives, same);
+      }
       // Repair is bit-identical whether or not the tree survived, at any
       // threshold (tiny thresholds force the full-recompute fallback).
       expect_same_tree(outcomes[i].tree, want[i]);
@@ -199,8 +220,11 @@ void fuzz_policy(const std::string& name, const Graph& g0, PolicyT policy,
       trees[i] = std::move(want[i]);
     }
   }
-  // The incremental path must actually fire (not fall back every time).
+  // The incremental path must actually fire (not fall back every time),
+  // and the predicate must see both outcomes.
   EXPECT_GT(repaired_total, 0u);
+  EXPECT_GT(survived, 0u);
+  EXPECT_GT(changed, 0u);
 }
 
 TEST(RepairTree, FuzzBitIdenticalIsolation) {
@@ -215,7 +239,7 @@ TEST(RepairTree, FuzzBitIdenticalRandomReal) {
   for (uint64_t seed : {21u, 22u}) {
     const Graph g = gnp_connected(40, 0.1, 200 + seed);
     fuzz_policy("random-real", g, RandomRealAtw(seed, 40), seed,
-                /*allow_fresh_inserts=*/true);
+                /*allow_fresh_inserts=*/true, /*exact_ties=*/false);
   }
 }
 
@@ -336,10 +360,10 @@ TEST(RepairTree, ThresholdFallsBackToRecompute) {
   }
 }
 
-// repair_tree validates its input as fault_deltas does, on both tiers and
-// for every scheme: a tree over another vertex count (which once wrote past
-// the repair's per-vertex arrays), a root out of range, and a fault or
-// delta edge id >= m.
+// repair_tree and batch_survives validate their input as fault_deltas does,
+// on both tiers and for every scheme: a tree over another vertex count
+// (which once wrote past the repair's per-vertex arrays), a root out of
+// range, and a fault or delta edge id >= m.
 TEST(RepairTree, TypedErrors) {
   const Graph bigger = path_graph(10);
   const Spt foreign = IsolationRpts(bigger, IsolationAtw(1)).spt(9);
@@ -366,6 +390,13 @@ TEST(RepairTree, TypedErrors) {
                    std::out_of_range);
       EXPECT_THROW(scheme->repair_tree(t0, stray, {}, 1.0, eps_q),
                    std::out_of_range);
+      EXPECT_THROW(scheme->batch_survives(batch, foreign, {}, eps_q),
+                   std::invalid_argument);
+      EXPECT_THROW(scheme->batch_survives(batch, rootless, {}, eps_q),
+                   std::invalid_argument);
+      EXPECT_THROW(scheme->batch_survives(stray, t0, {}, eps_q),
+                   std::out_of_range);
+      EXPECT_FALSE(scheme->batch_survives(batch, t0, {}, eps_q));
       // The well-formed call still runs: vertices 1..4 are cut off.
       const RepairOutcome r = scheme->repair_tree(t0, batch, {}, 1.0, eps_q);
       for (Vertex v = 1; v < g.num_vertices(); ++v)

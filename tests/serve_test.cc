@@ -26,6 +26,13 @@
 namespace restorable {
 namespace {
 
+// The one-delta batch a single Graph::apply(GraphDelta&) stands for.
+DeltaBatch one_delta(const GraphDelta& d) {
+  DeltaBatch batch;
+  batch.deltas = batch.net = {d};
+  return batch;
+}
+
 void expect_same_tree(const Spt& got, const Spt& want) {
   EXPECT_EQ(got.root, want.root);
   EXPECT_EQ(got.dir, want.dir);
@@ -657,7 +664,8 @@ TEST(SptCache, RejectsStaleEpochInsertsAfterAdvance) {
   ASSERT_TRUE(g.apply(d));
   cache.advance_epoch(pi.scheme_id(), v0.epoch, g.epoch(),
                       [&](const SptKey& key, const Spt& tree) {
-                        return pi.tree_survives(d, tree, key.fault_set());
+                        return pi.batch_survives(one_delta(d), tree,
+                                                 key.fault_set());
                       });
 
   // ...and publishes it AFTER the walk: the insert must be refused.
@@ -702,7 +710,8 @@ TEST(SptCache, RejectsStaleEpochInsertsAfterAdvance) {
     ASSERT_TRUE(g.apply(f));
     cache.advance_epoch(pi.scheme_id(), old_epoch, g.epoch(),
                         [&](const SptKey& key, const Spt& tree) {
-                          return pi.tree_survives(f, tree, key.fault_set());
+                          return pi.batch_survives(one_delta(f), tree,
+                                                   key.fault_set());
                         });
     current_epoch.store(g.epoch(), std::memory_order_relaxed);
   }
