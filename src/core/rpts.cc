@@ -94,6 +94,17 @@ std::pair<FaultSet, std::vector<GraphDelta>> net_deltas(
 
 }  // namespace
 
+template <>
+Rpts<IsolationAtw>::Rpts(const Graph& g, IsolationAtw policy)
+    : g_(&g), policy_(std::move(policy)) {
+  // n - 1 is taken as >= 1, so that 2W + 1 (IsolationAtw) fits as well.
+  const int64_t n = g.num_vertices(), w = policy_.weight_range();
+  if (w <= 0 || w > ((int64_t{1} << 62) - 1) / (std::max<int64_t>(n, 2) - 1))
+    throw std::invalid_argument(
+        "Rpts<IsolationAtw>: weight range " + std::to_string(w) +
+        " needs 0 < W and (n - 1) * W < 2^62 for n = " + std::to_string(n));
+}
+
 uint64_t IRpts::next_scheme_id() {
   // Process-unique instance ids; never reused, so a stale cache entry can
   // only miss, never alias a different scheme's trees.

@@ -355,6 +355,12 @@ class Rpts final : public IRpts {
   Policy policy_;
 };
 
+// Throws std::invalid_argument unless 0 < W and (n - 1) * W < 2^62 for the
+// weight range W: at W = 0 every tie collides (no path is unique, so repair,
+// survival and subset-rp are inexact); past 2^62 a tie sum overflows.
+template <>
+Rpts<IsolationAtw>::Rpts(const Graph& g, IsolationAtw policy);
+
 using IsolationRpts = Rpts<IsolationAtw>;
 using RandomRealRpts = Rpts<RandomRealAtw>;
 using DeterministicRpts = Rpts<DeterministicAtw>;

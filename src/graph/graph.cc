@@ -282,33 +282,13 @@ EdgeId Graph::find_edge(Vertex u, Vertex v) const {
 }
 
 Graph Graph::edge_subgraph(std::span<const EdgeId> edge_ids) const {
-  Graph sub;
-  sub.assign_edge_subgraph(*this, edge_ids);
-  return sub;
-}
-
-void Graph::assign_edge_subgraph(const Graph& base,
-                                 std::span<const EdgeId> edge_ids) {
-  // base's edges were validated at its construction, so the copies need no
-  // re-validation here.
-  n_ = base.n_;
-  // Detach from any sharers before the in-place rebuild (pooled subgraphs
-  // are uniquely owned after the first pass, so this clones at most once).
-  if (edges_.use_count() > 1) edges_ = std::make_shared<std::vector<Edge>>();
-  std::vector<Edge>& edges = *edges_;
-  edges.clear();
-  labels_.clear();
-  // A rebuilt subgraph is a fresh static value: no tombstones, epoch 0.
-  present_.clear();
-  absent_ = 0;
-  epoch_ = 0;
-  edges.reserve(edge_ids.size());
-  labels_.reserve(edge_ids.size());
+  std::vector<Edge> edges;
+  std::vector<EdgeId> labels;
   for (EdgeId e : edge_ids) {
-    edges.push_back(base.endpoints(e));
-    labels_.push_back(base.labels_[e]);
+    edges.push_back(endpoints(e));
+    labels.push_back(labels_[e]);
   }
-  build_csr();
+  return Graph(n_, std::move(edges), std::move(labels));
 }
 
 GraphSnapshot Graph::snapshot() const {

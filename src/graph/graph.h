@@ -7,10 +7,9 @@
 // alongside an edge id wherever it matters (see core/perturbation.h).
 //
 // Edges carry a *label*: the edge id they had in the graph they were
-// originally created in. Subgraphs (shortest path trees, preservers,
-// tree-union graphs in Algorithm 1) preserve labels so that tiebreaking
-// weight functions -- which are defined per original edge -- stay meaningful
-// on the subgraph.
+// originally created in. Subgraphs (shortest path trees, preservers)
+// preserve labels so that tiebreaking weight functions -- which are defined
+// per original edge -- stay meaningful on the subgraph.
 #pragma once
 
 #include <algorithm>
@@ -262,14 +261,6 @@ class Graph {
   // Labels carry through, i.e. the subgraph's label(e') equals this graph's
   // label of the originating edge.
   Graph edge_subgraph(std::span<const EdgeId> edge_ids) const;
-
-  // In-place variant: rebuilds *this* as base.edge_subgraph(edge_ids),
-  // reusing this object's edge/label/CSR storage. This is the pooling
-  // primitive for stages that build thousands of transient subgraphs (the
-  // per-pair stage of Algorithm 1 in rp/subset_rp.cc): after the first few
-  // pairs a pooled Graph rebuilds with zero allocations.
-  void assign_edge_subgraph(const Graph& base,
-                            std::span<const EdgeId> edge_ids);
 
   // True if the path is a valid walk in this graph avoiding `faults`.
   bool is_valid_path(const Path& p, const FaultSet& faults = {}) const;

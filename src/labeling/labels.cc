@@ -95,11 +95,13 @@ int32_t FtDistanceLabeling::query(const DistanceLabel& ls,
 }
 
 std::string encode_label(const DistanceLabel& label) {
-  std::string out = "RSPL1 " + std::to_string(label.owner) + " " +
-                    std::to_string(label.n) + " " +
-                    std::to_string(label.edges.size());
+  std::string out = "RSPL1 ";
+  out.append(std::to_string(label.owner)).append(" ");
+  out.append(std::to_string(label.n)).append(" ");
+  out.append(std::to_string(label.edges.size()));
   for (const Edge& e : label.edges)
-    out += "\n" + std::to_string(e.u) + " " + std::to_string(e.v);
+    out.append("\n").append(std::to_string(e.u)).append(" ").append(
+        std::to_string(e.v));
   return out;
 }
 

@@ -6,14 +6,17 @@
 // unchanged, by stability -- callers needing those values read the base
 // distance.)
 //
-// Algorithm 1: build the out-tree T_s under a 1-restorable scheme for each
-// s in S (O(sigma m) Dijkstra work); then for each pair run the single-pair
-// algorithm on H = T_{s1} u T_{s2}, a graph with <= 2(n-1) edges
-// (O~(sigma^2 n) work). 1-restorability is what makes the union graph
-// preserve every single-fault replacement distance. Since T_{s1} lies in H
-// and H in G, T_{s1} is also H's out-tree of s1: step 2 hands the batch's
-// tree to the single-pair core as is, so one sweep (the in-tree to s2)
-// runs per pair, and the base path comes back in G's edge ids.
+// Algorithm 1: one engine batch builds the out-tree T_s of each s in S
+// under a 1-restorable scheme (O(sigma m)); each pair is then solved from
+// T_{s1} and T_{s2} alone in O(n). By the restoration lemma (Theorem 2),
+// each failure e_i of P = pi(s1, s2) = p_0 .. p_d is avoided by a shortest
+// path pi(s1, x) o reverse(pi(s2, x)). So each vertex x is a candidate of
+// hops(s1, x) + hops(s2, x) hops, covering failures lo .. hi: p_{lo-1} is
+// the last P-vertex on T_{s1}'s path to x, and hi = m[j] for p_j the last
+// one on T_{s2}'s, where m[d] = d, m[j] = j if T_{s2} reaches p_j over
+// e_{j+1} (by edge id), else hi of p_j's parent. When i > hi for the
+// optimal x, T_{s2}'s path to x steps past e_i onto some p_c, c < i, and
+// p_c is a d-hop candidate covering i. No union graph or in-tree is built.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 
 #include "core/rpts.h"
 #include "graph/graph.h"
-#include "rp/single_pair_rp.h"
 
 namespace restorable {
 
@@ -35,16 +37,15 @@ struct PairReplacementPaths {
 
 struct SubsetRpResult {
   std::vector<PairReplacementPaths> pairs;  // one entry per unordered pair
-  // Work accounting, for the E2 bench.
+  // Work accounting: edges over the sigma out-trees.
   size_t tree_edges_total = 0;
-  size_t union_graph_edges_total = 0;
 };
 
 // Runs Algorithm 1 with the given (1-restorable) scheme. The sigma out-tree
 // builds go through the batch engine as one submission, and the sigma^2 / 2
-// per-pair union-graph solves fan out over the engine's pool (nullptr =
-// shared engine). Results are in pair order (i < j, lexicographic) whatever
-// the thread count. A non-null `cache` resolves the out-trees through the
+// pair solves fan out over the engine's pool (nullptr = shared engine).
+// Results are in pair order (i < j, lexicographic) whatever the thread
+// count. A non-null `cache` resolves the out-trees through the
 // shared SPT store (serve/spt_cache.h), deduplicating them against other
 // consumers of the same scheme; results are bit-identical either way.
 // Throws std::out_of_range, before any work, for a source >= n.

@@ -119,6 +119,14 @@ TEST(LabelWire, RoundTrip) {
             bfs_distance(g, 2, 5));
 }
 
+// The wire format byte for byte: a header line, then one edge per line,
+// no trailing newline.
+TEST(LabelWire, ExactBytes) {
+  const DistanceLabel label{4294967294u, 12, {{0, 1}, {11, 3}}};
+  EXPECT_EQ(encode_label(label), "RSPL1 4294967294 12 2\n0 1\n11 3");
+  EXPECT_EQ(encode_label(DistanceLabel{3, 5, {}}), "RSPL1 3 5 0");
+}
+
 TEST(LabelWire, RejectsCorruptInput) {
   EXPECT_THROW(decode_label("BOGUS 1 2 3"), std::runtime_error);
   EXPECT_THROW(decode_label("RSPL1 0 5 2\n0 1"), std::runtime_error);

@@ -136,6 +136,35 @@ TEST(Rpts, SubgraphViewKeepsSelection) {
   }
 }
 
+// An isolation scheme needs 0 < W (W = 0 makes every tie collide) and
+// (n - 1) * W < 2^62 (a path's tie sum stays inside int64).
+TEST(Rpts, RejectsIsolationWeightRangeOutOfBounds) {
+  const Graph g = cycle(5);  // n - 1 = 4
+  EXPECT_THROW(IsolationRpts(g, IsolationAtw(1, 0)), std::invalid_argument);
+  EXPECT_THROW(IsolationRpts(g, IsolationAtw(1, -3)), std::invalid_argument);
+  EXPECT_THROW(IsolationRpts(g, IsolationAtw(1, int64_t{1} << 60)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(IsolationRpts(g, IsolationAtw(1, (int64_t{1} << 60) - 1)));
+  EXPECT_NO_THROW(IsolationRpts(g, IsolationAtw(1, 1)));
+  EXPECT_NO_THROW(IsolationRpts(g, IsolationAtw(1)));
+  try {
+    IsolationRpts pi(g, IsolationAtw(1, 0));
+    ADD_FAILURE() << "W = 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("weight range"), std::string::npos)
+        << e.what();
+  }
+  // One vertex has no path to overflow, but 2W + 1 must still fit.
+  const Graph single(1, {});
+  EXPECT_NO_THROW(IsolationRpts(single, IsolationAtw(1, 5)));
+  EXPECT_THROW(IsolationRpts(single, IsolationAtw(1, int64_t{1} << 62)),
+               std::invalid_argument);
+  // The default scheme scales W down to fit any n.
+  const Graph big(1u << 20, {});
+  EXPECT_THROW(IsolationRpts(big, IsolationAtw(1)), std::invalid_argument);
+  EXPECT_NO_THROW(make_default_rpts(big, 1));
+}
+
 TEST(ArbitraryRpts, IsShortestAndDeterministic) {
   Graph g = gnp_connected(25, 0.15, 10);
   ArbitraryRpts pi(g);

@@ -103,43 +103,36 @@ TEST(SinglePairRp, WorksWithDeterministicPolicy) {
     EXPECT_EQ(fast.replacement[i], naive[i]);
 }
 
-// The core fed a precomputed out-tree -- what subset-rp does with the batch's
-// T(s1) -- against the sweep-fed entry and per-fault BFS. The out-tree comes
-// from the heap reference (core/dijkstra.h), not the engine sweep the entry
-// runs.
+// The entry against per-fault BFS under every shipped policy.
 template <typename Policy>
-void expect_core_matches(const Graph& g, const Policy& policy, Vertex s,
-                         Vertex t) {
-  const auto from_s = tiebroken_sssp(g, policy, s, {}, Direction::kOut);
-  const auto core = single_pair_replacement_paths(g, policy, from_s.spt, t);
-  const auto swept = single_pair_replacement_paths(g, policy, s, t);
-  EXPECT_EQ(core.base_path, swept.base_path) << s << " -> " << t;
-  EXPECT_EQ(core.replacement, swept.replacement) << s << " -> " << t;
-  if (core.base_path.empty()) {
+void expect_policy_matches(const Graph& g, const Policy& policy, Vertex s,
+                           Vertex t) {
+  const auto res = single_pair_replacement_paths(g, policy, s, t);
+  if (res.base_path.empty()) {
     EXPECT_EQ(bfs_distance(g, s, t), kUnreachable);
     return;
   }
-  EXPECT_EQ(core.replacement,
-            naive_replacement_distances(g, s, t, core.base_path))
-      << s << " -> " << t << " on " << core.base_path.to_string();
+  EXPECT_EQ(res.replacement,
+            naive_replacement_distances(g, s, t, res.base_path))
+      << s << " -> " << t << " on " << res.base_path.to_string();
 }
 
 template <typename Policy>
-void expect_core_matches_on_pairs(const Graph& g, const Policy& policy) {
+void expect_policy_matches_on_pairs(const Graph& g, const Policy& policy) {
   const Vertex n = g.num_vertices();
-  expect_core_matches(g, policy, 0, n - 1);
-  expect_core_matches(g, policy, n / 2, 1);
-  expect_core_matches(g, policy, n / 3, 2 * n / 3);
+  expect_policy_matches(g, policy, 0, n - 1);
+  expect_policy_matches(g, policy, n / 2, 1);
+  expect_policy_matches(g, policy, n / 3, 2 * n / 3);
 }
 
-TEST(SinglePairRp, CoreOnGivenOutTreeMatchesEntryAndNaive) {
+TEST(SinglePairRp, MatchesNaiveUnderEveryPolicy) {
   const Graph graphs[] = {gnp_connected(30, 0.15, 41), grid(5, 6),
                           theta_graph(4, 5), dumbbell(5, 4),
                           clique_chain(6, 5)};
   for (const Graph& g : graphs) {
-    expect_core_matches_on_pairs(g, IsolationAtw(42));
-    expect_core_matches_on_pairs(g, RandomRealAtw(43, g.num_vertices()));
-    expect_core_matches_on_pairs(g, DeterministicAtw(g));
+    expect_policy_matches_on_pairs(g, IsolationAtw(42));
+    expect_policy_matches_on_pairs(g, RandomRealAtw(43, g.num_vertices()));
+    expect_policy_matches_on_pairs(g, DeterministicAtw(g));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -94,17 +95,82 @@ TEST(SubsetRp, DisconnectedSourcesYieldEmptyPaths) {
   EXPECT_TRUE(res.pairs[0].replacement.empty());
 }
 
-TEST(SubsetRp, UnionGraphsAreSparse) {
-  // The point of Algorithm 1: each pair's instance has O(n) edges, however
-  // dense G is.
-  Graph g = gnp_connected(30, 0.5, 6);
-  IsolationRpts pi(g, IsolationAtw(20));
-  const Vertex sources[] = {0, 10, 20, 29};
+// Edges 1 and 2 both join vertices 1 and 2. Whichever copy P takes, the
+// antisymmetric ties send T(3) over the other, so the midpoint 1 covers
+// failing P's copy: P-edges are told apart by id, not endpoints.
+TEST(SubsetRp, ParallelCopyOfPathEdgeIsADetour) {
+  const Graph g(4, {{0, 1}, {1, 2}, {1, 2}, {2, 3}});
+  const Vertex sources[] = {0, 3};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_matches_naive(g, seed, sources);
+    IsolationRpts pi(g, IsolationAtw(seed));
+    const auto res = subset_replacement_paths(pi, sources);
+    ASSERT_EQ(res.pairs[0].base_path.length(), 3u);
+    EXPECT_EQ(res.pairs[0].replacement,
+              (std::vector<int32_t>{kUnreachable, 3, kUnreachable}));
+  }
+}
+
+// A removed edge keeps its slot and endpoints but has no arcs: cycle(8)
+// without 6-7 is a path, on which every failure disconnects.
+TEST(SubsetRp, RemovedEdgeIsNoDetour) {
+  Graph g = cycle(8);
+  EdgeId e67 = kNoEdge;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (g.endpoints(e) == Edge{6, 7} || g.endpoints(e) == Edge{7, 6}) e67 = e;
+  ASSERT_TRUE(g.remove_edge(e67));
+  const Vertex sources[] = {0, 4, 6, 7};
+  expect_matches_naive(g, 25, sources);
+  IsolationRpts pi(g, IsolationAtw(25));
   const auto res = subset_replacement_paths(pi, sources);
-  const size_t pairs = res.pairs.size();
-  EXPECT_LE(res.union_graph_edges_total,
-            pairs * 2 * (g.num_vertices() - 1));
-  EXPECT_LT(res.union_graph_edges_total, pairs * g.num_edges());
+  ASSERT_EQ(res.pairs[0].base_path.length(), 4u);  // pair (0, 4)
+  for (const auto& pr : res.pairs)
+    for (int32_t r : pr.replacement) EXPECT_EQ(r, kUnreachable);
+}
+
+// Long base paths: a grid's pairs have many equal-length detours, a path
+// graph's have none.
+TEST(SubsetRp, LongPathsOnGridAndPathGraph) {
+  {
+    const Vertex sources[] = {0, 11, 66, 77, 132, 143};
+    expect_matches_naive(grid(12, 12), 26, sources);
+  }
+  {
+    const Graph g = path_graph(60);
+    const Vertex sources[] = {0, 17, 42, 59};
+    expect_matches_naive(g, 27, sources);
+    IsolationRpts pi(g, IsolationAtw(27));
+    const auto res = subset_replacement_paths(pi, sources);
+    ASSERT_EQ(res.pairs[2].base_path.length(), 59u);  // pair (0, 59)
+    for (const auto& pr : res.pairs)
+      for (int32_t r : pr.replacement) EXPECT_EQ(r, kUnreachable);
+  }
+}
+
+// Sources in different components: pairs across them have no base path,
+// and each tree spans only its source's component.
+TEST(SubsetRp, DisconnectedGnpMatchesNaive) {
+  const Graph g = gnp(60, 0.04, 11);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 6) sources.push_back(v);
+  expect_matches_naive(g, 28, sources);
+  IsolationRpts pi(g, IsolationAtw(28));
+  const auto res = subset_replacement_paths(pi, sources);
+  size_t cross = 0, tree_edges = 0;
+  for (const auto& pr : res.pairs)
+    if (bfs_distance(g, pr.s1, pr.s2) == kUnreachable) {
+      ++cross;
+      EXPECT_TRUE(pr.base_path.empty());
+      EXPECT_TRUE(pr.replacement.empty());
+    }
+  EXPECT_GT(cross, 0u) << "the instance should be disconnected";
+  for (const Vertex s : sources) {
+    const auto dist = bfs_distances(g, s);
+    tree_edges += std::count_if(dist.begin(), dist.end(), [](int32_t h) {
+                    return h != kUnreachable;
+                  }) - 1;
+  }
+  EXPECT_EQ(res.tree_edges_total, tree_edges);
 }
 
 TEST(SubsetRp, BasePathEdgesAreGlobalIds) {
@@ -125,7 +191,6 @@ void expect_same_result(const SubsetRpResult& a, const SubsetRpResult& b) {
     EXPECT_EQ(a.pairs[i].replacement, b.pairs[i].replacement);
   }
   EXPECT_EQ(a.tree_edges_total, b.tree_edges_total);
-  EXPECT_EQ(a.union_graph_edges_total, b.union_graph_edges_total);
 }
 
 // Base paths of about 2k hops through dense cliques: the cover paints many
@@ -191,8 +256,8 @@ TEST(SubsetRp, RejectsOutOfRangeSources) {
   EXPECT_EQ(engine.stats().batches, 0u);
 }
 
-// Stress sweep across seeds: the correctness theorem leans on
-// 1-restorability of the union graph, so hammer it.
+// Stress sweep across seeds: the midpoint solve leans on the restoration
+// lemma of the 1-restorable scheme, so hammer it.
 class SubsetRpSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SubsetRpSweep, RandomInstances) {
