@@ -31,17 +31,6 @@ struct DijkstraResult {
   std::vector<typename Policy::Tie> tie;  // accumulated perturbation per vertex
 };
 
-// Throws std::out_of_range if `faults` names an edge id >= g.num_edges().
-// Such an id matches no arc, so a search would silently return the
-// fault-free tree for a fault set that does not exist.
-inline void check_fault_ids(const Graph& g, const FaultSet& faults,
-                            const char* who) {
-  if (!faults.empty() && faults.ids().back() >= g.num_edges())
-    throw std::out_of_range(std::string(who) + ": fault edge id " +
-                            std::to_string(faults.ids().back()) +
-                            " out of range");
-}
-
 // Establishes parent edges from settled labels: the parent edge of v is the
 // arc from the in-neighbor u minimizing (dist(u) + w(u, v)), which --
 // distances being exact and unique -- reproduces the unique shortest path

@@ -5,51 +5,11 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "core/dijkstra.h"
 #include "engine/batch_sssp.h"
-#include "serve/spt_cache.h"
 
 namespace restorable {
-
-std::vector<SptHandle> cached_spt_batch(
-    SchemeVersion version, SptCache& cache,
-    std::span<const SsspRequest> requests,
-    const std::function<std::vector<Spt>(std::span<const SsspRequest>)>&
-        compute_misses) {
-  std::vector<SptHandle> out(requests.size());
-
-  // Pass 1: resolve hits zero-copy (the cached pointer IS the result); group
-  // the missing slots by key so each unique missing tree is computed once
-  // per batch.
-  std::unordered_map<SptKey, std::vector<size_t>, SptKeyHash> miss_slots;
-  std::vector<SsspRequest> miss_reqs;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    SptKey key(version, requests[i]);
-    if ((out[i] = cache.lookup(key))) continue;
-    auto [it, fresh] = miss_slots.try_emplace(std::move(key));
-    if (fresh) miss_reqs.push_back(requests[i]);
-    it->second.push_back(i);
-  }
-
-  // Pass 2: one engine batch over the unique misses, then publish. miss_reqs
-  // preserves first-appearance order, so computed[k] matches the k-th
-  // distinct missing key. Each tree is wrapped into a handle exactly once;
-  // the cache and every requesting slot share it (insert may prefer an
-  // already-resident bit-identical tree from a racing writer).
-  if (!miss_reqs.empty()) {
-    std::vector<Spt> computed = compute_misses(miss_reqs);
-    for (size_t k = 0; k < miss_reqs.size(); ++k) {
-      const SptKey key(version, miss_reqs[k]);
-      auto tree = std::make_shared<const Spt>(std::move(computed[k]));
-      if (auto resident = cache.insert(key, tree)) tree = std::move(resident);
-      for (size_t slot : miss_slots.at(key)) out[slot] = tree;
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -115,20 +75,15 @@ uint64_t IRpts::next_scheme_id() {
 IRpts::IRpts() : scheme_id_(next_scheme_id()) {}
 
 std::vector<SptHandle> IRpts::spt_batch(std::span<const SsspRequest> requests,
-                                        const BatchSsspEngine* engine,
-                                        SptCache* cache) const {
+                                        const BatchSsspEngine* engine) const {
   // Generic fan-out for schemes without a batch fast path (ArbitraryRpts):
   // each request still runs on the engine's pool, results in request order.
-  const BatchSsspEngine& eng = BatchSsspEngine::or_shared(engine);
-  auto compute = [&](std::span<const SsspRequest> reqs) {
-    std::vector<Spt> out(reqs.size());
-    eng.parallel_for(reqs.size(), [&](size_t i) {
-      out[i] = spt(reqs[i].root, reqs[i].faults, reqs[i].dir);
-    });
-    return out;
-  };
-  if (!cache) return share_spts(compute(requests));
-  return cached_spt_batch(version(), *cache, requests, compute);
+  std::vector<Spt> out(requests.size());
+  BatchSsspEngine::or_shared(engine).parallel_for(
+      requests.size(), [&](size_t i) {
+        out[i] = spt(requests[i].root, requests[i].faults, requests[i].dir);
+      });
+  return share_spts(std::move(out));
 }
 
 std::vector<FaultDelta> IRpts::fault_deltas(

@@ -17,7 +17,6 @@
 //    the tests.)
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,29 +30,8 @@
 
 namespace restorable {
 
-// The serving-layer tree store (serve/spt_cache.h): spt_batch can resolve
-// requests through a shared SptCache, which is what lets construction paths
-// (subset-rp, preservers, labels, oracles) and the online serving path
-// (serve/oracle_server.h) share one store of trees. Only a handle is
-// threaded through here -- the full type is a .cc-level dependency.
-class SptCache;
-
-// Cache-through batch fetch shared by IRpts::spt_batch and Rpts<Policy>'s
-// override (implemented in core/rpts.cc): resolves every request against
-// `cache`, deduplicates the misses within the batch, computes them with ONE
-// `compute_misses` call (the caller's engine-batched path), inserts the
-// fresh trees, and returns request-order results. Hits hand out the cached
-// pointer zero-copy; misses are wrapped into a handle exactly once and
-// shared between the cache and every slot that requested them. Trees are
-// bit-identical to what the compute path alone produces.
-std::vector<SptHandle> cached_spt_batch(
-    SchemeVersion version, SptCache& cache,
-    std::span<const SsspRequest> requests,
-    const std::function<std::vector<Spt>(std::span<const SsspRequest>)>&
-        compute_misses);
-
 // Wraps engine-computed trees into handles (one allocation per tree, no tree
-// copies) -- the uncached tail of every spt_batch implementation.
+// copies) -- the tail of every spt_batch implementation.
 inline std::vector<SptHandle> share_spts(std::vector<Spt>&& trees) {
   std::vector<SptHandle> out;
   out.reserve(trees.size());
@@ -196,14 +174,10 @@ class IRpts {
   // engine). The default fans the virtual spt() out over the engine's pool;
   // Rpts<Policy> overrides it with the workspace-reusing batch path. Every
   // per-root / per-fault loop downstream submits through this instead of
-  // looping. With a non-null `cache`, requests are resolved through it:
-  // hits hand out the cached pointer zero-copy, misses compute as one
-  // engine batch and publish the same handle the caller receives. Trees are
-  // bit-identical either way; see SptHandle for the ownership rules.
+  // looping. See SptHandle for the ownership rules.
   virtual std::vector<SptHandle> spt_batch(
       std::span<const SsspRequest> requests,
-      const BatchSsspEngine* engine = nullptr,
-      SptCache* cache = nullptr) const;
+      const BatchSsspEngine* engine = nullptr) const;
 
   // The fault trees of `requests` as deltas of `base` -- this scheme's
   // fault-free tree spt(base.root, {}, base.dir) on graph() -- in request
@@ -294,15 +268,11 @@ class Rpts final : public IRpts {
     return out;
   }
 
-  std::vector<SptHandle> spt_batch(std::span<const SsspRequest> requests,
-                                   const BatchSsspEngine* engine = nullptr,
-                                   SptCache* cache = nullptr) const override {
-    const BatchSsspEngine& eng = BatchSsspEngine::or_shared(engine);
-    if (!cache) return share_spts(eng.run_batch(*g_, policy_, requests));
-    return cached_spt_batch(version(), *cache, requests,
-                            [&](std::span<const SsspRequest> missed) {
-                              return eng.run_batch(*g_, policy_, missed);
-                            });
+  std::vector<SptHandle> spt_batch(
+      std::span<const SsspRequest> requests,
+      const BatchSsspEngine* engine = nullptr) const override {
+    return share_spts(
+        BatchSsspEngine::or_shared(engine).run_batch(*g_, policy_, requests));
   }
 
   // The same scheme viewed over a subgraph of g (edge labels must refer to

@@ -44,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dijkstra.h"
+#include "core/spt.h"
 #include "graph/graph.h"
 
 namespace restorable {

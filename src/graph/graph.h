@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -306,5 +307,16 @@ class Graph {
   EdgeId absent_ = 0;  // tombstone count
   uint64_t epoch_ = 0;
 };
+
+// Throws std::out_of_range if `faults` names an edge id >= g.num_edges().
+// Such an id matches no arc, so a search would silently return the
+// fault-free tree for a fault set that does not exist.
+inline void check_fault_ids(const Graph& g, const FaultSet& faults,
+                            const char* who) {
+  if (!faults.empty() && faults.ids().back() >= g.num_edges())
+    throw std::out_of_range(std::string(who) + ": fault edge id " +
+                            std::to_string(faults.ids().back()) +
+                            " out of range");
+}
 
 }  // namespace restorable

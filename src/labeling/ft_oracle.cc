@@ -9,10 +9,9 @@ namespace restorable {
 
 FtDistanceOracle::FtDistanceOracle(const IRpts& pi,
                                    std::span<const Vertex> sources, int f,
-                                   const BatchSsspEngine* engine,
-                                   SptCache* cache)
+                                   const BatchSsspEngine* engine)
     : f_(f),
-      h_(build_sv_preserver(pi, sources, f, nullptr, engine, cache)
+      h_(build_sv_preserver(pi, sources, f, nullptr, engine)
              .to_graph()) {
   label_to_h_.assign(pi.graph().num_edges(), kNoEdge);
   for (EdgeId e = 0; e < h_.num_edges(); ++e) label_to_h_[h_.label(e)] = e;

@@ -23,12 +23,9 @@ class FtDistanceOracle {
  public:
   // Builds the f-FT S x V preserver under the given restorable scheme; the
   // preserver's base trees are swept on `engine` (nullptr = shared engine)
-  // and its fault trees are deltas of them. A non-null `cache` routes the
-  // base trees through the shared SPT store, deduplicating them against
-  // every other consumer.
+  // and its fault trees are deltas of them.
   FtDistanceOracle(const IRpts& pi, std::span<const Vertex> sources, int f,
-                   const BatchSsspEngine* engine = nullptr,
-                   SptCache* cache = nullptr);
+                   const BatchSsspEngine* engine = nullptr);
 
   int fault_tolerance() const { return f_; }
   // One extra fault is supported for queries with both endpoints in S

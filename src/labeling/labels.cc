@@ -26,8 +26,7 @@ size_t DistanceLabel::bits() const {
 }
 
 FtDistanceLabeling::FtDistanceLabeling(const IRpts& pi, int f,
-                                       const BatchSsspEngine* engine,
-                                       SptCache* cache)
+                                       const BatchSsspEngine* engine)
     : f_(f) {
   const Graph& g = pi.graph();
   labels_.resize(g.num_vertices());
@@ -39,8 +38,7 @@ FtDistanceLabeling::FtDistanceLabeling(const IRpts& pi, int f,
   eng.parallel_for(g.num_vertices(), [&](size_t vi) {
     const Vertex v = static_cast<Vertex>(vi);
     const Vertex sources[1] = {v};
-    const EdgeSubset pres =
-        build_sv_preserver(pi, sources, f, nullptr, &eng, cache);
+    const EdgeSubset pres = build_sv_preserver(pi, sources, f, nullptr, &eng);
     DistanceLabel& lab = labels_[v];
     lab.owner = v;
     lab.n = g.num_vertices();

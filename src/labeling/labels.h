@@ -35,12 +35,9 @@ class FtDistanceLabeling {
   // Builds (f+1)-FT labels for every vertex: each label is an f-FT
   // {v} x V preserver under the given restorable scheme. The n per-vertex
   // preserver builds are independent and fan out over `engine` (nullptr =
-  // shared engine). A non-null `cache` routes every preserver's base tree
-  // through the shared SPT store (the cache is thread-safe, so the
-  // concurrent per-vertex builds share it directly).
+  // shared engine).
   FtDistanceLabeling(const IRpts& pi, int f,
-                     const BatchSsspEngine* engine = nullptr,
-                     SptCache* cache = nullptr);
+                     const BatchSsspEngine* engine = nullptr);
 
   int fault_tolerance() const { return f_ + 1; }
   const DistanceLabel& label(Vertex v) const { return labels_[v]; }

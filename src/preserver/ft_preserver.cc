@@ -23,11 +23,10 @@ namespace {
 // edges are in already), and tree(F') is the base edges of the vertices the
 // delta does not list plus the delta's parent edges.
 void explore(const IRpts& pi, Vertex s, int f, EdgeSubset& out,
-             PreserverStats* stats, const BatchSsspEngine* engine,
-             SptCache* cache) {
+             PreserverStats* stats, const BatchSsspEngine* engine) {
   if (f < 0) return;
   const SsspRequest base_req[1] = {{s, {}, Direction::kOut}};
-  const SptHandle base = pi.spt_batch(base_req, engine, cache)[0];
+  const SptHandle base = pi.spt_batch(base_req, engine)[0];
   const std::vector<EdgeId> base_edges = base->tree_edges();
   out.insert_all(base_edges);
   if (stats) {
@@ -80,29 +79,28 @@ void explore(const IRpts& pi, Vertex s, int f, EdgeSubset& out,
 
 EdgeSubset build_sv_preserver(const IRpts& pi, std::span<const Vertex> sources,
                               int f, PreserverStats* stats,
-                              const BatchSsspEngine* engine, SptCache* cache) {
+                              const BatchSsspEngine* engine) {
   EdgeSubset out(pi.graph());
-  for (Vertex s : sources) explore(pi, s, f, out, stats, engine, cache);
+  for (Vertex s : sources) explore(pi, s, f, out, stats, engine);
   return out;
 }
 
 EdgeSubset build_ss_preserver(const IRpts& pi, std::span<const Vertex> sources,
                               int f_plus_1, PreserverStats* stats,
-                              const BatchSsspEngine* engine, SptCache* cache) {
+                              const BatchSsspEngine* engine) {
   // Theorem 31: overlaying all S x V replacement paths under <= f faults
   // yields an (f+1)-FT S x S preserver. The subgraph is the f-FT S x V
   // overlay; restorability supplies the extra fault for pairs within S.
-  return build_sv_preserver(pi, sources, f_plus_1 - 1, stats, engine, cache);
+  return build_sv_preserver(pi, sources, f_plus_1 - 1, stats, engine);
 }
 
 EdgeSubset build_pairwise_preserver(const IRpts& pi,
-                                    std::span<const Vertex> sources,
-                                    SptCache* cache) {
+                                    std::span<const Vertex> sources) {
   // The sigma base trees as one batch; path extraction is cheap afterwards.
   std::vector<SsspRequest> reqs;
   reqs.reserve(sources.size());
   for (Vertex s : sources) reqs.push_back({s, {}, Direction::kOut});
-  const std::vector<SptHandle> trees = pi.spt_batch(reqs, nullptr, cache);
+  const std::vector<SptHandle> trees = pi.spt_batch(reqs);
 
   EdgeSubset out(pi.graph());
   for (size_t i = 0; i < sources.size(); ++i) {

@@ -66,27 +66,23 @@ struct PreserverStats {
 
 // f-FT S x V preserver by replacement-path overlay (Theorem 26). The scheme
 // must be consistent and stable (any Rpts<Policy> is; Theorem 19). Each
-// source's base tree is fetched over `engine` (nullptr = shared engine),
-// through `cache` when one is given; every fault set's tree is a delta of
-// that base tree (IRpts::fault_deltas), explored level by level (all fault
-// sets of size k at once). Results are bit-identical either way.
+// source's base tree is swept over `engine` (nullptr = shared engine);
+// every fault set's tree is a delta of that base tree (IRpts::fault_deltas),
+// explored level by level (all fault sets of size k at once).
 EdgeSubset build_sv_preserver(const IRpts& pi, std::span<const Vertex> sources,
                               int f, PreserverStats* stats = nullptr,
-                              const BatchSsspEngine* engine = nullptr,
-                              SptCache* cache = nullptr);
+                              const BatchSsspEngine* engine = nullptr);
 
 // (f+1)-FT S x S preserver (Theorem 31): identical overlay; the theorem is
 // about what it preserves. Provided as a named entry point for readability.
 EdgeSubset build_ss_preserver(const IRpts& pi, std::span<const Vertex> sources,
                               int f_plus_1, PreserverStats* stats = nullptr,
-                              const BatchSsspEngine* engine = nullptr,
-                              SptCache* cache = nullptr);
+                              const BatchSsspEngine* engine = nullptr);
 
 // 0-FT S x S preserver: union of the selected pairwise paths only (used by
 // the +4 spanner at its f = 0 base case, where full trees would be
 // wastefully large).
 EdgeSubset build_pairwise_preserver(const IRpts& pi,
-                                    std::span<const Vertex> sources,
-                                    SptCache* cache = nullptr);
+                                    std::span<const Vertex> sources);
 
 }  // namespace restorable

@@ -4,9 +4,8 @@ namespace restorable {
 
 SubsetDistanceSensitivityOracle::SubsetDistanceSensitivityOracle(
     const IsolationRpts& pi, std::span<const Vertex> sources,
-    const BatchSsspEngine* engine, SptCache* cache) {
-  const SubsetRpResult rp =
-      subset_replacement_paths(pi, sources, engine, cache);
+    const BatchSsspEngine* engine) {
+  const SubsetRpResult rp = subset_replacement_paths(pi, sources, engine);
   for (const auto& pair : rp.pairs) {
     PairRecord rec;
     if (!pair.base_path.empty()) {

@@ -22,12 +22,10 @@ namespace restorable {
 class SubsetDistanceSensitivityOracle {
  public:
   // Preprocesses with Algorithm 1: O(sigma m) + O~(sigma^2 n), fanned out
-  // over `engine` (nullptr = shared engine). `cache` flows through to the
-  // out-tree batch of Algorithm 1 (see subset_replacement_paths).
+  // over `engine` (nullptr = shared engine).
   SubsetDistanceSensitivityOracle(const IsolationRpts& pi,
                                   std::span<const Vertex> sources,
-                                  const BatchSsspEngine* engine = nullptr,
-                                  SptCache* cache = nullptr);
+                                  const BatchSsspEngine* engine = nullptr);
 
   // dist_{G \ {e}}(s1, s2); kUnreachable if the failure disconnects the
   // pair (or the pair was never connected). s1, s2 must be in S.

@@ -3,12 +3,11 @@
 namespace restorable {
 
 SourcewiseReplacementPaths::SourcewiseReplacementPaths(
-    const IRpts& pi, Vertex s, const BatchSsspEngine* engine, SptCache* cache)
+    const IRpts& pi, Vertex s, const BatchSsspEngine* engine)
     : s_(s) {
-  // The base tree through the same batch API as everything else: a cache
-  // hit hands back the resident handle zero-copy.
+  // The base tree through the same batch API as everything else.
   const SsspRequest base_req[1] = {{s, {}, Direction::kOut}};
-  base_ = pi.spt_batch(base_req, engine, cache)[0];
+  base_ = pi.spt_batch(base_req, engine)[0];
 
   const Graph& g = pi.graph();
   std::vector<char> in_preserver(g.num_edges(), 0);

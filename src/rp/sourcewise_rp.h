@@ -23,13 +23,10 @@ namespace restorable {
 class SourcewiseReplacementPaths {
  public:
   // Preprocesses all single-fault distances from s: one tiebroken SSSP
-  // for the base tree over `engine` (nullptr = shared engine), through the
-  // shared SPT store when `cache` is non-null (the (s, {}) key the serving
-  // path and the two-fault oracle use), then one fault delta per tree edge
-  // (only tree-edge faults matter).
+  // for the base tree over `engine` (nullptr = shared engine), then one
+  // fault delta per tree edge (only tree-edge faults matter).
   SourcewiseReplacementPaths(const IRpts& pi, Vertex s,
-                             const BatchSsspEngine* engine = nullptr,
-                             SptCache* cache = nullptr);
+                             const BatchSsspEngine* engine = nullptr);
 
   Vertex source() const { return s_; }
 
@@ -49,8 +46,7 @@ class SourcewiseReplacementPaths {
 
  private:
   Vertex s_;
-  // Retained as a shared handle: zero-copy when fetched from a cache, and
-  // still valid if the cache later evicts the tree (see SptHandle).
+  // Retained as the shared handle spt_batch returns (see SptHandle).
   SptHandle base_;
   // Per faulted tree edge: the replacement distances of the vertices whose
   // selected path used that edge.

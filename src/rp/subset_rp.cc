@@ -60,8 +60,7 @@ void solve_pair(const Spt& t1, const SourceTree& a, const Spt& t2,
 
 SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
                                         std::span<const Vertex> sources,
-                                        const BatchSsspEngine* engine,
-                                        SptCache* cache) {
+                                        const BatchSsspEngine* engine) {
   const Graph& g = pi.graph();
   for (const Vertex s : sources)
     if (s >= g.num_vertices())
@@ -71,13 +70,11 @@ SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
   SubsetRpResult res;
 
   // Step 1: out-trees under the restorable scheme, one batched SSSP
-  // submission for all sources (resolved through the shared tree store when
-  // a cache is attached). Handles, not copies: on cache hits the trees are
-  // read in place from the shared store.
+  // submission for all sources.
   std::vector<SsspRequest> tree_reqs;
   tree_reqs.reserve(sources.size());
   for (Vertex s : sources) tree_reqs.push_back({s, {}, Direction::kOut});
-  const std::vector<SptHandle> trees = pi.spt_batch(tree_reqs, engine, cache);
+  const std::vector<SptHandle> trees = pi.spt_batch(tree_reqs, engine);
 
   std::vector<SourceTree> unpacked(sources.size());
   eng.parallel_for(sources.size(), [&](size_t i) {

@@ -45,13 +45,9 @@ struct SubsetRpResult {
 // builds go through the batch engine as one submission, and the sigma^2 / 2
 // pair solves fan out over the engine's pool (nullptr = shared engine).
 // Results are in pair order (i < j, lexicographic) whatever the thread
-// count. A non-null `cache` resolves the out-trees through the
-// shared SPT store (serve/spt_cache.h), deduplicating them against other
-// consumers of the same scheme; results are bit-identical either way.
-// Throws std::out_of_range, before any work, for a source >= n.
+// count. Throws std::out_of_range, before any work, for a source >= n.
 SubsetRpResult subset_replacement_paths(const IsolationRpts& pi,
                                         std::span<const Vertex> sources,
-                                        const BatchSsspEngine* engine = nullptr,
-                                        SptCache* cache = nullptr);
+                                        const BatchSsspEngine* engine = nullptr);
 
 }  // namespace restorable

@@ -1,19 +1,20 @@
 #include "rp/two_fault_oracle.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace restorable {
 
 TwoFaultSubsetOracle::TwoFaultSubsetOracle(const IRpts& pi,
                                            std::span<const Vertex> sources,
-                                           const BatchSsspEngine* engine,
-                                           SptCache* cache)
+                                           const BatchSsspEngine* engine)
     : g_(&pi.graph()) {
   // Batch 1: the sigma base trees.
   std::vector<SsspRequest> base_reqs;
   base_reqs.reserve(sources.size());
   for (Vertex s : sources) base_reqs.push_back({s, {}, Direction::kOut});
-  std::vector<SptHandle> bases = pi.spt_batch(base_reqs, engine, cache);
+  std::vector<SptHandle> bases = pi.spt_batch(base_reqs, engine);
 
   // Batch 2: one tree per (source, faulted base-tree edge) -- the Theta(n)
   // fault fan-out per source that dominates preprocessing.
@@ -25,7 +26,7 @@ TwoFaultSubsetOracle::TwoFaultSubsetOracle(const IRpts& pi,
       fault_reqs.push_back({sources[i], FaultSet{e}, Direction::kOut});
     }
   }
-  std::vector<SptHandle> fault_trees = pi.spt_batch(fault_reqs, engine, cache);
+  std::vector<SptHandle> fault_trees = pi.spt_batch(fault_reqs, engine);
 
   for (size_t i = 0; i < sources.size(); ++i) {
     PerSource ps;
@@ -39,6 +40,11 @@ TwoFaultSubsetOracle::TwoFaultSubsetOracle(const IRpts& pi,
 
 int32_t TwoFaultSubsetOracle::query(Vertex s1, Vertex s2,
                                     const FaultSet& faults) const {
+  if (faults.size() > 2)
+    throw std::invalid_argument("TwoFaultSubsetOracle::query: " +
+                                std::to_string(faults.size()) +
+                                " faults, at most 2 supported");
+  check_fault_ids(*g_, faults, "TwoFaultSubsetOracle::query");
   if (s1 == s2) return 0;
   const auto it1 = per_source_.find(s1);
   const auto it2 = per_source_.find(s2);

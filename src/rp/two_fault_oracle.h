@@ -29,26 +29,22 @@ class TwoFaultSubsetOracle {
  public:
   // Preprocessing submits the sigma base trees, then the Theta(sigma n)
   // per-tree-edge fault trees, as two engine batches (nullptr = shared
-  // engine). Both batches resolve through `cache` when one is attached --
-  // the (root, {}) and (root, {e}) keys here are exactly what the serving
-  // path and the preserver exploration request, so oracles built on a
-  // served scheme preheat (and reuse) the shared store.
+  // engine).
   TwoFaultSubsetOracle(const IRpts& pi, std::span<const Vertex> sources,
-                       const BatchSsspEngine* engine = nullptr,
-                       SptCache* cache = nullptr);
+                       const BatchSsspEngine* engine = nullptr);
 
   // dist_{G \ F}(s1, s2) for s1, s2 in S and |F| <= 2 (base-graph edge
   // ids); kUnreachable if disconnected. Exactness for |F| = 2 is the
   // 2-restorability guarantee; |F| <= 1 reduces to 1-restorability.
+  // Throws std::invalid_argument for |F| > 2 and std::out_of_range for a
+  // fault id >= m.
   int32_t query(Vertex s1, Vertex s2, const FaultSet& faults) const;
 
   size_t trees_stored() const;
 
  private:
-  // Trees are retained as shared handles: when built over a cache, the
-  // oracle and the serving path reference the SAME resident trees -- the
-  // oracle's footprint is pointers, not tree copies (and a later cache
-  // eviction cannot invalidate them; see SptHandle).
+  // Trees are retained as the shared handles spt_batch returns (see
+  // SptHandle).
   struct PerSource {
     SptHandle base;
     std::unordered_map<EdgeId, SptHandle> under_fault;  // key: faulted edge

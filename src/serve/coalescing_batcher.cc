@@ -100,7 +100,7 @@ void CoalescingBatcher::drain() {
     }
     try {
       const uint64_t c0 = obs::now_ns();
-      auto group_trees = gen->scheme->spt_batch(reqs, engine_, nullptr);
+      auto group_trees = gen->scheme->spt_batch(reqs, engine_);
       const uint64_t c_dur = obs::now_ns() - c0;
       for (size_t k = 0; k < members.size(); ++k) {
         trees[members[k]] = std::move(group_trees[k]);

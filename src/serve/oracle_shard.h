@@ -15,10 +15,7 @@
 //
 // Every query reduces to tree fetches through the batcher, so repeated
 // roots hit the cache, concurrent identical misses coalesce into one
-// Dijkstra, and distinct misses ride the engine as one batch. The same
-// cache handle can be passed to the construction paths (subset-rp,
-// preservers, labels, oracles via IRpts::spt_batch), making the serving
-// path and offline builds share one tree store.
+// Dijkstra, and distinct misses ride the engine as one batch.
 //
 // Live topology churn: apply_updates(graph, deltas) mutates the scheme's
 // graph, bumps the composite (scheme_id, epoch) version, and walks the

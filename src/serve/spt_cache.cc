@@ -92,11 +92,10 @@ SptHandle SptCache::insert(const SptKey& key, SptHandle tree) {
   const bool prot = protected_budget_ > 0 && key.is_base();
   const size_t bytes = entry_bytes(key, *tree);
   std::lock_guard<std::mutex> lock(s.mu);
-  // Stale-epoch rejection: a construction path that computed this tree
-  // before a concurrent advance_epoch finished would publish a dead entry
-  // no lookup can ever reach (the serving layer is already at a newer
-  // epoch), stranding its bytes -- protected segment included -- until the
-  // next bump.
+  // Stale-epoch rejection: a serving straggler pinned to a displaced
+  // generation would publish a dead entry no lookup can ever reach (the
+  // serving layer is already at a newer epoch), stranding its bytes --
+  // protected segment included -- until the next bump.
   const auto latest = s.latest_epoch.find(key.scheme_id);
   if (latest != s.latest_epoch.end() && key.epoch < latest->second) {
     ++s.rejected_stale;

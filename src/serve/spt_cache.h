@@ -3,10 +3,10 @@
 // Theorem 19 schemes are deterministic functions of (graph, policy, root,
 // faults, dir): two requests with the same key always produce bit-identical
 // trees, so the expensive resource of every consumer in this library -- a
-// tiebroken SPT -- is perfectly cacheable. This module is the shared tree
-// store behind both the construction paths (subset-rp, preservers, labels,
-// oracles; see IRpts::spt_batch's cache parameter) and the online serving
-// path (serve/oracle_server.h).
+// tiebroken SPT -- is perfectly cacheable. This module is the tree store of
+// the online serving path (serve/oracle_server.h): the coalescing batcher
+// (serve/coalescing_batcher.h) publishes the trees it computes, and the
+// update path carries them forward or repairs them across epochs.
 //
 // Concurrency model: the key space is hash-partitioned into shards, each an
 // independent pair of LRU lists + hash map behind its own mutex, so
@@ -23,7 +23,7 @@
 // fraction; a scan-heavy fault workload therefore evicts other fault trees,
 // never the base trees. Base-tree inserts may reclaim probationary bytes
 // before evicting other base trees. protected_fraction == 0 degrades to the
-// flat LRU (one class, one list) -- the bench baseline.
+// flat LRU (one class, one list).
 //
 // Byte accounting: every entry is charged Spt::memory_bytes() plus the key
 // and bookkeeping overhead against a per-shard slice of the global budget;
@@ -125,8 +125,7 @@ class SptCache {
     size_t byte_budget = size_t{256} << 20; // total across shards
     // Fraction of each shard's slice reserved for fault-free base trees
     // (clamped to [0, 1]). 0 disables segmentation: one flat LRU list, any
-    // entry can evict any other -- the pre-segmentation behavior, kept as
-    // the bench baseline.
+    // entry can evict any other -- the pre-segmentation behavior.
     double protected_fraction = 0.5;
   };
 
@@ -141,9 +140,9 @@ class SptCache {
     uint64_t carried_forward = 0;
     uint64_t invalidated = 0;
     uint64_t purged_stale = 0;
-    // Construction-path inserts rejected because their epoch was older than
-    // the latest this cache has advanced the scheme to (see insert): each
-    // one is a dead entry that would otherwise have strandeed bytes until
+    // Inserts rejected because their epoch was older than the latest this
+    // cache has advanced the scheme to (see insert): each one is a serving
+    // straggler's dead entry that would otherwise have stranded bytes until
     // the next epoch bump.
     uint64_t rejected_stale = 0;
     // The base-tree (protected-class) slice of hits/misses, whatever the
@@ -190,22 +189,19 @@ class SptCache {
   //
   // Stale-epoch rejection: once advance_epoch has moved `key.scheme_id` to
   // epoch E, inserts keyed at epochs < E return nullptr without storing
-  // anything (counted in Stats::rejected_stale). A construction-path batch
-  // that raced an epoch bump (cached_spt_batch runs outside the server's
-  // mutator lock) would otherwise publish a tree at an epoch the walk has
-  // already purged -- a dead entry, protected segment included, stranded
-  // until the *next* bump. For the epoch-pinned serving path
-  // (serve/generation.h) this is the publish-side guard of the whole RCU
-  // path: the mutator shadow-advances the cache BEFORE swapping in the new
+  // anything (counted in Stats::rejected_stale). This is the publish-side
+  // guard of the epoch-pinned serving path (serve/generation.h): the
+  // mutator shadow-advances the cache BEFORE swapping in the new
   // generation, so a reader still pinned to the displaced generation can
   // finish its compute and hand out a correct old-epoch answer, but its
   // straggler publish bounces here instead of resurrecting a purged epoch
-  // in the store.
+  // -- a dead entry, protected segment included, stranded until the *next*
+  // bump.
   SptHandle insert(const SptKey& key, Spt tree);
 
   // Handle-based insert for callers that already share the tree (the normal
-  // path: cached_spt_batch and the coalescing batcher publish the same
-  // handle they hand to their callers, so admission costs zero copies).
+  // path: the coalescing batcher publishes the same handle it hands to its
+  // callers, so admission costs zero copies).
   SptHandle insert(const SptKey& key, SptHandle tree);
 
   // Fine-grained invalidation: drops every resident entry of `scheme_id`

@@ -206,7 +206,9 @@ TEST(SptLayout, CacheHoldsTwiceTheTwelveByteTrees) {
   const size_t budget = 512 * 1024;
   SptCache cache({.shards = 1, .byte_budget = budget,
                   .protected_fraction = 1.0});
-  (void)pi.spt_batch(reqs, &eng, &cache);
+  const std::vector<SptHandle> trees = pi.spt_batch(reqs, &eng);
+  for (size_t i = 0; i < reqs.size(); ++i)
+    cache.insert(SptKey(pi.scheme_id(), reqs[i]), trees[i]);
   const auto stats = cache.stats();
   ASSERT_GT(stats.entries, 0u);
   ASSERT_LT(stats.entries, reqs.size());  // the budget binds

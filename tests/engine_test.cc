@@ -18,7 +18,6 @@
 #include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "rp/subset_rp.h"
-#include "serve/spt_cache.h"
 
 namespace restorable {
 namespace {
@@ -225,8 +224,6 @@ TEST(SptBatch, RejectsOutOfRangeRoot) {
   EXPECT_THROW(pi.spt(n), std::out_of_range);
   EXPECT_THROW(pi.spt(n + 7), std::out_of_range);
   EXPECT_THROW(pi.spt_batch(bad, &engine), std::out_of_range);
-  SptCache cache;
-  EXPECT_THROW(pi.spt_batch(bad, &engine, &cache), std::out_of_range);
   EXPECT_THROW(arb.spt(n), std::out_of_range);
   EXPECT_THROW(arb.spt_batch(bad, &engine), std::out_of_range);
 
@@ -238,10 +235,6 @@ TEST(SptBatch, RejectsOutOfRangeRoot) {
   EXPECT_THROW(pi.spt(0, bad_faults), std::out_of_range);
   EXPECT_THROW(pi.spt(0, FaultSet{m + 9}), std::out_of_range);
   EXPECT_THROW(pi.spt_batch(bad_fault, &engine), std::out_of_range);
-  SptCache fault_cache;
-  EXPECT_THROW(pi.spt_batch(bad_fault, &engine, &fault_cache),
-               std::out_of_range);
-  EXPECT_EQ(fault_cache.stats().inserts, 0u);
   EXPECT_THROW(arb.spt(0, bad_faults), std::out_of_range);
   EXPECT_THROW(arb.spt_batch(bad_fault, &engine), std::out_of_range);
 

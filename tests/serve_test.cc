@@ -1,7 +1,7 @@
-// Tests for the serving subsystem (src/serve/): cache-on results must be
-// bit-identical to cache-off at every thread count, the coalescing batcher
-// must give single-flight semantics under concurrent mixed hit/miss load,
-// and the LRU must stay inside tiny byte budgets while staying correct.
+// Tests for the serving subsystem (src/serve/): served answers must be
+// bit-identical to the scheme's own, the coalescing batcher must give
+// single-flight semantics under concurrent mixed hit/miss load, and the LRU
+// must stay inside tiny byte budgets while staying correct.
 #include "serve/oracle_server.h"
 
 #include <gtest/gtest.h>
@@ -14,12 +14,6 @@
 #include <tuple>
 
 #include "graph/generators.h"
-#include "labeling/labels.h"
-#include "preserver/ft_preserver.h"
-#include "rp/dso.h"
-#include "rp/sourcewise_rp.h"
-#include "rp/subset_rp.h"
-#include "rp/two_fault_oracle.h"
 #include "serve/coalescing_batcher.h"
 #include "serve/spt_cache.h"
 
@@ -158,10 +152,9 @@ TEST(SptCache, EvictionUnderLiveReadersKeepsHandleValid) {
   // Room for about two trees in one shard; every insert past that evicts.
   const size_t entry = cache_entry_bytes(pi, 0);
   SptCache cache(SptCache::Config{1, 2 * entry + entry / 2});
-  const BatchSsspEngine engine(1);
 
-  const SsspRequest req{0, {}, Direction::kOut};
-  const SptHandle live = pi.spt_batch({&req, 1}, &engine, &cache)[0];
+  const SptKey key(pi.scheme_id(), {0, {}, Direction::kOut});
+  const SptHandle live = cache.insert(key, pi.spt(0));
   ASSERT_NE(live, nullptr);
   const Spt want = pi.spt(0);  // computed outside the cache
   expect_same_tree(*live, want);
@@ -170,15 +163,16 @@ TEST(SptCache, EvictionUnderLiveReadersKeepsHandleValid) {
   for (Vertex root = 1; root < 20; ++root)
     cache.insert(SptKey(pi.scheme_id(), {root, {}, Direction::kOut}),
                  pi.spt(root));
-  EXPECT_EQ(cache.peek(SptKey(pi.scheme_id(), req)), nullptr);
+  EXPECT_EQ(cache.peek(key), nullptr);
   EXPECT_GT(cache.stats().evictions, 0u);
 
   // The live handle is unaffected by the eviction: same contents, readable.
   expect_same_tree(*live, want);
 
-  // A re-fetch misses, recomputes, and produces a bit-identical tree (a
-  // fresh allocation -- the cache no longer owns the evicted one).
-  const SptHandle refetch = pi.spt_batch({&req, 1}, &engine, &cache)[0];
+  // A re-fetch misses, and the recomputed tree it stores is bit-identical
+  // (a fresh allocation -- the cache no longer owns the evicted one).
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  const SptHandle refetch = cache.insert(key, pi.spt(0));
   ASSERT_NE(refetch, nullptr);
   EXPECT_NE(refetch.get(), live.get());
   expect_same_tree(*refetch, *live);
@@ -254,104 +248,6 @@ TEST(SptCache, SegmentedAdmissionProtectsBaseTreesFromFaultScan) {
       EXPECT_EQ(stats.protected_entries, 0u);
     }
     EXPECT_GT(stats.sum_shard_peak_bytes, 0u);
-  }
-}
-
-TEST(CachedSptBatch, BitIdenticalToUncachedAcrossThreadCounts) {
-  const Graph g = gnp_connected(70, 0.07, 11);
-  const IsolationRpts pi(g, IsolationAtw(12));
-  std::vector<SsspRequest> reqs;
-  for (Vertex root : {3u, 17u, 3u, 42u, 17u})  // duplicates on purpose
-    reqs.push_back({root, {}, Direction::kOut});
-  reqs.push_back({3, FaultSet{2}, Direction::kOut});
-  reqs.push_back({9, {}, Direction::kIn});
-
-  for (int threads : {1, 2, 8}) {
-    const BatchSsspEngine engine(threads);
-    const auto want = pi.spt_batch(reqs, &engine);
-    SptCache cache;
-    // Two rounds through the same cache: cold then fully warm.
-    for (int round = 0; round < 2; ++round) {
-      const auto got = pi.spt_batch(reqs, &engine, &cache);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " round=" +
-                     std::to_string(round) + " req=" + std::to_string(i));
-        expect_same_tree(*got[i], *want[i]);
-      }
-      // Zero-copy within the batch: duplicate requests share ONE tree.
-      EXPECT_EQ(got[0].get(), got[2].get());  // root 3, miss-side dedup
-      EXPECT_EQ(got[1].get(), got[4].get());  // root 17
-      // Zero-copy against the store: every handle IS the resident tree, on
-      // the miss round (publish returns the same handle) and the hit round
-      // (lookup hands out the cached pointer).
-      for (size_t i = 0; i < got.size(); ++i) {
-        const auto resident = cache.peek(SptKey(pi.scheme_id(), reqs[i]));
-        ASSERT_NE(resident, nullptr);
-        EXPECT_EQ(got[i].get(), resident.get());
-      }
-    }
-    // Round 0: every request probes cold (7 misses) but only the 5 unique
-    // keys compute; round 1: all 7 hit.
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.misses, 7u);
-    EXPECT_EQ(stats.hits, 7u);
-    EXPECT_EQ(stats.inserts, 5u);
-  }
-}
-
-// The four routed consumers must produce identical results with and without
-// a shared cache, at several engine widths -- the "construction paths share
-// one tree store" guarantee.
-TEST(SharedCache, ConsumersAreCacheInvariant) {
-  const Graph g = gnp_connected(40, 0.1, 21);
-  const IsolationRpts pi(g, IsolationAtw(22));
-  const std::vector<Vertex> sources{0, 9, 23, 31};
-
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const BatchSsspEngine engine(threads);
-    SptCache cache;  // ONE cache shared by all four consumers
-
-    const auto rp0 = subset_replacement_paths(pi, sources, &engine);
-    const auto rp1 = subset_replacement_paths(pi, sources, &engine, &cache);
-    ASSERT_EQ(rp0.pairs.size(), rp1.pairs.size());
-    for (size_t p = 0; p < rp0.pairs.size(); ++p) {
-      EXPECT_EQ(rp0.pairs[p].base_path, rp1.pairs[p].base_path);
-      EXPECT_EQ(rp0.pairs[p].replacement, rp1.pairs[p].replacement);
-    }
-
-    PreserverStats ps0, ps1;
-    const auto pre0 = build_sv_preserver(pi, sources, 2, &ps0, &engine);
-    const auto pre1 =
-        build_sv_preserver(pi, sources, 2, &ps1, &engine, &cache);
-    EXPECT_EQ(pre0.edge_ids(), pre1.edge_ids());
-    EXPECT_EQ(ps0.spt_computations, ps1.spt_computations);
-    EXPECT_EQ(ps0.fault_deltas, ps1.fault_deltas);
-
-    const TwoFaultSubsetOracle or0(pi, sources, &engine);
-    const TwoFaultSubsetOracle or1(pi, sources, &engine, &cache);
-    for (size_t i = 0; i < sources.size(); ++i)
-      for (size_t j = i + 1; j < sources.size(); ++j)
-        for (EdgeId e = 0; e < g.num_edges(); e += 7)
-          EXPECT_EQ(or0.query(sources[i], sources[j], FaultSet{e}),
-                    or1.query(sources[i], sources[j], FaultSet{e}));
-
-    const FtDistanceLabeling lab0(pi, 1, &engine);
-    const FtDistanceLabeling lab1(pi, 1, &engine, &cache);
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(lab0.label(v).edges, lab1.label(v).edges);
-    }
-
-    const SourcewiseReplacementPaths sw0(pi, sources[0], &engine);
-    const SourcewiseReplacementPaths sw1(pi, sources[0], &engine, &cache);
-    for (Vertex v = 0; v < g.num_vertices(); v += 3)
-      for (EdgeId e = 0; e < g.num_edges(); e += 5)
-        EXPECT_EQ(sw0.query(v, e), sw1.query(v, e));
-
-    // The shared store did its job: later consumers re-hit earlier
-    // consumers' trees (e.g. every (s, {}) tree computed at most once).
-    EXPECT_GT(cache.stats().hits, 0u);
   }
 }
 
@@ -501,6 +397,22 @@ TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
     EXPECT_EQ(hist_total, stats.flushes);
     EXPECT_EQ(stats.batch_hist[1], 1u);  // the one size-3 flush
     EXPECT_EQ(stats.batch_hist_sum, stats.computed);
+  }
+
+  // A warm round of the same requests computes nothing: every slot is a
+  // counted cache hit, and every handle of both rounds IS the resident tree
+  // (the flush published the handle it handed out; hits are zero-copy).
+  const uint64_t hits = cache.stats().hits;
+  const auto warm = batcher.get_batch(reqs, gens.pin());
+  ASSERT_EQ(warm.size(), reqs.size());
+  EXPECT_EQ(cache.stats().hits, hits + reqs.size());
+  EXPECT_EQ(batcher.stats().computed, 3u);
+  EXPECT_EQ(batcher.stats().flushes, 1u);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const SptHandle resident = cache.peek(SptKey(pi.version(), reqs[i]));
+    ASSERT_NE(resident, nullptr);
+    EXPECT_EQ(trees[i].get(), resident.get());
+    EXPECT_EQ(warm[i].get(), resident.get());
   }
 }
 
@@ -740,10 +652,10 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
             Direction dir = Direction::kOut) const override {
       return ArbitraryRpts(*g_).spt(root, faults, dir);
     }
-    std::vector<SptHandle> spt_batch(std::span<const SsspRequest> requests,
-                                     const BatchSsspEngine* engine = nullptr,
-                                     SptCache* cache = nullptr) const override {
-      auto out = IRpts::spt_batch(requests, engine, cache);
+    std::vector<SptHandle> spt_batch(
+        std::span<const SsspRequest> requests,
+        const BatchSsspEngine* engine = nullptr) const override {
+      auto out = IRpts::spt_batch(requests, engine);
       for (size_t i = 0; i < requests.size(); ++i)
         if (requests[i].root == 13) out[i] = nullptr;  // the lossy slot
       return out;

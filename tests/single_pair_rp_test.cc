@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dijkstra.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "rp/naive_rp.h"

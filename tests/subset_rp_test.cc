@@ -12,7 +12,6 @@
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "rp/naive_rp.h"
-#include "serve/spt_cache.h"
 
 namespace restorable {
 namespace {
@@ -182,17 +181,6 @@ TEST(SubsetRp, BasePathEdgesAreGlobalIds) {
     EXPECT_TRUE(g.is_valid_path(pr.base_path));
 }
 
-void expect_same_result(const SubsetRpResult& a, const SubsetRpResult& b) {
-  ASSERT_EQ(a.pairs.size(), b.pairs.size());
-  for (size_t i = 0; i < a.pairs.size(); ++i) {
-    EXPECT_EQ(a.pairs[i].s1, b.pairs[i].s1);
-    EXPECT_EQ(a.pairs[i].s2, b.pairs[i].s2);
-    EXPECT_EQ(a.pairs[i].base_path, b.pairs[i].base_path);
-    EXPECT_EQ(a.pairs[i].replacement, b.pairs[i].replacement);
-  }
-  EXPECT_EQ(a.tree_edges_total, b.tree_edges_total);
-}
-
 // Base paths of about 2k hops through dense cliques: the cover paints many
 // failures per pair, with candidates of many distinct intervals.
 TEST(SubsetRp, LongPathsOnCliqueChains) {
@@ -206,22 +194,6 @@ TEST(SubsetRp, LongPathsOnCliqueChains) {
     ASSERT_EQ(res.pairs[2].s2, n - 1);  // pair (0, n - 1) crosses the chain
     EXPECT_GE(res.pairs[2].base_path.length(), static_cast<size_t>(k));
   }
-}
-
-// Trees resolved through the shared store, first as misses and then as
-// hits, give the uncached result bit for bit.
-TEST(SubsetRp, CachedRunEqualsUncached) {
-  const Graph g = gnp_connected(40, 0.12, 8);
-  IsolationRpts pi(g, IsolationAtw(22));
-  const Vertex sources[] = {0, 9, 21, 39};
-  const auto plain = subset_replacement_paths(pi, sources);
-  SptCache cache;
-  expect_same_result(subset_replacement_paths(pi, sources, nullptr, &cache),
-                     plain);
-  const uint64_t hits = cache.stats().hits;
-  expect_same_result(subset_replacement_paths(pi, sources, nullptr, &cache),
-                     plain);
-  EXPECT_GT(cache.stats().hits, hits);
 }
 
 // A repeated source pairs with itself: base path of length 0, no failures.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/bfs.h"
 #include "graph/generators.h"
 
@@ -76,6 +78,23 @@ TEST(TwoFaultOracle, UnknownSourceRejected) {
   const TwoFaultSubsetOracle oracle(pi, sources);
   EXPECT_EQ(oracle.query(0, 3, FaultSet{}), kUnreachable);  // 3 not in S
   EXPECT_EQ(oracle.query(2, 2, FaultSet{0, 1}), 0);
+}
+
+TEST(TwoFaultOracle, RejectsBadFaultSets) {
+  // cycle(6) has edges 0..5. Three faults are more than the two proper
+  // subsets the oracle indexes cover, and an id >= m names no edge.
+  Graph g = cycle(6);
+  IsolationRpts pi(g, IsolationAtw(19));
+  const Vertex sources[] = {0, 3};
+  const TwoFaultSubsetOracle oracle(pi, sources);
+  EXPECT_THROW(oracle.query(0, 3, FaultSet{0, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(oracle.query(0, 3, FaultSet{0, 4, 5}), std::invalid_argument);
+  EXPECT_THROW(oracle.query(0, 3, FaultSet{6}), std::out_of_range);
+  EXPECT_THROW(oracle.query(0, 3, FaultSet{1, 100}), std::out_of_range);
+  EXPECT_THROW(oracle.query(0, 1, FaultSet{6}), std::out_of_range);
+  // The bounds themselves still answer.
+  for (const FaultSet& f : {FaultSet{0, 5}, FaultSet{5}, FaultSet{2, 4}})
+    EXPECT_EQ(oracle.query(0, 3, f), bfs_distance(g, 0, 3, f));
 }
 
 TEST(TwoFaultOracle, TreeAccounting) {
